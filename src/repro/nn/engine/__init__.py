@@ -8,13 +8,15 @@ This package provides the ahead-of-time alternative:
 
 * :func:`compile_net` — walk a trained module, fold eval-mode BatchNorm
   into conv weights, fuse each Bundle's DWConv3x3 -> PWConv1x1 -> act
-  chain into one kernel, and emit a flat :class:`CompiledNet` plan.
+  chain (and a following max-pool) into one kernel, and emit a flat
+  :class:`CompiledNet` plan.  fp32 and integer plans share that planner,
+  its pass list and one kernel set; precision is each kernel's epilogue.
 * :class:`BufferArena` — shape-keyed buffer pool so im2col columns and
   activation maps are reused across frames (static deployment shapes).
 * :class:`QuantConfig` — integer-domain execution: pass
   ``compile_net(net, quant=QuantConfig(8, 8), calibration=batch)`` to
-  calibrate power-of-two scales and run int8/int16 kernels (Section
-  6.4.1 / Table 7 of the paper).
+  calibrate power-of-two scales and run the same plan on int8/int16
+  feature maps (Section 6.4.1 / Table 7 of the paper).
 * :class:`ThreadedPipeline` — real threaded stage pipeline mirroring
   the paper's 4-stage TX2 schedule, exportable to the analytic
   :class:`~repro.hardware.pipeline.PipelineSimulator`.

@@ -2,16 +2,25 @@
 
 ``compile_net`` walks a trained :class:`~repro.nn.module.Module` and
 emits a :class:`CompiledNet` — a register machine whose steps are the
-raw-ndarray kernels of :mod:`repro.nn.engine.kernels`.  Three passes run
-over the emitted plan before lowering:
+raw-ndarray kernels of :mod:`repro.nn.engine.kernels`.  Every plan, fp32
+or integer, comes from the same planner and the same four passes
+(:data:`PASSES`):
 
 1. **fold** — eval-mode BatchNorm becomes a per-channel affine and is
    folded into the preceding conv/depthwise weights (weights are copied;
    the source module is never mutated).
 2. **fuse-act** — element-wise activations are absorbed into the
-   producing conv/affine step and applied in place on its output buffer.
-3. **fuse-bundle** — every DWConv3x3 -> PWConv1x1 pair (the SkyNet
+   producing conv/affine step and applied by its epilogue.
+3. **fuse-bundle** — every depthwise -> PWConv1x1 pair (the SkyNet
    Bundle after folding) collapses into one :class:`FusedBundleKernel`.
+4. **fold-pool** — a max-pool whose only input is a conv or bundle
+   output runs inside that kernel, before its epilogue.
+
+Precision enters after the passes: an integer plan (``quant=``) goes
+through :func:`repro.nn.engine.quant.calibrate`, which gives the conv,
+depthwise and bundle nodes integer weights and an integer epilogue and
+inserts quantize / requant / dequantize steps at domain boundaries.
+Both plans then lower through the same kernel constructors.
 
 The compiled plan always implements the *eval-mode* forward (BN running
 statistics, dropout off) and snapshots the weights at compile time:
@@ -127,7 +136,7 @@ class _Planner:
             return self._push("concat", outs)
         if isinstance(m, BatchNorm2d):
             scale, shift = m.fold_scale_shift()
-            return self._push("affine", [reg], scale=scale, shift=shift,
+            return self._push("affine", [reg], scale=scale, bias=shift,
                               act=None)
         if type(m) in _ACT_SPECS:
             return self._push("act", [reg], act=_ACT_SPECS[type(m)])
@@ -242,7 +251,7 @@ def _fold_batchnorm(nodes: list[_Node], out_reg: int) -> tuple[list[_Node], int]
                 and counts[prev.out] == 1
             ):
                 scale = np.asarray(node.attrs["scale"], dtype=np.float32)
-                shift = np.asarray(node.attrs["shift"], dtype=np.float32)
+                shift = np.asarray(node.attrs["bias"], dtype=np.float32)
                 w = np.asarray(prev.attrs["weight"], dtype=np.float32)
                 prev.attrs["weight"] = w * scale[:, None, None, None]
                 bias = prev.attrs["bias"]
@@ -307,90 +316,100 @@ def _fuse_bundles(nodes: list[_Node], out_reg: int) -> tuple[list[_Node], int]:
     return kept, out_reg
 
 
-def _fuse_bundle_pools(nodes: list[_Node], out_reg: int) -> tuple[list[_Node], int]:
-    """Fold ``bundle -> maxpool2x2/s2`` into the bundle's strip tail.
+def _monotone(act) -> bool:
+    """Is the activation monotone non-decreasing (so an epilogue applying
+    it commutes with a max-pool run before it)?"""
+    return act is None or act[0] != "leaky_relu" or act[1] >= 0
 
-    Pooling runs on the bundle's post-activation values, so the fused
-    result is bit-identical to the standalone pool step; fusing lets the
-    strip-tiled bundle pool each row strip while it is still
-    cache-resident instead of re-streaming the full pre-pool map from
-    DRAM.  fp32 plans only — the quantized lowering does its own pool
-    fusion into the requantize tail.
+
+def _fold_pools(nodes: list[_Node], out_reg: int) -> tuple[list[_Node], int]:
+    """Fold ``conv/bundle -> maxpool`` into the producer.
+
+    The kernel pools its raw accumulator and runs the epilogue on the
+    pooled map; the epilogue is monotone, so the result is identical to
+    the standalone pool step while the epilogue touches a fraction of
+    the elements and each row block is pooled while it is still
+    cache-resident.
     """
     producer = {n.out: n for n in nodes}
     counts = _consumer_counts(nodes, out_reg)
     kept: list[_Node] = []
     for node in nodes:
-        if (
-            node.kind == "maxpool"
-            and node.attrs["kernel"] == 2
-            and node.attrs["stride"] == 2
-        ):
+        if node.kind == "maxpool":
             prev = producer.get(node.inputs[0])
+            tail = None if prev is None else (
+                prev.attrs["pw"] if prev.kind == "bundle" else prev.attrs)
             if (
                 prev is not None
-                and prev.kind == "bundle"
+                and prev.kind in ("conv", "bundle")
                 and "pool" not in prev.attrs
+                and _monotone(tail["act"])
                 and counts[prev.out] == 1
             ):
-                kept.remove(prev)
-                kept.append(
-                    _Node("bundle", list(prev.inputs), node.out,
-                          {**prev.attrs, "pool": (2, 2)})
-                )
+                prev.attrs["pool"] = (node.attrs["kernel"],
+                                      node.attrs["stride"])
+                prev.out = node.out
                 continue
         kept.append(node)
     return kept, out_reg
 
 
-def _lower_node(node: _Node, key) -> K.Kernel:
-    """Build the fp32 kernel for one optimized-plan node.
+#: The pass list every plan runs, fp32 and integer alike.
+PASSES = (_fold_batchnorm, _fuse_activations, _fuse_bundles, _fold_pools)
 
-    Shared by the fp32 lowering below and by the quantized lowering
-    (:mod:`repro.nn.engine.quant`), which routes ops without an
-    integer-domain rule through the stock kernels.
-    """
+
+def _epilogue(a: dict) -> K.Epilogue:
+    """The node's epilogue: set by calibration on integer nodes, else the
+    float bias + activation."""
+    return a.get("epilogue") or K.Epilogue(a.get("bias"), a["act"])
+
+
+def _lower_node(node: _Node, key) -> K.Kernel:
+    """Build the kernel for one optimized-plan node."""
     a = node.attrs
-    if node.kind == "conv":
-        return K.ConvKernel(key, a["weight"], a["bias"], a["stride"],
-                            a["pad"], a["act"])
-    if node.kind == "dw":
-        return K.DWConvKernel(key, a["weight"], a["bias"], a["stride"],
-                              a["pad"], a["act"])
-    if node.kind == "bundle":
+    kind = node.kind
+    if kind == "conv":
+        return K.ConvKernel(key, a["weight"], _epilogue(a), a["stride"],
+                            a["pad"], a.get("pool"))
+    if kind == "dw":
+        return K.DWConvKernel(key, a["weight"], _epilogue(a), a["stride"],
+                              a["pad"])
+    if kind == "bundle":
         dw, pw = a["dw"], a["pw"]
         return K.FusedBundleKernel(
             key,
-            K.DWConvKernel((key, "dw"), dw["weight"], dw["bias"],
-                           dw["stride"], dw["pad"], dw["act"]),
-            K.ConvKernel((key, "pw"), pw["weight"], pw["bias"],
-                         pw["stride"], pw["pad"], pw["act"]),
-            pool=a.get("pool"),
+            K.DWConvKernel((key, "dw"), dw["weight"], _epilogue(dw),
+                           dw["stride"], dw["pad"]),
+            K.ConvKernel((key, "pw"), pw["weight"], _epilogue(pw),
+                         pw["stride"], pw["pad"], a.get("pool")),
         )
-    if node.kind == "affine":
-        return K.AffineKernel(key, a["scale"], a["shift"], a["act"])
-    if node.kind == "act":
-        return K.ActKernel(key, a["act"])
-    if node.kind == "maxpool":
+    if kind in ("affine", "act"):
+        return K.AffineKernel(key, a.get("scale"), _epilogue(a))
+    if kind == "maxpool":
         return K.MaxPoolKernel(key, a["kernel"], a["stride"])
-    if node.kind == "avgpool":
-        return K.AvgPoolKernel(key, a["kernel"], a["stride"])
-    if node.kind == "gap":
+    if kind == "avgpool":
+        return K.AvgPoolKernel(key, a["kernel"], a["stride"],
+                               a.get("epilogue"))
+    if kind == "gap":
         return K.GlobalAvgPoolKernel(key)
-    if node.kind == "reorg":
+    if kind == "reorg":
         return K.ReorgKernel(key, a["stride"])
-    if node.kind == "upsample":
+    if kind == "upsample":
         return K.UpsampleKernel(key, a["scale"])
-    if node.kind == "concat":
+    if kind == "concat":
         return K.ConcatKernel(key)
-    if node.kind == "slice":
+    if kind == "slice":
         return K.SliceChannelsKernel(key, a["start"], a["stop"])
-    if node.kind == "linear":
-        return K.LinearKernel(key, a["weight"], a["bias"], a["act"])
-    if node.kind == "flatten":
+    if kind == "linear":
+        return K.LinearKernel(key, a["weight"], _epilogue(a))
+    if kind == "flatten":
         return K.FlattenKernel(key)
+    if kind in ("quantize", "dequantize"):
+        from .quant import boundary_kernel
+
+        return boundary_kernel(node, key)
     # pragma: no cover - planner emits only the kinds above
-    raise CompileError(f"cannot lower op kind {node.kind!r}")
+    raise CompileError(f"cannot lower op kind {kind!r}")
 
 
 def _lower(nodes: list[_Node]) -> list[tuple[K.Kernel, tuple[int, ...], int]]:
@@ -517,40 +536,38 @@ def compile_net(
 
     Pass ``quant`` (a :class:`~repro.nn.engine.quant.QuantConfig`) plus
     ``calibration`` samples (an ``(N, C, H, W)`` batch representative of
-    inference inputs) to lower the plan into the integer domain: weights
-    are stored as int8/int16, feature maps flow between kernels as
-    int8/int16, and per-tensor power-of-two scales are frozen from the
-    calibration batch.
+    inference inputs) to run the plan in the integer domain: weights are
+    quantized onto ``w_bits`` grids, feature maps flow between kernels
+    as int8/int16, and per-tensor power-of-two scales are frozen from
+    the calibration batch.
 
     Raises :class:`CompileError` for module types without a rule, and
     when ``quant`` is given without ``calibration``.
     """
     if name is None:
         name = type(module).__name__
+    if quant is not None and calibration is None:
+        raise CompileError(
+            "quantized compilation needs calibration samples: "
+            "compile_net(net, quant=..., calibration=batch)"
+        )
     with obs.span("engine/compile", model=name,
                   quant=None if quant is None else quant.label):
         planner = _Planner()
         out_reg = planner.emit(module, 0)
-        nodes = planner.nodes
-        nodes, out_reg = _fold_batchnorm(nodes, out_reg)
-        nodes, out_reg = _fuse_activations(nodes, out_reg)
-        nodes, out_reg = _fuse_bundles(nodes, out_reg)
-        if quant is None:
-            nodes, out_reg = _fuse_bundle_pools(nodes, out_reg)
+        nodes, n_regs = planner.nodes, planner.n_regs
+        for fuse in PASSES:
+            nodes, out_reg = fuse(nodes, out_reg)
+        stats = None
         if quant is not None:
-            from .quant import lower_quantized
+            from .quant import calibrate, kernel_dtypes
 
-            if calibration is None:
-                raise CompileError(
-                    "quantized compilation needs calibration samples: "
-                    "compile_net(net, quant=..., calibration=batch)"
-                )
             t0 = time.perf_counter()
-            steps, n_regs, out_reg, stats = lower_quantized(
-                nodes, planner.n_regs, out_reg, quant, calibration, name
-            )
-            net = CompiledNet(steps, n_regs, out_reg, name, arena,
-                              quant=quant, quant_stats=stats)
+            nodes, n_regs, out_reg, stats = calibrate(
+                nodes, n_regs, out_reg, quant, calibration, name)
+        steps = _lower(nodes)
+        if quant is not None:
+            stats["kernels"] = [kernel_dtypes(k) for k, _, _ in steps]
             obs.set_gauge(f"engine/{name}/quant/compile_ms",
                           (time.perf_counter() - t0) * 1e3)
             for dtype in ("int8", "int16", "float32", "float64"):
@@ -559,8 +576,6 @@ def compile_net(
                 if count:
                     obs.set_gauge(f"engine/{name}/quant/kernels_{dtype}",
                                   count)
-        else:
-            steps = _lower(nodes)
-            net = CompiledNet(steps, planner.n_regs, out_reg, name, arena)
         obs.set_gauge(f"engine/{name}/kernels", len(steps))
-    return net
+    return CompiledNet(steps, n_regs, out_reg, name, arena, quant=quant,
+                       quant_stats=stats)

@@ -1,16 +1,26 @@
-"""Inference kernels for the compiled engine.
+"""Inference kernels for the compiled engine — one set for every precision.
 
 Each kernel is a plain-ndarray operation: no :class:`~repro.nn.tensor.Tensor`
 wrappers, no autograd closures, no graph bookkeeping.  Kernels draw every
 scratch and output array from a :class:`~repro.nn.engine.arena.BufferArena`
 keyed by their own identity, so repeated calls at a fixed input shape run
-allocation-free.  Activations and (folded) biases are applied in place on
-the output buffer.
+allocation-free.
 
-The convolution kernels mirror the im2col formulation of
-:mod:`repro.nn.functional` exactly — including the 1x1 fast path that
-skips im2col — so compiled outputs match the eager eval path bit-for-bit
-up to float32 rounding.
+Precision is not a kernel family but a kernel's :class:`Epilogue`: the
+convolution and pooling kernels accumulate in the epilogue's *carrier*
+dtype, run any fused max-pool on that accumulator, and hand it to the
+epilogue, which finishes it into the output dtype.  The float epilogue
+below adds the folded bias and applies the fused activation; the integer
+epilogue (:class:`repro.nn.engine.quant.IntEpilogue`) adds a pre-shifted
+bias, clamps activation and saturation in one ``clip`` and rounds into
+int8/int16.  Pooling before the epilogue is exact for both: the
+compiler folds a pool only into a monotone non-decreasing epilogue,
+which commutes with ``max``.
+
+Variants are rules on shape, never options: 1x1 convolutions skip im2col
+and run in cache-sized row blocks, depthwise convolutions run in
+cache-sized channel blocks, and large depthwise maps accumulate tap by
+tap instead of unfolding 9x larger columns.
 """
 
 from __future__ import annotations
@@ -22,11 +32,11 @@ from .threads import intra_op_matmul
 
 __all__ = [
     "Kernel",
+    "Epilogue",
     "ConvKernel",
     "DWConvKernel",
     "FusedBundleKernel",
     "AffineKernel",
-    "ActKernel",
     "MaxPoolKernel",
     "AvgPoolKernel",
     "GlobalAvgPoolKernel",
@@ -36,7 +46,6 @@ __all__ = [
     "SliceChannelsKernel",
     "LinearKernel",
     "FlattenKernel",
-    "IdentityKernel",
     "apply_activation",
 ]
 
@@ -68,70 +77,97 @@ def apply_activation(out: np.ndarray, act: tuple | None) -> np.ndarray:
     return out
 
 
-def _im2col_into(
-    arena,
-    owner,
-    x: np.ndarray,
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-    cols_dtype=None,
-) -> tuple[np.ndarray, int, int]:
-    """Arena-backed im2col: returns (cols (N, C*kh*kw, OH*OW), OH, OW).
+class Epilogue:
+    """Float epilogue: folded bias, then the fused activation.
 
-    ``cols_dtype`` lets the column matrix land in a different dtype than
-    the input (the quantized backend gathers int8 windows straight into
-    float32 columns — the cast rides the copy, no extra pass)."""
+    ``carrier`` is the accumulator dtype of the kernel that owns this
+    epilogue (float32 for the fp32 engine; calibration runs the same
+    kernels in float64 to compute the fake-quant reference).
+    """
+
+    tag = ""  # label suffix naming the precision
+
+    def __init__(self, bias: np.ndarray | None = None,
+                 act: tuple | None = None, carrier=np.float32) -> None:
+        self.carrier = self.out_dtype = np.dtype(carrier)
+        self.bias = None if bias is None else np.asarray(bias, self.carrier)
+        self.act = act
+
+    def __call__(self, acc: np.ndarray, out: np.ndarray | None = None,
+                 axis: int = 1, c0: int = 0) -> None:
+        """Finish ``acc`` (channels on ``axis``, starting at channel
+        ``c0``) into ``out``, or in place when ``out`` is ``None``."""
+        if self.bias is not None:
+            bias = self.bias[c0 : c0 + acc.shape[axis]]
+            acc += bias.reshape((-1,) + (1,) * (acc.ndim - 1 - axis))
+        self.store(acc, out)
+
+    def store(self, acc: np.ndarray, out: np.ndarray | None) -> None:
+        apply_activation(acc, self.act)
+        if out is not None:
+            np.copyto(out, acc)
+
+
+def _pool_label(pool) -> str:
+    return "" if pool is None else f"+maxpool{pool[0]}/s{pool[1]}"
+
+
+def maxpool(x: np.ndarray, kernel: int, stride: int, arena,
+            owner) -> np.ndarray:
+    """``kernel`` x ``kernel`` / ``stride`` max over the last two axes.
+
+    Separable — rows first (contiguous reads), then columns on the
+    pooled-height intermediate — which is half the traffic of a k*k
+    strided-tap reduction and works for any leading layout (NCHW maps,
+    channel-major accumulators, row blocks).
+    """
+    k, s = kernel, stride
+    *lead, h, w = x.shape
+    oh, ow = conv_out_size(h, k, s, 0), conv_out_size(w, k, s, 0)
+    rows = arena.get(owner, "poolrows", (*lead, oh, w), x.dtype)
+    np.maximum(x[..., : s * oh : s, :], x[..., k - 1 : k - 1 + s * oh : s, :],
+               out=rows)
+    for i in range(1, k - 1):
+        np.maximum(rows, x[..., i : i + s * oh : s, :], out=rows)
+    out = arena.get(owner, "pool", (*lead, oh, ow), x.dtype)
+    np.maximum(rows[..., : s * ow : s], rows[..., k - 1 : k - 1 + s * ow : s],
+               out=out)
+    for j in range(1, k - 1):
+        np.maximum(out, rows[..., j : j + s * ow : s], out=out)
+    return out
+
+
+def _pad_cm(arena, owner, x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` (N, C, H, W) as a zero-padded channel-major (C, N, H', W')
+    block in the input's own dtype (a view when ``pad`` is 0).  The
+    border is zeroed once at allocation and never written again."""
+    if pad == 0:
+        return x.transpose(1, 0, 2, 3)
     n, c, h, w = x.shape
-    oh = conv_out_size(h, kh, stride, pad)
-    ow = conv_out_size(w, kw, stride, pad)
-    if pad > 0:
-        xp = arena.get(
-            owner, "pad", (n, c, h + 2 * pad, w + 2 * pad), x.dtype, zero=True
-        )
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-        x = xp
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    xp = arena.get(owner, "pad", (c, n, h + 2 * pad, w + 2 * pad), x.dtype,
+                   zero=True)
+    xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    return xp
+
+
+def im2col_cm(arena, owner, xp: np.ndarray, kh: int, kw: int, stride: int,
+              dtype) -> tuple[np.ndarray, int, int]:
+    """Channel-major im2col of a padded (C, N, H', W') block: returns
+    (cols (C*kh*kw, N*OH*OW), OH, OW).
+
+    The whole microbatch feeds *one* ``(COUT, K) @ (K, N*OH*OW)`` GEMM,
+    and ``dtype`` lets the columns land in the kernel's carrier (integer
+    feature maps are widened by the window copy itself, no extra pass).
+    """
+    c, n, hp, wp = xp.shape
+    oh = conv_out_size(hp, kh, stride, 0)
+    ow = conv_out_size(wp, kw, stride, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw),
+                                                       axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
-    cols = arena.get(owner, "cols", (n, c * kh * kw, oh * ow),
-                     cols_dtype or x.dtype)
-    np.copyto(
-        cols.reshape(n, c, kh, kw, oh, ow), windows.transpose(0, 1, 4, 5, 2, 3)
-    )
-    return cols, oh, ow
-
-
-def _im2col_batched_into(
-    arena,
-    owner,
-    x: np.ndarray,
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-) -> tuple[np.ndarray, int, int]:
-    """Channel-major im2col: returns (cols (C*kh*kw, N*OH*OW), OH, OW).
-
-    Same taps as :func:`_im2col_into` but laid out so the whole
-    microbatch feeds *one* ``(COUT, K) @ (K, N*OH*OW)`` GEMM instead of
-    N stacked GEMMs.  The layout change rides the copy im2col performs
-    anyway — only the destination index order differs."""
-    n, c, h, w = x.shape
-    oh = conv_out_size(h, kh, stride, pad)
-    ow = conv_out_size(w, kw, stride, pad)
-    if pad > 0:
-        xp = arena.get(
-            owner, "pad", (n, c, h + 2 * pad, w + 2 * pad), x.dtype, zero=True
-        )
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-        x = xp
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    cols = arena.get(owner, "colsb", (c * kh * kw, n * oh * ow), np.float32)
-    np.copyto(
-        cols.reshape(c, kh, kw, n, oh, ow), windows.transpose(1, 4, 5, 0, 2, 3)
-    )
+    cols = arena.get(owner, "cols", (c * kh * kw, n * oh * ow), dtype)
+    np.copyto(cols.reshape(c, kh, kw, n, oh, ow),
+              windows.transpose(0, 4, 5, 1, 2, 3))
     return cols, oh, ow
 
 
@@ -139,323 +175,288 @@ class Kernel:
     """Base class: a compiled step with a stable arena identity."""
 
     label = "kernel"
+    epilogue: Epilogue | None = None
+    #: Cache budget of one block of work: depthwise kernels run channel
+    #: blocks and pointwise kernels row blocks of about this many bytes,
+    #: so each pass over a block — products, GEMM, pool, epilogue — hits
+    #: cache instead of DRAM.
+    BLOCK_BYTES = 832 * 1024
 
-    def __init__(self, key: int) -> None:
+    def __init__(self, key) -> None:
         self.key = key
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
         raise NotImplementedError
 
+    def _acc(self, arena, out: np.ndarray) -> np.ndarray:
+        """Accumulator for ``out``: ``out`` itself when it already has
+        the carrier dtype (the epilogue then runs in place)."""
+        if out.dtype == self.epilogue.carrier:
+            return out
+        return arena.get(self.key, "acc", out.shape, self.epilogue.carrier)
+
 
 class ConvKernel(Kernel):
-    """Dense convolution (+ folded bias + fused activation).
+    """Dense convolution (+ fused max-pool) + epilogue.
 
     1x1/stride-1/pad-0 convolutions (half of every SkyNet Bundle) skip
-    im2col entirely and run as a single reshape + matmul.
+    im2col entirely and run in cache-sized row blocks
+    (:meth:`_run_row_blocks`); the rest run one channel-major im2col
+    GEMM over the whole microbatch.
     """
 
     def __init__(
         self,
-        key: int,
+        key,
         weight: np.ndarray,
-        bias: np.ndarray | None,
+        epilogue: Epilogue,
         stride: int = 1,
         pad: int = 0,
-        act: tuple | None = None,
+        pool: tuple[int, int] | None = None,
     ) -> None:
         super().__init__(key)
-        self.weight = np.ascontiguousarray(weight, dtype=np.float32)
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float32)
+        self.epilogue = epilogue
+        self.weight = np.ascontiguousarray(weight, dtype=epilogue.carrier)
         self.stride = stride
         self.pad = pad
-        self.act = act
+        self.pool = pool
         cout, cin, kh, kw = self.weight.shape
         self.kh, self.kw = kh, kw
+        self.pointwise = kh == kw == 1 and stride == 1 and pad == 0
         self._wmat = self.weight.reshape(cout, cin * kh * kw)
-        suffix = f"+{act[0]}" if act else ""
-        self.label = f"conv{kh}x{kw} {cin}->{cout}{suffix}"
+        act = epilogue.act
+        self.label = (f"conv{kh}x{kw} {cin}->{cout}"
+                      f"{f'+{act[0]}' if act else ''}{_pool_label(pool)}"
+                      f"{epilogue.tag}")
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
         (x,) = inputs
         n, cin, h, w = x.shape
         cout = self._wmat.shape[0]
-        if self.kh == 1 and self.kw == 1 and self.stride == 1 and self.pad == 0:
-            cols, oh, ow = x.reshape(n, cin, h * w), h, w
-        elif n > 1:
-            # Batched path: one (COUT, K) @ (K, N*OH*OW) GEMM for the
-            # whole microbatch, then a transpose-scatter back to NCHW.
-            cols, oh, ow = _im2col_batched_into(
-                arena, self.key, x, self.kh, self.kw, self.stride, self.pad
-            )
-            outb = arena.get(self.key, "outb", (cout, n * oh * ow), np.float32)
-            intra_op_matmul(self._wmat, cols, outb)
-            if self.bias is not None:
-                outb += self.bias.reshape(cout, 1)
-            apply_activation(outb, self.act)
-            out = arena.get(self.key, "out", (n, cout, oh * ow), np.float32)
-            np.copyto(
-                out.reshape(n, cout, oh * ow),
-                outb.reshape(cout, n, oh * ow).transpose(1, 0, 2),
-            )
-            return out.reshape(n, cout, oh, ow)
-        else:
-            cols, oh, ow = _im2col_into(
-                arena, self.key, x, self.kh, self.kw, self.stride, self.pad
-            )
-        out = arena.get(self.key, "out", (n, cout, oh * ow), np.float32)
-        intra_op_matmul(self._wmat, cols, out)
-        if self.bias is not None:
-            out += self.bias.reshape(1, cout, 1)
-        apply_activation(out, self.act)
-        return out.reshape(n, cout, oh, ow)
+        carrier = self.epilogue.carrier
+        if self.pointwise and (self.pool is None
+                               or self.pool[0] == self.pool[1]):
+            if x.dtype != carrier:
+                xc = arena.get(self.key, "xin", x.shape, carrier)
+                np.copyto(xc, x)
+                x = xc
+            return self._run_row_blocks(x, arena)
+        xp = _pad_cm(arena, self.key, x, self.pad)
+        cols, oh, ow = im2col_cm(arena, self.key, xp, self.kh, self.kw,
+                                 self.stride, carrier)
+        acc = arena.get(self.key, "acc", (cout, n, oh, ow), carrier)
+        intra_op_matmul(self._wmat, cols, acc.reshape(cout, n * oh * ow))
+        if self.pool is not None:
+            acc = maxpool(acc, *self.pool, arena, self.key)
+        # (C, N, H, W) -> NCHW; one sample leaves the layouts identical,
+        # and the epilogue can then run in place.
+        nchw = acc.transpose(1, 0, 2, 3)
+        if nchw.dtype == self.epilogue.out_dtype and nchw.flags.c_contiguous:
+            self.epilogue(acc, None, axis=0)
+            return nchw
+        out = arena.get(self.key, "out", nchw.shape, self.epilogue.out_dtype)
+        self.epilogue(acc, out.transpose(1, 0, 2, 3), axis=0)
+        return out
+
+    def _run_row_blocks(self, x: np.ndarray, arena) -> np.ndarray:
+        """1x1 conv (+ pool) + epilogue, one block of rows at a time.
+
+        Each block's accumulator fits :attr:`Kernel.BLOCK_BYTES`, so the
+        GEMM, the pool and every epilogue pass run while it is
+        cache-resident instead of streaming the full pre-pool map
+        through DRAM.  The pool window equals its stride here, so blocks
+        of whole windows pool exactly.
+        """
+        n, cin, h, w = x.shape
+        cout = self._wmat.shape[0]
+        s = 1 if self.pool is None else self.pool[1]
+        out = arena.get(self.key, "out", (n, cout, h // s, w // s),
+                        self.epilogue.out_dtype)
+        # An unpooled block is written by the GEMM straight into the
+        # output when no cast is needed.
+        direct = s == 1 and out.dtype == self.epilogue.carrier
+        rows = self.BLOCK_BYTES // (cout * w * self.epilogue.carrier.itemsize)
+        rows = min(h, max(s, rows - rows % s))
+        for b in range(n):
+            for r0 in range(0, h, rows):
+                r1 = min(h, r0 + rows)
+                dst = out[b, :, r0 // s : r1 // s]
+                acc = (dst if direct else arena.get(
+                    self.key, "acc", (cout, r1 - r0, w),
+                    self.epilogue.carrier))
+                intra_op_matmul(self._wmat, x[b, :, r0:r1].reshape(cin, -1),
+                                acc.reshape(cout, -1))
+                if self.pool is not None:
+                    acc = maxpool(acc, *self.pool, arena, self.key)
+                self.epilogue(acc, None if direct else dst, axis=0)
+        return out
 
 
 class DWConvKernel(Kernel):
-    """Depthwise convolution (+ folded bias + fused activation)."""
+    """Depthwise convolution + epilogue.
+
+    Small maps unfold im2col columns and run one batched matmul of tiny
+    ``(1, k*k) @ (k*k, P)`` factors; from :attr:`TAP_MIN_PIXELS` output
+    pixels on, the 9x larger column matrix costs more memory traffic
+    than it saves, and the k*k taps accumulate as vectorized
+    multiply-adds over strided views of the padded input instead.  Both
+    variants work one cache-sized channel block at a time.
+    """
+
+    #: Output pixels (N*OH*OW) from which tap accumulation beats im2col.
+    TAP_MIN_PIXELS = 6400
 
     def __init__(
         self,
-        key: int,
+        key,
         weight: np.ndarray,
-        bias: np.ndarray | None,
+        epilogue: Epilogue,
         stride: int = 1,
         pad: int = 0,
-        act: tuple | None = None,
     ) -> None:
         super().__init__(key)
-        self.weight = np.ascontiguousarray(weight, dtype=np.float32)
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float32)
+        self.epilogue = epilogue
+        self.weight = np.ascontiguousarray(weight, dtype=epilogue.carrier)
         self.stride = stride
         self.pad = pad
-        self.act = act
         c, _, kh, kw = self.weight.shape
         self.kh, self.kw = kh, kw
         self._wmat = self.weight.reshape(c, 1, kh * kw)
-        suffix = f"+{act[0]}" if act else ""
-        self.label = f"dwconv{kh}x{kw} c{c}{suffix}"
+        # One (C, 1, 1, 1) weight column per tap, for broadcasting.
+        self._taps = [(i, j, np.ascontiguousarray(
+            self.weight[:, 0, i, j]).reshape(c, 1, 1, 1))
+            for i in range(kh) for j in range(kw)]
+        act = epilogue.act
+        self.label = (f"dwconv{kh}x{kw} c{c}{f'+{act[0]}' if act else ''}"
+                      f"{epilogue.tag}")
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+        """Channels run in blocks of :attr:`Kernel.BLOCK_BYTES`: each block
+        is padded, convolved (tap products, or a column copy and its
+        matmul) and finished by the epilogue while it is cache-resident.
+        The padded block keeps the *storage* dtype: integer feature maps
+        are widened by the tap products or the column copy themselves."""
         (x,) = inputs
         n, c, h, w = x.shape
-        cols, oh, ow = _im2col_into(
-            arena, self.key, x, self.kh, self.kw, self.stride, self.pad
-        )
-        cols = cols.reshape(n, c, self.kh * self.kw, oh * ow)
-        out = arena.get(self.key, "out", (n, c, 1, oh * ow), np.float32)
-        np.matmul(self._wmat, cols, out=out)
-        if self.bias is not None:
-            out += self.bias.reshape(1, c, 1, 1)
-        apply_activation(out, self.act)
-        return out.reshape(n, c, oh, ow)
+        s, p, k2 = self.stride, self.pad, self.kh * self.kw
+        oh = conv_out_size(h, self.kh, s, p)
+        ow = conv_out_size(w, self.kw, s, p)
+        carrier = self.epilogue.carrier
+        out = arena.get(self.key, "out", (n, c, oh, ow),
+                        self.epilogue.out_dtype)
+        out_cm = out.transpose(1, 0, 2, 3)
+        taps = n * oh * ow >= self.TAP_MIN_PIXELS
+        per_channel = n * oh * ow * carrier.itemsize * (2 if taps else k2 + 1)
+        cb = min(c, max(1, self.BLOCK_BYTES // per_channel))
+        block = (cb, n, oh, ow)
+        # The GEMM needs a contiguous target (one sample); the tap ufuncs
+        # write through views.
+        in_place = out.dtype == carrier and (taps or n == 1)
+        scratch = None if in_place else arena.get(self.key, "acc", block,
+                                                  carrier)
+        xp = None if p == 0 else arena.get(
+            self.key, "pad", (cb, n, h + 2 * p, w + 2 * p), x.dtype,
+            zero=True)  # the border is zeroed once, never written
+        for c0 in range(0, c, cb):
+            c1 = min(c0 + cb, c)
+            xb = x[:, c0:c1].transpose(1, 0, 2, 3)
+            if xp is not None:
+                xp[: c1 - c0, :, p : p + h, p : p + w] = xb
+                xb = xp[: c1 - c0]
+            ob = out_cm[c0:c1]
+            acc = ob if in_place else scratch[: c1 - c0]
+            if taps:
+                tb = arena.get(self.key, "tap", block, carrier)[: c1 - c0]
+                for t, (i, j, wt) in enumerate(self._taps):
+                    win = xb[:, :, i : i + s * oh : s, j : j + s * ow : s]
+                    np.multiply(win, wt[c0:c1], out=tb if t else acc)
+                    if t:
+                        acc += tb
+            else:
+                cols, _, _ = im2col_cm(arena, self.key, xb, self.kh, self.kw,
+                                       s, carrier)
+                np.matmul(self._wmat[c0:c1], cols.reshape(c1 - c0, k2, -1),
+                          out=acc.reshape(c1 - c0, 1, -1))
+            self.epilogue(acc, None if in_place else ob, axis=0, c0=c0)
+        return out
 
 
 class FusedBundleKernel(Kernel):
-    """One SkyNet Bundle as a single step: DWConv3x3 -> act -> PWConv1x1 -> act.
+    """One SkyNet Bundle as a single step: DWConv -> epilogue -> PWConv1x1
+    (-> fused max-pool) -> epilogue.
 
-    Both BatchNorms are already folded into the two weight tensors, so
-    the whole Bundle runs as two matmuls with in-place bias/activation —
-    the TensorRT-style fusion the TX2 deployment relies on.
+    Both BatchNorms are already folded into the two weight tensors.  The
+    depthwise half hands its finished map to the pointwise half in the
+    depthwise carrier (an integer plan skips the round trip through
+    int8).  Both halves work in cache-sized blocks, so the one full-size
+    intermediate is the depthwise output, written once and read once.
     """
 
-    # Strip tuning: target per-strip working set (bytes) and the minimum
-    # full-size working set below which stripping cannot pay.  At the
-    # paper's 160x320 deployment resolution a microbatch-8 bundle's
-    # column matrix alone is tens of MB — far past any cache — while the
-    # late 20x40 stages fit entirely and run faster unstripped.
-    STRIP_TARGET_BYTES = 8 << 20
-    STRIP_MIN_BYTES = 6 << 20
-
-    def __init__(
-        self,
-        key: int,
-        dw: DWConvKernel,
-        pw: ConvKernel,
-        pool: tuple[int, int] | None = None,
-    ) -> None:
+    def __init__(self, key, dw: DWConvKernel, pw: ConvKernel) -> None:
         super().__init__(key)
         self.dw = dw
         self.pw = pw
-        self.pool = pool  # (kernel, stride); compiler only fuses (2, 2)
-        self._pool_kernel = (
-            None if pool is None
-            else MaxPoolKernel((key, "pool"), pool[0], pool[1])
-        )
-        self._strippable = (
-            dw.kh == 3 and dw.kw == 3 and dw.stride == 1 and dw.pad == 1
-            and pw.kh == 1 and pw.kw == 1 and pw.stride == 1 and pw.pad == 0
-        )
-        suffix = "" if pool is None else f"+maxpool{pool[0]}/s{pool[1]}"
-        self.label = f"bundle[{dw.label} | {pw.label}]{suffix}"
+        self.epilogue = pw.epilogue
+        self.label = f"bundle[{dw.label} | {pw.label}]"
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        x = inputs[0]
-        if self._strippable and x.dtype == np.float32:
-            n, cin, h, w = x.shape
-            cout = self.pw._wmat.shape[0]
-            # Bytes touched per output row: im2col columns + dw output +
-            # pw output + padded input, all at width w and batch n.
-            row_bytes = 4 * n * w * (9 * cin + cin + cout + cin)
-            if row_bytes * h >= self.STRIP_MIN_BYTES and (
-                self.pool is None or (h % 2 == 0 and w % 2 == 0)
-            ):
-                return self._run_strips(x, arena, row_bytes)
-        mid = self.dw.run(inputs, arena)
-        out = self.pw.run([mid], arena)
-        if self._pool_kernel is not None:
-            out = self._pool_kernel.run([out], arena)
-        return out
-
-    def _run_strips(self, x: np.ndarray, arena, row_bytes: int) -> np.ndarray:
-        """Row-strip fused dw3x3 -> act -> pw1x1 -> act over the batch.
-
-        The strip works in channel-major ``(c, n, rows, w)`` layout so
-        each stage is one GEMM across the *whole* microbatch, and the
-        strip height is chosen so every intermediate stays cache-resident
-        between stages — the per-kernel DRAM round trips that make naive
-        batch-8 *slower* than 8x batch-1 never happen.  Identical taps
-        and reduction order as the unfused path, so outputs agree with
-        ``DWConvKernel`` + ``ConvKernel`` to float rounding.
-        """
-        n, cin, h, w = x.shape
-        cout = self.pw._wmat.shape[0]
-        wdw = self.dw._wmat  # (cin, 1, 9)
-        wpw = self.pw._wmat  # (cout, cin)
-        rows = max(1, min(h, self.STRIP_TARGET_BYTES // max(1, row_bytes)))
-        pooled = self.pool is not None
-        if pooled:
-            rows = max(2, rows - rows % 2)  # even strips pool exactly
-            out = arena.get(self.key, "out", (n, cout, h // 2, w // 2),
-                            np.float32)
-        else:
-            out = arena.get(self.key, "out", (n, cout, h, w), np.float32)
-        xc = x.transpose(1, 0, 2, 3)  # (cin, n, h, w) view
-        r0 = 0
-        while r0 < h:
-            nr = min(rows, h - r0)
-            m = n * nr * w
-            # Padded strip: rows 1..nr are data, rows 0/nr+1 are halo;
-            # columns 0/w+1 are never written and stay zero from alloc.
-            p = arena.get(self.key, "spad", (cin, n, nr + 2, w + 2),
-                          np.float32, zero=True)
-            p[:, :, 1 : 1 + nr, 1 : 1 + w] = xc[:, :, r0 : r0 + nr, :]
-            if r0 > 0:
-                p[:, :, 0, 1 : 1 + w] = xc[:, :, r0 - 1, :]
-            else:
-                p[:, :, 0, :] = 0.0
-            if r0 + nr < h:
-                p[:, :, 1 + nr, 1 : 1 + w] = xc[:, :, r0 + nr, :]
-            else:
-                p[:, :, 1 + nr, :] = 0.0
-            win = np.lib.stride_tricks.sliding_window_view(
-                p, (3, 3), axis=(2, 3))  # (cin, n, nr, w, 3, 3)
-            cols = arena.get(self.key, "scols", (cin, 9, m), np.float32)
-            np.copyto(cols.reshape(cin, 3, 3, n, nr, w),
-                      win.transpose(0, 4, 5, 1, 2, 3))
-            mid = arena.get(self.key, "smid", (cin, 1, m), np.float32)
-            np.matmul(wdw, cols, out=mid)
-            if self.dw.bias is not None:
-                mid += self.dw.bias.reshape(cin, 1, 1)
-            apply_activation(mid, self.dw.act)
-            pwout = arena.get(self.key, "spw", (cout, m), np.float32)
-            intra_op_matmul(wpw, mid.reshape(cin, m), pwout)
-            if self.pw.bias is not None:
-                pwout += self.pw.bias.reshape(cout, 1)
-            apply_activation(pwout, self.pw.act)
-            v = pwout.reshape(cout, n, nr, w)
-            if pooled:
-                # 2x2/s2 max over the post-activation strip: identical
-                # values to a standalone MaxPoolKernel on the full map.
-                pl = arena.get(self.key, "spool",
-                               (cout, n, nr // 2, w // 2), np.float32)
-                np.maximum(v[:, :, ::2, ::2], v[:, :, ::2, 1::2], out=pl)
-                np.maximum(pl, v[:, :, 1::2, ::2], out=pl)
-                np.maximum(pl, v[:, :, 1::2, 1::2], out=pl)
-                out[:, :, r0 // 2 : (r0 + nr) // 2, :] = (
-                    pl.transpose(1, 0, 2, 3))
-            else:
-                out[:, :, r0 : r0 + nr, :] = v.transpose(1, 0, 2, 3)
-            r0 += nr
-        return out
+        return self.pw.run([self.dw.run(inputs, arena)], arena)
 
 
 class AffineKernel(Kernel):
-    """Per-channel ``scale * x + shift`` — an unfolded eval-mode BatchNorm
-    (only emitted when the preceding op cannot absorb the fold)."""
+    """Element-wise per-channel (or scalar) ``scale * x`` + epilogue.
 
-    def __init__(
-        self,
-        key: int,
-        scale: np.ndarray,
-        shift: np.ndarray,
-        act: tuple | None = None,
-    ) -> None:
+    An unfolded eval-mode BatchNorm (shift = epilogue bias), a standalone
+    activation (no scale), and — with an integer epilogue — a grid change
+    between two integer scales.
+    """
+
+    def __init__(self, key, scale, epilogue: Epilogue) -> None:
         super().__init__(key)
-        self.scale = np.asarray(scale, dtype=np.float32)
-        self.shift = np.asarray(shift, dtype=np.float32)
-        self.act = act
-        self.label = f"affine c{self.scale.size}"
+        self.epilogue = epilogue
+        self.scale = (None if scale is None
+                      else np.asarray(scale, dtype=epilogue.carrier))
+        act = epilogue.act
+        name = "act" if self.scale is None else "affine"
+        self.label = f"{name}{f':{act[0]}' if act else ''}{epilogue.tag}"
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
         (x,) = inputs
-        c = self.scale.size
-        out = arena.get(self.key, "out", x.shape, np.float32)
-        np.multiply(x, self.scale.reshape(1, c, 1, 1), out=out)
-        out += self.shift.reshape(1, c, 1, 1)
-        apply_activation(out, self.act)
+        out = arena.get(self.key, "out", x.shape, self.epilogue.out_dtype)
+        acc = self._acc(arena, out)
+        if self.scale is None:
+            np.copyto(acc, x)
+        else:
+            np.multiply(x, self.scale.reshape(
+                (-1,) + (1,) * (x.ndim - 2)), out=acc)
+        self.epilogue(acc, None if acc is out else out)
         return out
 
 
-class ActKernel(Kernel):
-    """Standalone activation (when it could not be fused upstream)."""
-
-    def __init__(self, key: int, act: tuple) -> None:
-        super().__init__(key)
-        self.act = act
-        self.label = f"act:{act[0]}"
-
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        (x,) = inputs
-        out = arena.get(self.key, "out", x.shape, np.float32)
-        np.copyto(out, x)
-        return apply_activation(out, self.act)
-
-
 class MaxPoolKernel(Kernel):
-    def __init__(self, key: int, kernel: int, stride: int) -> None:
+    """Max pooling; dtype-generic (an integer map pools on its own grid)."""
+
+    def __init__(self, key, kernel: int, stride: int) -> None:
         super().__init__(key)
         self.kernel = kernel
         self.stride = stride
         self.label = f"maxpool{kernel}x{kernel}/s{stride}"
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        (x,) = inputs
-        n, c, h, w = x.shape
-        k, s = self.kernel, self.stride
-        oh = conv_out_size(h, k, s, 0)
-        ow = conv_out_size(w, k, s, 0)
-        # Output dtype follows the input: max of a quantized-backend int
-        # feature map is the same int grid.
-        out = arena.get(self.key, "out", (n, c, oh, ow), x.dtype)
-        # Accumulate tap-by-tap over strided slices rather than reducing a
-        # sliding-window view: a (..., k, k) axis reduction over the strided
-        # view is an order of magnitude slower than k*k vectorized maximums.
-        np.copyto(out, x[:, :, : s * oh : s, : s * ow : s])
-        for i in range(k):
-            for j in range(k):
-                if i == 0 and j == 0:
-                    continue
-                np.maximum(
-                    out, x[:, :, i : i + s * oh : s, j : j + s * ow : s], out=out
-                )
-        return out
+        return maxpool(inputs[0], self.kernel, self.stride, arena, self.key)
 
 
 class AvgPoolKernel(Kernel):
-    def __init__(self, key: int, kernel: int, stride: int) -> None:
+    """Average pooling in the epilogue's carrier (an integer plan uses it
+    for power-of-two windows, where the divide is an exact shift)."""
+
+    def __init__(self, key, kernel: int, stride: int,
+                 epilogue: Epilogue | None = None) -> None:
         super().__init__(key)
         self.kernel = kernel
         self.stride = stride
-        self.label = f"avgpool{kernel}x{kernel}/s{stride}"
+        self.epilogue = epilogue if epilogue is not None else Epilogue()
+        self.label = f"avgpool{kernel}x{kernel}/s{stride}{self.epilogue.tag}"
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
         (x,) = inputs
@@ -463,15 +464,18 @@ class AvgPoolKernel(Kernel):
         k, s = self.kernel, self.stride
         oh = conv_out_size(h, k, s, 0)
         ow = conv_out_size(w, k, s, 0)
-        out = arena.get(self.key, "out", (n, c, oh, ow), np.float32)
-        # Same tap-accumulation trick as MaxPoolKernel.
-        np.copyto(out, x[:, :, : s * oh : s, : s * ow : s])
+        out = arena.get(self.key, "out", (n, c, oh, ow),
+                        self.epilogue.out_dtype)
+        acc = self._acc(arena, out)
+        # Accumulate tap-by-tap over strided slices rather than reducing
+        # a sliding-window view: an order of magnitude faster.
+        np.copyto(acc, x[:, :, : s * oh : s, : s * ow : s])
         for i in range(k):
             for j in range(k):
-                if i == 0 and j == 0:
-                    continue
-                out += x[:, :, i : i + s * oh : s, j : j + s * ow : s]
-        out *= 1.0 / (k * k)
+                if i or j:
+                    acc += x[:, :, i : i + s * oh : s, j : j + s * ow : s]
+        acc *= 1.0 / (k * k)
+        self.epilogue(acc, None if acc is out else out)
         return out
 
 
@@ -489,7 +493,7 @@ class GlobalAvgPoolKernel(Kernel):
 class ReorgKernel(Kernel):
     """Space-to-depth rearrangement, identical to :func:`repro.nn.functional.reorg`."""
 
-    def __init__(self, key: int, stride: int) -> None:
+    def __init__(self, key, stride: int) -> None:
         super().__init__(key)
         self.stride = stride
         self.label = f"reorg/s{stride}"
@@ -510,7 +514,7 @@ class ReorgKernel(Kernel):
 
 
 class UpsampleKernel(Kernel):
-    def __init__(self, key: int, scale: int) -> None:
+    def __init__(self, key, scale: int) -> None:
         super().__init__(key)
         self.scale = scale
         self.label = f"upsample x{scale}"
@@ -542,7 +546,7 @@ class ConcatKernel(Kernel):
 class SliceChannelsKernel(Kernel):
     """Channel slice view (grouped-conv input split); allocation-free."""
 
-    def __init__(self, key: int, start: int, stop: int) -> None:
+    def __init__(self, key, start: int, stop: int) -> None:
         super().__init__(key)
         self.start = start
         self.stop = stop
@@ -553,19 +557,12 @@ class SliceChannelsKernel(Kernel):
 
 
 class LinearKernel(Kernel):
-    def __init__(
-        self,
-        key: int,
-        weight: np.ndarray,
-        bias: np.ndarray | None,
-        act: tuple | None = None,
-    ) -> None:
+    def __init__(self, key, weight: np.ndarray, epilogue: Epilogue) -> None:
         super().__init__(key)
+        self.epilogue = epilogue
         self._wt = np.ascontiguousarray(
             np.asarray(weight, dtype=np.float32).T
         )
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float32)
-        self.act = act
         self.label = f"linear {self._wt.shape[0]}->{self._wt.shape[1]}"
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
@@ -573,9 +570,7 @@ class LinearKernel(Kernel):
         out = arena.get(self.key, "out", (x.shape[0], self._wt.shape[1]),
                         np.float32)
         intra_op_matmul(x, self._wt, out)
-        if self.bias is not None:
-            out += self.bias
-        apply_activation(out, self.act)
+        self.epilogue(out)
         return out
 
 
@@ -585,12 +580,3 @@ class FlattenKernel(Kernel):
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
         (x,) = inputs
         return x.reshape(x.shape[0], -1)
-
-
-class IdentityKernel(Kernel):
-    """No-op (eval-mode Dropout)."""
-
-    label = "identity"
-
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        return inputs[0]

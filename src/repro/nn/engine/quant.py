@@ -1,41 +1,44 @@
-"""Integer-domain quantized backend for the compiled engine.
+"""Integer precision for the compiled engine: an epilogue and a calibration pass.
 
 The paper's Ultra96 deployment runs the whole network in fixed point
 (Section 6.4.1, Table 7): per-tensor power-of-two scales — pure shifts
 in the FPGA IPs — int8/int16 storage, wide accumulators, and shift
-requantization between layers.  :mod:`repro.hardware.quantization` only
-*simulates* that (fake quantization on the eager path); this module is
-the real thing for the compiled engine:
+requantization between layers, with every scheme running on the same
+IP set.  :mod:`repro.hardware.quantization` only *simulates* that (fake
+quantization on the eager path); here the compiled engine runs it, on
+the same plan and the same kernels as the fp32 engine:
 
 * :class:`QuantConfig` — a (weight bits, feature-map bits) scheme, e.g.
   ``QuantConfig(8, 8)`` or ``QuantConfig.from_scheme(TABLE7_SCHEMES[1])``.
-* **Calibration** — :func:`lower_quantized` runs the folded fp32 plan
-  over user-supplied sample inputs and freezes one power-of-two scale
-  per tensor, via :func:`repro.hardware.quantization.fixed_point_fracbits`
-  — the same scale logic the fake-quant path uses, so the two backends
-  agree on every grid.
-* **Integer kernels** — convolutions consume/produce int8/int16 feature
-  maps, accumulate exactly, requantize with a rounding shift, and apply
-  ReLU/ReLU6 as integer clamps.  Pooling, concat, reorg, upsample and
-  slice run natively on the integer arrays.  Ops with no integer rule
-  (sigmoid, global pooling, non-power-of-two averaging, linear heads)
-  dequantize their input and run the stock fp32 kernel; a later
-  convolution re-enters the integer domain through a calibrated
-  quantize step.
+* :class:`IntEpilogue` — what precision changes in a kernel.  The
+  requantization shift is folded into the weights, so the accumulator
+  lands on the output grid; the epilogue adds the pre-shifted bias,
+  clamps activation and saturation in one ``clip`` and rounds into
+  int8/int16 storage.
+* :func:`calibrate` — walks the optimized plan once over user-supplied
+  sample inputs, freezes one power-of-two scale per tensor via
+  :func:`repro.hardware.quantization.fixed_point_fracbits` (the scale
+  logic of the fake-quant path), gives every conv, depthwise and bundle
+  node its integer weights and epilogue, and inserts quantize / requant
+  / dequantize steps where values cross between the integer domain and
+  ops without an integer rule (sigmoid, global pooling, linear heads,
+  non-power-of-two averaging).  Pooling, concat, reorg, upsample and
+  slice run natively on the integer arrays.  Along the way it computes
+  the fake-quant reference of the calibration batch — the same kernels
+  run on real-valued fake-quantized weights and activations — which the
+  integer plan reproduces bit for bit
+  (``CompiledNet.quant_stats["reference_output"]``).
 
 Arithmetic model.  The accumulator carries *exact integer values* in a
 float32 or float64 "carrier" array: every product of a ``w_bits``-bit
 weight and an ``fm_bits``-bit feature is an integer below ``2**24``
-(float32's exact-integer range) for the 8-bit schemes, and the compiler
-switches any kernel whose worst-case accumulator bound exceeds the
-carrier's exact range to float64.  This keeps the matrix multiplies on
-the same BLAS paths the fp32 engine uses (NumPy's native integer matmul
-has no BLAS backend and is an order of magnitude slower) while remaining
+(float32's exact-integer range) for the 8-bit schemes, and calibration
+switches any kernel whose worst-case accumulator bound exceeds that
+range to float64.  This keeps the matrix multiplies on the same BLAS
+paths the fp32 engine uses (NumPy's native integer matmul has no BLAS
+backend and is an order of magnitude slower) while remaining
 bit-equivalent to true int32/int64 accumulation — the float ALU here
-plays the role of the DSP48 slices on the Ultra96.  Weights are stored
-as int8/int16 ndarrays (the deployment artifact); depthwise convolutions
-drop im2col entirely and accumulate tap-by-tap, which is where the
-measured speedup over the fp32 engine comes from.
+plays the role of the DSP48 slices on the Ultra96.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ from ...hardware.quantization import (
     quantize_fixed,
     quantize_to_fracbits,
 )
-from ..im2col import conv_out_size, im2col
 from .arena import BufferArena
+from .compiler import _lower_node, _Node
 from . import kernels as K
 
-__all__ = ["QuantConfig", "lower_quantized"]
+__all__ = ["QuantConfig", "IntEpilogue", "calibrate"]
 
 #: Activations with an exact integer-domain rule (clamps at on-grid
 #: bounds: 0 and 6 * 2**frac are integers for every non-negative frac).
@@ -65,7 +68,6 @@ _INT_ACTS = (None, ("relu",), ("relu6",))
 #: per-kernel accumulator bound is checked against this to pick the
 #: carrier dtype.
 _F32_EXACT = float(2**24)
-_F64_EXACT = float(2**53)
 
 
 @dataclass(frozen=True)
@@ -133,364 +135,37 @@ class QuantConfig:
         return 2 ** (self.fm_bits - 1) - 1
 
 
-# --------------------------------------------------------------------- #
-# integer-domain kernels
-# --------------------------------------------------------------------- #
-class _QuantKernelBase(K.Kernel):
-    """Shared requantize/store tail of the integer kernels.
+class IntEpilogue(K.Epilogue):
+    """Integer epilogue: pre-shifted bias, one act/saturate clip, ``rint``.
 
-    The requantization shift ``2**(out_frac - acc_frac)`` is folded into
-    the weights at construction time (a power-of-two scale on small
-    integers — exact), so the accumulator lands directly on the output
-    grid: the whole activate + saturate + round + narrow tail is one
-    ``clip`` (the ReLU/ReLU6 clamp and the two's-complement saturation
-    merge into a single interval) and one ``rint`` writing straight into
-    the int8/int16 output buffer.
-
-    A trailing 2x2 max-pool can additionally be folded into the tail
-    (:meth:`fuse_maxpool`): clip and rint are monotone non-decreasing,
-    so pooling the raw accumulator *before* them yields bit-identical
-    results while shrinking the clip/rint passes to a quarter of the
-    elements and deleting the standalone pooling step.
+    Calibration folds the requantization shift ``2**(out_frac -
+    acc_frac)`` into the kernel's weights (a power-of-two scale on small
+    integers — exact), so the accumulator already sits on the output
+    grid.  The activation bounds (0 and ``6 * 2**out_frac``, both
+    exactly representable) intersected with the signed range make one
+    clip interval; ``rint`` after the clip equals the reference's
+    round-then-clip because clipping moves values onto integral bounds,
+    where ``rint`` is the identity.  ``emit_int=False`` keeps the
+    rounded values in the carrier (a bundle's depthwise half feeding
+    its pointwise half).
     """
 
-    _pool: tuple[int, int] | None = None
+    def __init__(self, bias: np.ndarray | None, act: tuple | None,
+                 out_frac: int, quant: QuantConfig, carrier,
+                 emit_int: bool = True) -> None:
+        super().__init__(bias, act, carrier)
+        if emit_int:
+            self.out_dtype = quant.fm_storage
+        self.lo, self.hi = float(quant.fm_qmin), float(quant.fm_qmax)
+        if act is not None:
+            self.lo = 0.0
+            if act[0] == "relu6":
+                self.hi = min(6.0 * 2.0**out_frac, self.hi)
+        self.tag = f" [{quant.label}/{self.carrier.name}]"
 
-    def _init_quant(self, quant: QuantConfig, acc_frac: int, out_frac: int,
-                    act: tuple | None, carrier, emit_int: bool) -> None:
-        self.quant = quant
-        self.acc_frac = acc_frac
-        self.out_frac = out_frac
-        self.act = act
-        self.carrier = np.dtype(carrier)
-        self.emit_int = emit_int
-        # Clamp interval on the output grid: activation bounds (0 and
-        # 6 * 2**out_frac, both exactly representable) intersected with
-        # the signed range.  rint after clip equals the reference's
-        # round-then-clip: clipping moves out-of-range values onto the
-        # (integral) bounds, where rint is the identity.
-        qmin, qmax = float(quant.fm_qmin), float(quant.fm_qmax)
-        if act is None:
-            self._lo, self._hi = qmin, qmax
-        elif act[0] == "relu":
-            self._lo, self._hi = 0.0, qmax
-        else:  # relu6
-            self._lo, self._hi = 0.0, min(6.0 * 2.0**out_frac, qmax)
-
-    def fuse_maxpool(self, kernel: int, stride: int) -> None:
-        """Fold a trailing max-pool into the requantize tail."""
-        self._pool = (kernel, stride)
-        self.label += f"+maxpool{kernel}/s{stride}"
-
-    def _finish(self, acc: np.ndarray, shape: tuple, arena,
-                bias4: np.ndarray | None = None) -> np.ndarray:
-        acc = acc.reshape(shape)
-        if self._pool is not None:
-            k, s = self._pool
-            n, c, h, w = shape
-            oh = conv_out_size(h, k, s, 0)
-            ow = conv_out_size(w, k, s, 0)
-            # Separable max: reduce rows first (contiguous reads), then
-            # columns on the half-height intermediate — close to half
-            # the traffic of the naive k*k strided-tap reduction.
-            rows = arena.get(self.key, "poolr", (n, c, oh, w), self.carrier)
-            if k == 2:
-                np.maximum(acc[:, :, : s * oh : s, :],
-                           acc[:, :, 1 : 1 + s * oh : s, :], out=rows)
-            else:
-                np.copyto(rows, acc[:, :, : s * oh : s, :])
-                for i in range(1, k):
-                    np.maximum(rows, acc[:, :, i : i + s * oh : s, :],
-                               out=rows)
-            pooled = arena.get(self.key, "pool", (n, c, oh, ow), self.carrier)
-            if k == 2:
-                np.maximum(rows[:, :, :, : s * ow : s],
-                           rows[:, :, :, 1 : 1 + s * ow : s], out=pooled)
-            else:
-                np.copyto(pooled, rows[:, :, :, : s * ow : s])
-                for j in range(1, k):
-                    np.maximum(pooled, rows[:, :, :, j : j + s * ow : s],
-                               out=pooled)
-            acc, shape = pooled, (n, c, oh, ow)
-        # A per-channel constant commutes with max-pooling, so the bias
-        # lands after the pool — on a quarter of the elements.
-        if bias4 is not None:
-            acc += bias4
-        np.clip(acc, self._lo, self._hi, out=acc)
-        if not self.emit_int:
-            np.rint(acc, out=acc)
-            return acc
-        out = arena.get(self.key, "qout", shape, self.quant.fm_storage)
-        np.rint(acc, out=out, casting="unsafe")
-        return out
-
-    def _as_carrier(self, x: np.ndarray, arena, tag: str = "xin") -> np.ndarray:
-        if x.dtype == self.carrier:
-            return x
-        xa = arena.get(self.key, tag, x.shape, self.carrier)
-        np.copyto(xa, x)
-        return xa
-
-
-class QuantConvKernel(_QuantKernelBase):
-    """Dense convolution on integer feature maps and int8/int16 weights.
-
-    The weight tensor is stored quantized (``q_weight``); the matmul runs
-    on an integer-valued carrier copy so it stays on the BLAS fast path
-    while the accumulator remains exact (see the module docstring).
-    """
-
-    def __init__(
-        self,
-        key,
-        q_weight: np.ndarray,
-        w_frac: int,
-        bias_acc: np.ndarray | None,
-        stride: int,
-        pad: int,
-        act: tuple | None,
-        in_frac: int,
-        out_frac: int,
-        quant: QuantConfig,
-        carrier,
-        emit_int: bool = True,
-    ) -> None:
-        super().__init__(key)
-        self.q_weight = np.ascontiguousarray(q_weight)  # int8/int16 artifact
-        self.w_frac = w_frac
-        self.in_frac = in_frac
-        self.stride = stride
-        self.pad = pad
-        self._init_quant(quant, w_frac + in_frac, out_frac, act, carrier,
-                         emit_int)
-        cout, cin, kh, kw = self.q_weight.shape
-        self.kh, self.kw = kh, kw
-        # Fold the requantization shift into the weights: integer weights
-        # times a power of two stay exact in the carrier, and the
-        # accumulator lands directly on the output grid.
-        shift = 2.0 ** (out_frac - (w_frac + in_frac))
-        self._wmat = np.ascontiguousarray(
-            self.q_weight.reshape(cout, cin * kh * kw).astype(self.carrier)
-            * self.carrier.type(shift)
-        )
-        self.bias_out = (
-            None if bias_acc is None
-            else np.asarray(bias_acc * shift, dtype=self.carrier)
-        )
-        suffix = f"+{act[0]}" if act else ""
-        self.label = (f"qconv{kh}x{kw} {cin}->{cout} "
-                      f"[{quant.label}/{self.carrier.name}]{suffix}")
-
-    #: Rows per strip of the strip-fused 1x1+pool path, and the
-    #: accumulator size above which it pays off: below the threshold
-    #: the whole accumulator fits in cache anyway and one big matmul
-    #: beats many small ones.
-    _STRIP_ROWS = 8
-    _STRIP_MIN_BYTES = 6 * 1024 * 1024
-
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        (x,) = inputs
-        n, cin, h, w = x.shape
-        cout = self._wmat.shape[0]
-        if self.kh == 1 and self.kw == 1 and self.stride == 1 and self.pad == 0:
-            x = self._as_carrier(x, arena)
-            if (self._pool == (2, 2) and self.emit_int
-                    and h % 2 == 0 and w % 2 == 0
-                    and (n * cout * h * w * self.carrier.itemsize
-                         >= self._STRIP_MIN_BYTES)):
-                return self._run_strip_pooled(x, arena, n, cin, h, w, cout)
-            cols, oh, ow = x.reshape(n, cin, h * w), h, w
-        else:
-            # im2col gathers the integer windows straight into carrier
-            # columns: the int -> float cast rides the window copy.
-            cols, oh, ow = K._im2col_into(
-                arena, self.key, x, self.kh, self.kw, self.stride, self.pad,
-                cols_dtype=self.carrier,
-            )
-        acc = arena.get(self.key, "acc", (n, cout, oh * ow), self.carrier)
-        np.matmul(self._wmat, cols, out=acc)
-        bias4 = (None if self.bias_out is None
-                 else self.bias_out.reshape(1, cout, 1, 1))
-        return self._finish(acc, (n, cout, oh, ow), arena, bias4=bias4)
-
-    def _run_strip_pooled(self, x, arena, n, cin, h, w, cout) -> np.ndarray:
-        """1x1 conv + fused 2x2/s2 max-pool, row-strip at a time.
-
-        The matmul, pool, bias, clip and rounding store all run on one
-        strip of output rows while it is cache-hot, so the full-size
-        accumulator never round-trips through DRAM.  Identical values to
-        the unfused path — only the evaluation order changes."""
-        oh, ow = h // 2, w // 2
-        out = arena.get(self.key, "qout", (n, cout, oh, ow),
-                        self.quant.fm_storage)
-        sr = min(self._STRIP_ROWS, h)
-        accs = arena.get(self.key, "sacc", (cout, sr * w), self.carrier)
-        rows = arena.get(self.key, "srow", (cout, sr // 2, w), self.carrier)
-        pool = arena.get(self.key, "spool", (cout, sr // 2, ow), self.carrier)
-        bias2 = (None if self.bias_out is None
-                 else self.bias_out.reshape(cout, 1, 1))
-        for b in range(n):
-            xb, ob = x[b], out[b]
-            for r0 in range(0, h, sr):
-                r1 = min(r0 + sr, h)
-                a = accs[:, : (r1 - r0) * w]
-                np.matmul(self._wmat, xb[:, r0:r1].reshape(cin, -1), out=a)
-                a = a.reshape(cout, r1 - r0, w)
-                nr = (r1 - r0) // 2
-                rb = rows[:, :nr]
-                np.maximum(a[:, ::2, :], a[:, 1::2, :], out=rb)
-                pb = pool[:, :nr]
-                np.maximum(rb[:, :, ::2], rb[:, :, 1::2], out=pb)
-                if bias2 is not None:
-                    pb += bias2
-                np.clip(pb, self._lo, self._hi, out=pb)
-                np.rint(pb, out=ob[:, r0 // 2 : r1 // 2], casting="unsafe")
-        return out
-
-
-class QuantDWConvKernel(_QuantKernelBase):
-    """Depthwise convolution by direct tap accumulation — no im2col.
-
-    The fp32 engine unfolds a 9x larger column matrix and runs a batched
-    matmul of tiny ``(1, 9) @ (9, P)`` factors; on integer feature maps
-    it is faster to accumulate the k*k taps as vectorized multiply-adds
-    over strided views of the padded input.  This kernel is the main
-    source of the quantized backend's speedup.
-    """
-
-    def __init__(
-        self,
-        key,
-        q_weight: np.ndarray,
-        w_frac: int,
-        bias_acc: np.ndarray | None,
-        stride: int,
-        pad: int,
-        act: tuple | None,
-        in_frac: int,
-        out_frac: int,
-        quant: QuantConfig,
-        carrier,
-        emit_int: bool = True,
-    ) -> None:
-        super().__init__(key)
-        self.q_weight = np.ascontiguousarray(q_weight)  # (C, 1, kh, kw)
-        self.w_frac = w_frac
-        self.in_frac = in_frac
-        self.stride = stride
-        self.pad = pad
-        self._init_quant(quant, w_frac + in_frac, out_frac, act, carrier,
-                         emit_int)
-        c, _, kh, kw = self.q_weight.shape
-        self.kh, self.kw = kh, kw
-        shift = 2.0 ** (out_frac - (w_frac + in_frac))
-        scaled = (self.q_weight.astype(self.carrier)
-                  * self.carrier.type(shift))
-        # One (1, C, 1, 1) carrier weight per tap for broadcasting, and
-        # the (C, 1, k*k) matrix of the batched-matmul variant.
-        self._taps = [
-            (i, j, np.ascontiguousarray(scaled[:, 0, i, j]).reshape(1, c, 1, 1))
-            for i in range(kh) for j in range(kw)
-        ]
-        self._wmat = np.ascontiguousarray(scaled.reshape(c, 1, kh * kw))
-        self.bias_out = (
-            None if bias_acc is None
-            else np.asarray(bias_acc * shift, dtype=self.carrier)
-        )
-        suffix = f"+{act[0]}" if act else ""
-        self.label = (f"qdwconv{kh}x{kw} c{c} "
-                      f"[{quant.label}/{self.carrier.name}]{suffix}")
-
-    #: Output pixels above which tap accumulation beats im2col+matmul.
-    #: Small maps amortize the 9x im2col copy inside one BLAS call;
-    #: large maps pay it in DRAM traffic that the blocked tap loop
-    #: avoids entirely.
-    _TAP_MIN_PIXELS = 6400
-    #: Channel-block byte budget for the tap loop: the accumulator and
-    #: tap-product blocks (the two carrier-width streams) are sized to
-    #: fit in cache together, so all k*k tap passes and the whole
-    #: requantize tail run without round trips to DRAM.
-    _TAP_BLOCK_BYTES = 832 * 1024
-
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        (x,) = inputs
-        n, c, h, w = x.shape
-        s, p = self.stride, self.pad
-        oh = conv_out_size(h, self.kh, s, p)
-        ow = conv_out_size(w, self.kw, s, p)
-        if n * oh * ow < self._TAP_MIN_PIXELS:
-            return self._run_matmul(x, arena, n, c, oh, ow)
-        # The padded copy keeps the *storage* dtype — the tap multiplies
-        # read int8/int16 directly (a quarter of the carrier's read
-        # bandwidth); NumPy widens each product into the carrier output.
-        # The zero border is written once at allocation and never
-        # touched again (same trick as the fp32 im2col pad buffer).
-        xp = arena.get(self.key, "xpad", (n, c, h + 2 * p, w + 2 * p),
-                       x.dtype, zero=True)
-        xp[:, :, p : p + h, p : p + w] = x
-        if self.emit_int:
-            out = arena.get(self.key, "qout", (n, c, oh, ow),
-                            self.quant.fm_storage)
-        else:
-            out = arena.get(self.key, "mid", (n, c, oh, ow), self.carrier)
-        itemsize = self.carrier.itemsize
-        cb = min(c, max(1, self._TAP_BLOCK_BYTES // (n * oh * ow * itemsize
-                                                     * 2)))
-        acc = arena.get(self.key, "acc", (n, cb, oh, ow), self.carrier)
-        tmp = arena.get(self.key, "tap", (n, cb, oh, ow), self.carrier)
-        bias4 = (None if self.bias_out is None
-                 else self.bias_out.reshape(1, c, 1, 1))
-        for c0 in range(0, c, cb):
-            c1 = min(c0 + cb, c)
-            xb = xp[:, c0:c1]
-            ab = acc[:, : c1 - c0]
-            tb = tmp[:, : c1 - c0]
-            first = True
-            for i, j, wt in self._taps:
-                win = xb[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                if first:
-                    np.multiply(win, wt[:, c0:c1], out=ab)
-                    first = False
-                else:
-                    np.multiply(win, wt[:, c0:c1], out=tb)
-                    ab += tb
-            # Whole tail per block while it is cache-hot: bias, the
-            # merged act/saturate clip, and the rounding store.
-            if bias4 is not None:
-                ab += bias4[:, c0:c1]
-            np.clip(ab, self._lo, self._hi, out=ab)
-            np.rint(ab, out=out[:, c0:c1], casting="unsafe")
-        return out
-
-    def _run_matmul(self, x, arena, n, c, oh, ow) -> np.ndarray:
-        """im2col + batched matmul variant (small output maps)."""
-        cols, oh, ow = K._im2col_into(
-            arena, self.key, x, self.kh, self.kw, self.stride, self.pad,
-            cols_dtype=self.carrier,
-        )
-        cols = cols.reshape(n, c, self.kh * self.kw, oh * ow)
-        acc = arena.get(self.key, "accm", (n, c, 1, oh * ow), self.carrier)
-        np.matmul(self._wmat, cols, out=acc)
-        bias4 = (None if self.bias_out is None
-                 else self.bias_out.reshape(1, c, 1, 1))
-        return self._finish(acc, (n, c, oh, ow), arena, bias4=bias4)
-
-
-class QuantBundleKernel(K.Kernel):
-    """A SkyNet Bundle in the integer domain: DW -> requant -> PW.
-
-    The depthwise half hands its requantized mid tensor to the pointwise
-    half still in the carrier dtype, skipping one int round trip."""
-
-    def __init__(self, key, dw: QuantDWConvKernel, pw: QuantConvKernel) -> None:
-        super().__init__(key)
-        self.dw = dw
-        self.pw = pw
-        self.label = f"qbundle[{dw.label} | {pw.label}]"
-
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        mid = self.dw.run(inputs, arena)
-        return self.pw.run([mid], arena)
+    def store(self, acc: np.ndarray, out: np.ndarray | None) -> None:
+        np.clip(acc, self.lo, self.hi, out=acc)
+        np.rint(acc, out=acc if out is None else out, casting="unsafe")
 
 
 class QuantizeKernel(K.Kernel):
@@ -500,7 +175,10 @@ class QuantizeKernel(K.Kernel):
     and therefore every rounding tie — is identical to the float64
     calibration pass and the scratch can stay at native width.  Extreme
     scales (near-zero calibration tensors) fall back to float64, where
-    ``2**frac`` cannot overflow."""
+    ``2**frac`` cannot overflow.  NaN has no integer value: ``fmax``
+    maps it onto the grid's lower bound so the cast stays defined, and
+    the plan's dequantize steps poison the sample's output instead.
+    """
 
     def __init__(self, key, frac: int, quant: QuantConfig) -> None:
         super().__init__(key)
@@ -514,14 +192,21 @@ class QuantizeKernel(K.Kernel):
         (x,) = inputs
         q = arena.get(self.key, "q", x.shape, self._dtype)
         np.multiply(x, self._scale, out=q)
-        np.clip(q, self.quant.fm_qmin, self.quant.fm_qmax, out=q)
+        np.fmax(q, self.quant.fm_qmin, out=q)
+        np.fmin(q, self.quant.fm_qmax, out=q)
         out = arena.get(self.key, "out", x.shape, self.quant.fm_storage)
         np.rint(q, out=out, casting="unsafe")
         return out
 
 
 class DequantizeKernel(K.Kernel):
-    """Integer domain -> float32 (exact: the grid is a power of two)."""
+    """Integer domain -> float32 (exact: the grid is a power of two).
+
+    Reads the network input as its second operand: a sample whose input
+    holds a NaN or an infinity has no integer image, so its rows come
+    out NaN — as they would from the fp32 plan — while every other
+    sample stays bit-exact.
+    """
 
     def __init__(self, key, frac: int) -> None:
         super().__init__(key)
@@ -530,407 +215,230 @@ class DequantizeKernel(K.Kernel):
         self.label = f"dequantize f{frac}"
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        (x,) = inputs
+        x, src = inputs
         out = arena.get(self.key, "out", x.shape, np.float32)
         np.copyto(out, x)
         out *= self._inv_scale
+        out[~np.isfinite(src.reshape(len(src), -1)).all(axis=1)] = np.nan
         return out
 
 
-class QuantRequantKernel(_QuantKernelBase):
-    """Integer -> integer grid change (optionally through a clamp act).
-
-    Covers standalone ReLU/ReLU6 steps — whose outputs the fake-quant
-    reference re-quantizes on a fresh per-tensor scale — and the scale
-    unification in front of channel concatenation."""
-
-    def __init__(self, key, act: tuple | None, in_frac: int, out_frac: int,
-                 quant: QuantConfig) -> None:
-        super().__init__(key)
-        self.in_frac = in_frac
-        self._init_quant(quant, in_frac, out_frac, act, np.float32, True)
-        self._scale = self.carrier.type(2.0 ** (out_frac - in_frac))
-        name = f"qact:{act[0]}" if act else "requant"
-        self.label = f"{name} f{in_frac}->f{out_frac}"
-
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        (x,) = inputs
-        acc = arena.get(self.key, "acc", x.shape, self.carrier)
-        # One ufunc pass: integer -> carrier cast and grid shift together.
-        np.multiply(x, self._scale, out=acc)
-        return self._finish(acc, x.shape, arena)
-
-
-class QuantAvgPoolKernel(_QuantKernelBase):
-    """Average pooling with a power-of-two divisor (a pure shift)."""
-
-    def __init__(self, key, kernel: int, stride: int, frac: int,
-                 quant: QuantConfig) -> None:
-        super().__init__(key)
-        self.kernel = kernel
-        self.stride = stride
-        self._init_quant(quant, frac, frac, None, np.float32, True)
-        self._inv_area = 1.0 / (kernel * kernel)
-        self.label = f"qavgpool{kernel}x{kernel}/s{stride} f{frac}"
-
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        (x,) = inputs
-        n, c, h, w = x.shape
-        k, s = self.kernel, self.stride
-        oh = conv_out_size(h, k, s, 0)
-        ow = conv_out_size(w, k, s, 0)
-        xa = self._as_carrier(x, arena)
-        acc = arena.get(self.key, "acc", (n, c, oh, ow), self.carrier)
-        np.copyto(acc, xa[:, :, : s * oh : s, : s * ow : s])
-        for i in range(k):
-            for j in range(k):
-                if i == 0 and j == 0:
-                    continue
-                acc += xa[:, :, i : i + s * oh : s, j : j + s * ow : s]
-        acc *= self._inv_area
-        return self._finish(acc, (n, c, oh, ow), arena)
+def boundary_kernel(node: _Node, key) -> K.Kernel:
+    """Lower a ``quantize`` / ``dequantize`` node emitted by calibration."""
+    if node.kind == "quantize":
+        return QuantizeKernel(key, node.attrs["frac"], node.attrs["quant"])
+    return DequantizeKernel(key, node.attrs["frac"])
 
 
 # --------------------------------------------------------------------- #
-# calibration + lowering
+# calibration
 # --------------------------------------------------------------------- #
-def _conv_ref(x, weight, stride, pad, dtype, depthwise):
-    """Exact reference convolution in ``dtype`` (calibration only)."""
-    x = np.asarray(x, dtype=dtype)
-    weight = np.asarray(weight, dtype=dtype)
-    n, c, h, w = x.shape
-    cout, cin, kh, kw = weight.shape
-    oh = conv_out_size(h, kh, stride, pad)
-    ow = conv_out_size(w, kw, stride, pad)
-    cols = im2col(x, kh, kw, stride, pad)
-    if depthwise:
-        cols = cols.reshape(n, c, kh * kw, oh * ow)
-        out = np.matmul(weight.reshape(c, 1, kh * kw), cols)
-    else:
-        out = np.matmul(weight.reshape(cout, -1), cols)
-    return out.reshape(n, cout, oh, ow)
-
-
-def _apply_act(x, act):
-    if act is None:
-        return x
-    if act[0] == "relu":
-        return np.maximum(x, 0.0)
-    return np.clip(x, 0.0, 6.0)  # relu6
-
-
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _node_is_int(node, domains: dict[int, str]) -> bool:
-    """Static rule: does this planned op have an integer-domain kernel?"""
-    kind = node.kind
-    if kind in ("conv", "dw"):
-        return node.attrs["act"] in _INT_ACTS
-    if kind == "bundle":
-        return (node.attrs["dw"]["act"] in _INT_ACTS
-                and node.attrs["pw"]["act"] in _INT_ACTS)
-    ints = all(domains.get(r) == "int" for r in node.inputs)
-    if kind in ("maxpool", "concat", "slice", "reorg", "upsample", "flatten"):
-        return ints
-    if kind == "avgpool":
-        return ints and _is_pow2(node.attrs["kernel"])
-    if kind == "act":
-        return ints and node.attrs["act"] in _INT_ACTS
-    return False  # affine, gap, linear, sigmoid/tanh/leaky acts, ...
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-class _QuantLowering:
-    """One-pass calibration + lowering of an optimized fp32 plan."""
+class _Calibrator:
+    """One walk over the optimized plan: scales, integer attrs, glue
+    steps and the fake-quant reference values of the calibration batch."""
 
-    def __init__(self, n_regs: int, quant: QuantConfig, name: str) -> None:
+    def __init__(self, quant: QuantConfig, n_regs: int) -> None:
         self.quant = quant
-        self.name = name
         self.n_regs = n_regs
-        self.steps: list[tuple[K.Kernel, tuple[int, ...], int]] = []
-        self.cal: dict[int, np.ndarray] = {}   # reg -> float32 real values
+        self.nodes: list[_Node] = []
+        self.cal: dict[int, np.ndarray] = {}   # reg -> reference values
         self.frac: dict[int, int] = {}         # int-domain reg -> frac bits
-        self.cal_arena = BufferArena()         # scratch for the cal run
-        self._dequant_of: dict[int, int] = {}  # int reg -> emitted fp reg
-        self._quant_of: dict[int, int] = {}    # fp reg -> emitted int reg
-        self.uses: dict[int, int] = {}         # reg -> plan consumer count
-        self.producer: dict[int, int] = {}     # reg -> producing step index
+        self._fp_of: dict[int, int] = {}       # int reg -> dequantized reg
+        self._int_of: dict[int, int] = {}      # fp reg -> quantized reg
 
     # -- plumbing ------------------------------------------------------ #
-    def _new_reg(self) -> int:
-        self.n_regs += 1
-        return self.n_regs - 1
+    def emit(self, kind: str, inputs: list[int], value: np.ndarray,
+             grid: int | None = None, out: int | None = None,
+             **attrs) -> int:
+        """Append a node writing ``out`` (a fresh register by default)
+        whose reference value is ``value``, on frac-bits ``grid`` when
+        it is in the integer domain."""
+        if out is None:
+            self.n_regs += 1
+            out = self.n_regs - 1
+        self.nodes.append(_Node(kind, list(inputs), out, attrs))
+        self.cal[out] = value
+        if grid is not None:
+            self.frac[out] = grid
+        return out
 
-    def _emit(self, kern: K.Kernel, inputs: list[int], out: int) -> None:
-        self.steps.append((kern, tuple(inputs), out))
-        self.producer[out] = len(self.steps) - 1
-
-    def _key(self, tag: str) -> tuple:
-        return (len(self.steps), tag)
-
-    def _quantize_tensor(self, x: np.ndarray) -> tuple[np.ndarray, int]:
-        """Fake-quantize ``x`` on its own calibrated fm grid."""
-        frac = fixed_point_fracbits(float(np.max(np.abs(x))) if x.size else 0.0,
-                                    self.quant.fm_bits)
+    def quantize_values(self, x: np.ndarray, frac: int | None = None):
+        """Fake-quantize ``x`` on the fm grid (its own scale by default)."""
+        if frac is None:
+            frac = fixed_point_fracbits(_max_abs(x), self.quant.fm_bits)
         q = quantize_to_fracbits(x, frac, self.quant.fm_bits)
         return q.astype(np.float32), frac
+
+    def _reference(self, kern: K.Kernel, regs: list[int]) -> np.ndarray:
+        return kern.run([self.cal[r] for r in regs], BufferArena())
+
+    def _requant_node(self, reg: int, frac: int, act=None, value=None,
+                      out: int | None = None) -> int:
+        """Integer -> integer grid change, optionally through a clamp."""
+        if value is None:
+            value, _ = self.quantize_values(self.cal[reg], frac)
+        epi = IntEpilogue(None, act, frac, self.quant, np.float32)
+        return self.emit("affine", [reg], value, frac, out,
+                         scale=2.0 ** (frac - self.frac[reg]), epilogue=epi)
 
     # -- domain glue --------------------------------------------------- #
     def as_fp(self, reg: int) -> int:
         """Register holding ``reg``'s value in float32 (dequantize once)."""
         if reg not in self.frac:
             return reg
-        if reg not in self._dequant_of:
-            out = self._new_reg()
-            self._emit(DequantizeKernel(self._key("deq"), self.frac[reg]),
-                       [reg], out)
-            self.cal[out] = self.cal[reg]
-            self._dequant_of[reg] = out
-        return self._dequant_of[reg]
+        if reg not in self._fp_of:
+            self._fp_of[reg] = self.emit("dequantize", [reg, 0],
+                                         self.cal[reg], frac=self.frac[reg])
+        return self._fp_of[reg]
 
     def as_int(self, reg: int) -> int:
         """Register holding ``reg``'s value in the integer domain
         (quantize once, on the calibrated scale of this tensor)."""
         if reg in self.frac:
             return reg
-        if reg not in self._quant_of:
-            q, frac = self._quantize_tensor(self.cal[reg])
-            out = self._new_reg()
-            self._emit(QuantizeKernel(self._key("quant"), frac, self.quant),
-                       [reg], out)
-            self.cal[out] = q
-            self.frac[out] = frac
-            self._quant_of[reg] = out
-        return self._quant_of[reg]
+        if reg not in self._int_of:
+            q, frac = self.quantize_values(self.cal[reg])
+            self._int_of[reg] = self.emit("quantize", [reg], q, frac,
+                                          quant=self.quant, frac=frac)
+        return self._int_of[reg]
 
-    def requant_to(self, reg: int, frac: int) -> int:
-        """Move an integer register onto a coarser/finer grid."""
-        if self.frac[reg] == frac:
-            return reg
-        out = self._new_reg()
-        self._emit(
-            QuantRequantKernel(self._key("requant"), None, self.frac[reg],
-                               frac, self.quant),
-            [reg], out,
-        )
-        self.cal[out] = quantize_to_fracbits(
-            self.cal[reg], frac, self.quant.fm_bits
-        ).astype(np.float32)
-        self.frac[out] = frac
-        return out
+    # -- integer convolutions ------------------------------------------ #
+    def conv(self, a: dict, kind: str, x: np.ndarray, in_frac: int,
+             emit_int: bool = True) -> tuple[dict, np.ndarray, int]:
+        """Quantize one folded conv/depthwise (without its pool).
 
-    # -- integer conv emission ----------------------------------------- #
-    def _prep_weights(self, attrs) -> tuple:
-        """Quantize a folded conv weight + bias on their own grids."""
-        w = np.asarray(attrs["weight"], dtype=np.float32)
-        w_frac = fixed_point_fracbits(float(np.max(np.abs(w))) if w.size
-                                      else 0.0, self.quant.w_bits)
-        w_q = quantize_to_fracbits(w, w_frac, self.quant.w_bits)
-        w_int = np.rint(w_q * 2.0**w_frac).astype(self.quant.w_storage)
-        bias = attrs["bias"]
-        b_q = None if bias is None else quantize_fixed(
-            np.asarray(bias, np.float32), self.quant.w_bits
-        )
-        return w_q, w_int, w_frac, b_q
-
-    def _carrier_for(self, w_frac, in_frac, b_q, fan_in):
-        """float32 when the worst-case accumulator stays exactly
-        representable, float64 otherwise (wide Table-7 schemes)."""
-        bound = (2.0 ** (self.quant.w_bits - 1)
-                 * 2.0 ** (self.quant.fm_bits - 1) * fan_in)
-        if b_q is not None and b_q.size:
-            bound += float(np.max(np.abs(b_q))) * 2.0 ** (w_frac + in_frac)
-        return np.float32 if bound <= _F32_EXACT else np.float64
-
-    def _conv_like(self, attrs, in_reg: int, kind: str,
-                   emit_int: bool = True) -> tuple[K.Kernel, np.ndarray, int]:
-        """Calibrate + build one integer conv/dwconv kernel.
-
-        Returns ``(kernel, fake-quant output values, out_frac)``; the
-        caller wires registers.  The calibration arithmetic is exact in
-        the kernel's carrier dtype, so the runtime integer plan
-        reproduces these values bit-for-bit.
+        Returns the integer node attrs, the fake-quant output values and
+        the output frac bits.  The reference runs the same kernel class
+        on the real-valued fake-quant weights in the carrier dtype; its
+        arithmetic is exact there, so the integer kernel reproduces it
+        bit for bit.
         """
-        w_q, w_int, w_frac, b_q = self._prep_weights(attrs)
-        in_frac = self.frac[in_reg]
-        cout, cin, kh, kw = w_int.shape
-        fan_in = (cin if kind == "conv" else 1) * kh * kw
-        carrier = self._carrier_for(w_frac, in_frac, b_q, fan_in)
-        out = _conv_ref(self.cal[in_reg], w_q, attrs["stride"], attrs["pad"],
-                        carrier, depthwise=(kind != "conv"))
-        if b_q is not None:
-            out = out + np.asarray(b_q, out.dtype).reshape(1, -1, 1, 1)
-        out = _apply_act(out, attrs["act"])
-        out_frac = fixed_point_fracbits(
-            float(np.max(np.abs(out))) if out.size else 0.0,
-            self.quant.fm_bits,
-        )
-        out_q = quantize_to_fracbits(out, out_frac, self.quant.fm_bits)
+        q = self.quant
+        w = np.asarray(a["weight"], dtype=np.float32)
+        w_frac = fixed_point_fracbits(_max_abs(w), q.w_bits)
+        w_q = quantize_to_fracbits(w, w_frac, q.w_bits)
+        b_q = None if a["bias"] is None else quantize_fixed(
+            np.asarray(a["bias"], np.float32), q.w_bits)
+        cout, cin, kh, kw = w.shape
         acc_frac = w_frac + in_frac
-        bias_acc = None if b_q is None else b_q * 2.0**acc_frac
-        cls = QuantConvKernel if kind == "conv" else QuantDWConvKernel
-        kern = cls(
-            self._key(kind), w_int, w_frac, bias_acc, attrs["stride"],
-            attrs["pad"], attrs["act"], in_frac, out_frac, self.quant,
-            carrier, emit_int=emit_int,
-        )
-        return kern, out_q.astype(np.float32), out_frac
+        bound = (2.0 ** (q.w_bits - 1) * 2.0 ** (q.fm_bits - 1)
+                 * (cin if kind == "conv" else 1) * kh * kw)
+        if b_q is not None and b_q.size:
+            bound += _max_abs(b_q) * 2.0**acc_frac
+        carrier = np.dtype(np.float32 if bound <= _F32_EXACT else np.float64)
+        cls = K.ConvKernel if kind == "conv" else K.DWConvKernel
+        ref = cls(("cal", kind), w_q, K.Epilogue(b_q, a["act"], carrier),
+                  a["stride"], a["pad"])
+        out = ref.run([x], BufferArena())
+        out_frac = fixed_point_fracbits(_max_abs(out), q.fm_bits)
+        out_q, _ = self.quantize_values(out, out_frac)
+        shift = 2.0 ** (out_frac - acc_frac)
+        attrs = {
+            **a,
+            "weight": np.rint(w_q * 2.0**w_frac).astype(carrier)
+            * carrier.type(shift),
+            "epilogue": IntEpilogue(
+                None if b_q is None else b_q * 2.0**acc_frac * shift,
+                a["act"], out_frac, q, carrier, emit_int),
+        }
+        return attrs, out_q, out_frac
 
-    def _fuse_maxpool(self, node) -> bool:
-        """Fold an int-domain max-pool into the producing conv's tail.
-
-        Legal when the pool is the producer's *only* consumer and the
-        producer is an integer conv (or the pointwise half of a bundle):
-        clip and rint are monotone non-decreasing, so max-pooling the
-        raw accumulator commutes with the requantize tail and the fused
-        step is bit-identical to conv-then-pool."""
-        in_reg = node.inputs[0]
-        idx = self.producer.get(in_reg)
-        if idx is None or self.uses.get(in_reg, 0) != 1:
-            return False
-        kern, ins, _ = self.steps[idx]
-        target = kern.pw if isinstance(kern, QuantBundleKernel) else kern
-        if not (isinstance(target, QuantConvKernel) and target.emit_int
-                and target._pool is None):
-            return False
-        target.fuse_maxpool(node.attrs["kernel"], node.attrs["stride"])
-        if isinstance(kern, QuantBundleKernel):
-            kern.label = f"qbundle[{kern.dw.label} | {kern.pw.label}]"
-        self.steps[idx] = (kern, ins, node.out)
-        self.producer[node.out] = idx
-        cal_pool = K.MaxPoolKernel(self._key("calpool"),
-                                   node.attrs["kernel"],
-                                   node.attrs["stride"])
-        out = cal_pool.run([self.cal[in_reg]], self.cal_arena)
-        self.cal[node.out] = np.array(out, copy=True)
-        self.frac[node.out] = self.frac[in_reg]
-        return True
+    def _pool(self, value: np.ndarray, pool) -> np.ndarray:
+        if pool is None:
+            return value
+        return K.maxpool(value, pool[0], pool[1], BufferArena(), "cal")
 
     # -- node dispatch -------------------------------------------------- #
-    def lower_node(self, node) -> None:
-        quant = self.quant
-        if _node_is_int(node, {r: ("int" if r in self.frac else "fp")
-                               for r in self.cal}):
-            kind = node.kind
-            if kind in ("conv", "dw"):
-                in_reg = self.as_int(node.inputs[0])
-                kern, out_q, out_frac = self._conv_like(
-                    node.attrs, in_reg, "conv" if kind == "conv" else "dw"
-                )
-                self._emit(kern, [in_reg], node.out)
-                self.cal[node.out] = out_q
-                self.frac[node.out] = out_frac
-                return
-            if kind == "bundle":
-                in_reg = self.as_int(node.inputs[0])
-                dw_kern, mid_q, mid_frac = self._conv_like(
-                    node.attrs["dw"], in_reg, "dw", emit_int=False
-                )
-                mid_reg = self._new_reg()  # virtual: lives inside the bundle
-                self.cal[mid_reg] = mid_q
-                self.frac[mid_reg] = mid_frac
-                pw_kern, out_q, out_frac = self._conv_like(
-                    node.attrs["pw"], mid_reg, "conv"
-                )
-                self._emit(QuantBundleKernel(self._key("bundle"), dw_kern,
-                                             pw_kern), [in_reg], node.out)
-                self.cal[node.out] = out_q
-                self.frac[node.out] = out_frac
-                return
-            if kind == "act":
-                in_reg = node.inputs[0]
-                out = _apply_act(self.cal[in_reg], node.attrs["act"])
-                out_q, out_frac = self._quantize_tensor(out)
-                self._emit(
-                    QuantRequantKernel(self._key("act"), node.attrs["act"],
-                                       self.frac[in_reg], out_frac, quant),
-                    [in_reg], node.out,
-                )
-                self.cal[node.out] = out_q
-                self.frac[node.out] = out_frac
-                return
-            if kind == "avgpool":
-                in_reg = node.inputs[0]
-                frac = self.frac[in_reg]
-                kern = QuantAvgPoolKernel(
-                    self._key("avgpool"), node.attrs["kernel"],
-                    node.attrs["stride"], frac, quant,
-                )
-                out = kern.run(
-                    [np.asarray(self.cal[in_reg] * 2.0**frac, np.float32)],
-                    self.cal_arena,
-                )
-                self._emit(kern, [in_reg], node.out)
-                self.cal[node.out] = np.asarray(out, np.float32) * 2.0**-frac
-                self.frac[node.out] = frac
-                return
-            if kind == "concat":
-                target = min(self.frac[r] for r in node.inputs)
-                in_regs = [self.requant_to(r, target) for r in node.inputs]
-                kern = K.ConcatKernel(self._key("concat"))
-                out = kern.run([self.cal[r] for r in in_regs], self.cal_arena)
-                self._emit(kern, in_regs, node.out)
-                self.cal[node.out] = np.array(out, copy=True)
-                self.frac[node.out] = target
-                return
-            if kind == "maxpool" and self._fuse_maxpool(node):
-                return
-            # maxpool / slice / reorg / upsample / flatten: the stock
-            # kernels are dtype-generic and exact on grid values.
-            from .compiler import _lower_node
+    def _is_int(self, node: _Node) -> bool:
+        """Static rule: does this planned op have an integer-domain rule?"""
+        kind, a = node.kind, node.attrs
+        if kind in ("conv", "dw"):
+            return a["act"] in _INT_ACTS
+        if kind == "bundle":
+            return a["dw"]["act"] in _INT_ACTS and a["pw"]["act"] in _INT_ACTS
+        ints = all(r in self.frac for r in node.inputs)
+        if kind in ("maxpool", "concat", "slice", "reorg", "upsample",
+                    "flatten"):
+            return ints
+        if kind == "avgpool":
+            return ints and _is_pow2(a["kernel"])
+        if kind == "act":
+            return ints and a["act"] in _INT_ACTS
+        return False  # affine, gap, linear, sigmoid/tanh/leaky acts, ...
 
-            kern = _lower_node(node, self._key(node.kind))
-            out = kern.run([self.cal[r] for r in node.inputs], self.cal_arena)
-            self._emit(kern, list(node.inputs), node.out)
-            self.cal[node.out] = np.array(out, copy=True)
-            self.frac[node.out] = self.frac[node.inputs[0]]
+    def lower(self, node: _Node) -> None:
+        kind, a = node.kind, node.attrs
+        if not self._is_int(node):
+            # No integer rule: dequantize and run the fp32 kernel.
+            regs = [self.as_fp(r) for r in node.inputs]
+            value = self._reference(_lower_node(node, ("cal", kind)), regs)
+            self.emit(kind, regs, value, out=node.out, **a)
             return
+        if kind in ("conv", "dw"):
+            reg = self.as_int(node.inputs[0])
+            attrs, value, frac = self.conv(a, kind, self.cal[reg],
+                                           self.frac[reg])
+            self.emit(kind, [reg], self._pool(value, a.get("pool")), frac,
+                      node.out, **attrs)
+        elif kind == "bundle":
+            reg = self.as_int(node.inputs[0])
+            dw, mid, mid_frac = self.conv(a["dw"], "dw", self.cal[reg],
+                                          self.frac[reg], emit_int=False)
+            pw, value, frac = self.conv(a["pw"], "conv", mid, mid_frac)
+            self.emit(kind, [reg], self._pool(value, a.get("pool")), frac,
+                      node.out, **{**a, "dw": dw, "pw": pw})
+        elif kind == "act":
+            reg = node.inputs[0]
+            value = K.apply_activation(self.cal[reg].copy(), a["act"])
+            value, frac = self.quantize_values(value)
+            self._requant_node(reg, frac, a["act"], value, node.out)
+        elif kind == "avgpool":
+            reg = node.inputs[0]
+            frac = self.frac[reg]
+            value = self._reference(_lower_node(node, ("cal", kind)), [reg])
+            value, _ = self.quantize_values(value, frac)
+            epi = IntEpilogue(None, None, frac, self.quant, np.float32)
+            self.emit(kind, [reg], value, frac, node.out,
+                      **{**a, "epilogue": epi})
+        else:
+            regs = list(node.inputs)
+            if kind == "concat":  # unify scales onto the coarsest grid
+                frac = min(self.frac[r] for r in regs)
+                regs = [r if self.frac[r] == frac
+                        else self._requant_node(r, frac) for r in regs]
+            # The stock data-movement kernels are dtype-generic and
+            # exact on grid values.
+            value = self._reference(_lower_node(node, ("cal", kind)), regs)
+            self.emit(kind, regs, value, self.frac[regs[0]], node.out, **a)
 
-        # ---- no integer rule: dequantize and run the fp32 kernel ------ #
-        from .compiler import _lower_node
-
-        in_regs = [self.as_fp(r) for r in node.inputs]
-        kern = _lower_node(node, self._key(node.kind))
-        out = kern.run([self.cal[r] for r in in_regs], self.cal_arena)
-        self._emit(kern, in_regs, node.out)
-        self.cal[node.out] = np.array(np.asarray(out, np.float32), copy=True)
-
-
-def _kernel_dtypes(kern: K.Kernel) -> dict:
-    """Per-kernel dtype record for ``CompiledNet.quant_stats``/obs."""
-    if isinstance(kern, QuantBundleKernel):
-        return {"label": kern.label,
-                "storage": kern.pw.quant.fm_storage.name,
-                "carrier": kern.pw.carrier.name}
-    if isinstance(kern, _QuantKernelBase):
-        return {"label": kern.label,
-                "storage": kern.quant.fm_storage.name,
-                "carrier": kern.carrier.name}
-    if isinstance(kern, QuantizeKernel):
-        return {"label": kern.label,
-                "storage": kern.quant.fm_storage.name, "carrier": "float64"}
-    # DequantizeKernel and fp32/int-passthrough stock kernels: the output
-    # dtype follows the inputs at run time.
-    return {"label": kern.label, "storage": "passthrough",
-            "carrier": "float32"}
+    def release(self, live: set[int]) -> None:
+        """Drop reference values no later node reads (calibration holds
+        one batch of activations per live register, not per register)."""
+        keep = set(live)
+        keep |= {self._int_of[r] for r in live if r in self._int_of}
+        keep |= {self._fp_of[r] for r in live if r in self._fp_of}
+        for r in [r for r in self.cal if r not in keep]:
+            del self.cal[r]
 
 
-def lower_quantized(
-    nodes,
-    n_regs: int,
-    out_reg: int,
-    quant: QuantConfig,
-    calibration: np.ndarray,
-    name: str = "net",
-):
-    """Calibrate scales on ``calibration`` samples and lower the
-    optimized fp32 plan into integer-domain steps.
+def calibrate(nodes: list[_Node], n_regs: int, out_reg: int,
+              quant: QuantConfig, calibration: np.ndarray,
+              name: str = "net"):
+    """Calibrate scales on ``calibration`` samples and rewrite the
+    optimized plan for integer execution.
 
-    Returns ``(steps, n_regs, out_reg, stats)`` where ``stats`` carries
-    the frozen per-register fractional bits, per-kernel dtypes, and the
-    calibration-batch reference output (the fake-quant golden values the
-    integer plan reproduces exactly).
+    Returns ``(nodes, n_regs, out_reg, stats)`` where ``stats`` carries
+    the frozen per-register fractional bits and the calibration-batch
+    reference output (the fake-quant golden values the integer plan
+    reproduces exactly); :func:`compile_net` adds per-kernel dtypes.
     """
     x = np.asarray(calibration, dtype=np.float32)
     if x.ndim == 3:
@@ -939,36 +447,44 @@ def lower_quantized(
         raise ValueError(
             f"calibration samples must be (N, C, H, W), got shape {x.shape}"
         )
-    low = _QuantLowering(n_regs, quant, name)
-    for node in nodes:
-        for r in node.inputs:
-            low.uses[r] = low.uses.get(r, 0) + 1
-    low.uses[out_reg] = low.uses.get(out_reg, 0) + 1
+    cal = _Calibrator(quant, n_regs)
     with obs.span("engine/quant_calibrate", model=name, quant=quant.label,
                   samples=x.shape[0]):
-        in_q, in_frac = low._quantize_tensor(x)
-        low._emit(QuantizeKernel(low._key("input"), in_frac, quant), [0],
-                  input_reg := low._new_reg())
-        low.cal[0] = x
-        low._quant_of[0] = input_reg
-        low.cal[input_reg] = in_q
-        low.frac[input_reg] = in_frac
+        cal.cal[0] = x
+        input_reg = cal.as_int(0)
+        in_frac = cal.frac[input_reg]
+        # Every consumer of the raw input reads the quantized input.
         for node in nodes:
-            # Rewire every consumer of the raw input through the
-            # quantize step (node.inputs referencing reg 0).
             node.inputs = [input_reg if r == 0 else r for r in node.inputs]
-            low.lower_node(node)
         if out_reg == 0:
             out_reg = input_reg
-        out_frac = low.frac.get(out_reg)
-        if out_reg in low.frac:
-            out_reg = low.as_fp(out_reg)
+        last_use = {r: i for i, node in enumerate(nodes) for r in node.inputs}
+        for i, node in enumerate(nodes):
+            cal.lower(node)
+            cal.release({r for r, j in last_use.items() if j > i}
+                        | {out_reg})
+        out_frac = cal.frac.get(out_reg)
+        out_reg = cal.as_fp(out_reg)
     stats = {
         "quant": quant,
-        "frac_bits": dict(low.frac),
+        "frac_bits": dict(cal.frac),
         "input_frac": in_frac,
         "output_frac": out_frac,
-        "kernels": [_kernel_dtypes(kern) for kern, _, _ in low.steps],
-        "reference_output": np.array(low.cal[out_reg], copy=True),
+        "reference_output": np.array(cal.cal[out_reg], copy=True),
     }
-    return low.steps, low.n_regs, out_reg, stats
+    return cal.nodes, cal.n_regs, out_reg, stats
+
+
+def kernel_dtypes(kern: K.Kernel) -> dict:
+    """Per-kernel dtype record for ``CompiledNet.quant_stats``/obs."""
+    if isinstance(kern.epilogue, IntEpilogue):
+        return {"label": kern.label,
+                "storage": kern.epilogue.out_dtype.name,
+                "carrier": kern.epilogue.carrier.name}
+    if isinstance(kern, QuantizeKernel):
+        return {"label": kern.label, "storage": kern.quant.fm_storage.name,
+                "carrier": kern._dtype.name}
+    # Dequantize and fp32/int-passthrough kernels: the output dtype
+    # follows the inputs at run time.
+    return {"label": kern.label, "storage": "passthrough",
+            "carrier": "float32"}

@@ -6,7 +6,9 @@ the engine's 3.7x before anyone reruns them.  This module re-measures
 the cheap, host-portable *ratio* metrics (compiled-over-eager speedup,
 quant-over-fp32 ratio) at the baseline's own model scale and input
 resolution, and fails when a fresh ratio falls below the recorded one
-by more than a noise tolerance.
+by more than a noise tolerance.  It also re-checks one invariant the
+benches record: the re-measured w8/f8 plan must match its fake-quant
+reference exactly (``quant/exactness_max_abs_diff`` stays 0).
 
 Ratios, not absolute times: milliseconds do not transfer between hosts,
 but "the compiled plan is N times the eager forward *on the same
@@ -58,9 +60,17 @@ class GateMetric:
     #: least this many host CPUs (a 1-core host cannot beat the serial
     #: loop with worker processes, so gating there would always fail).
     abs_floor_min_cpus: int = 2
+    #: ``"higher"``: a fresh value below ``floor`` regresses.
+    #: ``"lower"``: ``floor`` is a ceiling a fresh value must not pass
+    #: (zero baseline and tolerance: any nonzero value regresses).
+    better: str = "higher"
 
     def floor(self, baseline: float, scale: float = 1.0) -> float:
-        return baseline * (1.0 - min(0.95, self.tolerance * scale))
+        tol = min(0.95, self.tolerance * scale)
+        return baseline * (1.0 - tol if self.better == "higher" else 1.0 + tol)
+
+    def regressed(self, value: float, bound: float) -> bool:
+        return value < bound if self.better == "higher" else value > bound
 
 
 #: The gated metrics.  Engine/quant ratios are re-measured by
@@ -73,6 +83,11 @@ GATE_METRICS = (
                ("results", "A", "speedup"), tolerance=0.30, measured=True),
     GateMetric("quant/min_ratio", "BENCH_quant.json",
                ("speed", "min_ratio"), tolerance=0.20, measured=True),
+    # The integer plan must reproduce its fake-quant reference bit for
+    # bit: any nonzero difference on the re-measured w8/f8 plan fails.
+    GateMetric("quant/exactness_max_abs_diff", "BENCH_quant.json",
+               ("exactness_max_abs_diff", "w8/f8"), tolerance=0.0,
+               measured=True, better="lower"),
     GateMetric("serve/speedup_batch8", "BENCH_serve.json",
                ("results", "speedup_batch8"), tolerance=0.40, measured=False),
     GateMetric("serve/speedup_vs_serial", "BENCH_serve.json",
@@ -184,10 +199,12 @@ def measure_fresh(baselines: dict[str, dict], reps: int = 3,
     if any(s.name == "engine/A/speedup" for s in needed):
         eager_ms = _best_ms(eager, x, reps)
         fresh["engine/A/speedup"] = eager_ms / compiled_ms
-    if any(s.name == "quant/min_ratio" for s in needed):
+    if any(s.name.startswith("quant/") for s in needed):
         quant = compile_net(bb, quant=QuantConfig(8, 8), calibration=x)
         quant_ms = _best_ms(quant, x, reps)
         fresh["quant/min_ratio"] = compiled_ms / quant_ms
+        fresh["quant/exactness_max_abs_diff"] = float(np.abs(
+            quant(x) - quant.quant_stats["reference_output"]).max())
     return fresh
 
 
@@ -220,7 +237,9 @@ def compare_metrics(
         else:
             floor = spec.floor(base["value"], tolerance_scale)
             verdict.update(fresh=value, floor=floor,
-                           regressed=value < floor, skipped=False)
+                           regressed=spec.regressed(value, floor),
+                           skipped=False)
+        verdict["better"] = spec.better
         # The absolute floor gates the recorded value itself, even for
         # metrics the gate does not re-measure: a baseline below it is
         # a loud failure, not a tracked number.
@@ -239,6 +258,8 @@ def render_verdicts(verdicts: list[dict]) -> str:
 
     rows = []
     for v in verdicts:
+        # Ratios print as "1.23x"; lower-is-better values as plain numbers.
+        fmt = "{:.2f}x".format if v["better"] == "higher" else "{:g}".format
         if v.get("below_abs_floor"):
             status = f"BELOW {v['abs_floor']:.1f}x FLOOR"
             fresh = "—" if v["skipped"] else f"{v['fresh']:.2f}x"
@@ -247,8 +268,8 @@ def render_verdicts(verdicts: list[dict]) -> str:
             status, fresh, floor = "skipped", "—", "—"
         else:
             status = "REGRESSED" if v["regressed"] else "ok"
-            fresh, floor = f"{v['fresh']:.2f}x", f"{v['floor']:.2f}x"
-        rows.append([v["metric"], f"{v['baseline']:.2f}x", fresh, floor,
+            fresh, floor = fmt(v["fresh"]), fmt(v["floor"])
+        rows.append([v["metric"], fmt(v["baseline"]), fresh, floor,
                      status])
     return format_table(
         ["metric", "baseline", "fresh", "floor", "status"], rows,

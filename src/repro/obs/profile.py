@@ -135,11 +135,6 @@ def _step_flops(kern, out: np.ndarray) -> int:
     """
     from ..nn.engine import kernels as K
 
-    try:
-        from ..nn.engine import quant as Q
-    except ImportError:  # pragma: no cover - quant always ships
-        Q = None
-
     if isinstance(kern, K.FusedBundleKernel):
         # dw output spatial == pw output spatial (pw is 1x1/s1/p0)
         return (_conv_flops(kern.dw.weight.shape, out.shape, True)
@@ -151,25 +146,15 @@ def _step_flops(kern, out: np.ndarray) -> int:
     if isinstance(kern, K.LinearKernel):
         din, dout = kern._wt.shape
         return 2 * out.shape[0] * din * dout
-    if Q is not None:
-        if isinstance(kern, Q.QuantBundleKernel):
-            return (_conv_flops(kern.dw.q_weight.shape, out.shape, True)
-                    + _conv_flops(kern.pw.q_weight.shape, out.shape, False))
-        if isinstance(kern, Q.QuantDWConvKernel):
-            return _conv_flops(kern.q_weight.shape, out.shape, True)
-        if isinstance(kern, Q.QuantConvKernel):
-            return _conv_flops(kern.q_weight.shape, out.shape, False)
     return int(out.size)
 
 
 def _step_dtype(kern, out: np.ndarray) -> str:
     """Kernel dtype tag: ``storage/carrier`` for quant kernels, else the
     produced dtype."""
-    try:
-        from ..nn.engine.quant import _kernel_dtypes
-    except ImportError:  # pragma: no cover - quant always ships
-        return out.dtype.name
-    rec = _kernel_dtypes(kern)
+    from ..nn.engine.quant import kernel_dtypes
+
+    rec = kernel_dtypes(kern)
     if rec["storage"] == "passthrough":
         return out.dtype.name
     return f"{rec['storage']}/{rec['carrier']}"

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import threading
 import warnings
+from collections.abc import Callable
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -260,7 +262,7 @@ class Session:
                     f"got {warmup!r}"
                 )
             session._warmup_shape = shape
-            session._run_batch(np.zeros(shape, np.float32))
+            session._runner(session._forward)(np.zeros(shape, np.float32))
             arena = getattr(session._forward, "arena", None)
             if arena is not None and obs.enabled():
                 obs.set_gauge("engine/arena/pooled_bytes", arena.nbytes())
@@ -317,14 +319,14 @@ class Session:
     # ------------------------------------------------------------------ #
     # synchronous path
     # ------------------------------------------------------------------ #
-    def _run_batch(self, x: np.ndarray) -> np.ndarray:
-        """Forward + postprocess with microbatch tiling, thread-agnostic
-        via ``fn``: used by both :meth:`run` and server workers."""
+    def _runner(self, forward) -> _Runner:
+        """``forward`` composed the way every path runs it: wrapped by
+        the tiler, or followed by the postprocess, then split into
+        microbatches."""
         if self._tiler is not None:
-            return _tiled(self._tiler.wrap(self._forward), None, x,
-                          self.config.microbatch)
-        return _tiled(self._forward, self._postprocess, x,
-                      self.config.microbatch)
+            return _Runner(self._tiler.wrap(forward), None,
+                           self.config.microbatch)
+        return _Runner(forward, self._postprocess, self.config.microbatch)
 
     def run(self, batch: np.ndarray) -> np.ndarray:
         """Synchronous inference on ``(N, C, H, W)`` images (a single
@@ -340,7 +342,7 @@ class Session:
         with obs.request_scope(prefix="run", backend=self.backend), \
                 obs.span("runtime/run", session=self.name,
                          backend=self.backend, batch=x.shape[0]):
-            out = self._run_batch(x)
+            out = self._runner(self._forward)(x)
         return out[0] if single else out
 
     def stream(self, frames, preprocess=None) -> list:
@@ -357,18 +359,13 @@ class Session:
 
         from ..nn.engine import ThreadedPipeline
 
-        if self._tiler is not None:
-            dnn = self._tiler.wrap(self._forward)
-            post = None
-        else:
-            dnn, post = self._forward, self._postprocess
+        runner = self._runner(self._forward)
         pipe = ThreadedPipeline([
             ("fetch", lambda f: np.asarray(f, dtype=np.float32)),
             ("pre-process",
              preprocess if preprocess is not None else (lambda f: f)),
-            ("dnn", lambda f: dnn(f if f.ndim == 4 else f[None])),
-            ("post-process",
-             (lambda raw: post(raw)) if post is not None else (lambda r: r)),
+            ("dnn", lambda f: runner.forward(f if f.ndim == 4 else f[None])),
+            ("post-process", runner.postprocess or (lambda r: r)),
         ])
         outputs = pipe.run(frames)
         self.last_pipeline = pipe
@@ -379,16 +376,7 @@ class Session:
     # ------------------------------------------------------------------ #
     def runner_for_thread(self):
         """A batch-runner callable safe to own by one worker thread."""
-        fn = self._clone_forward()
-        if self._tiler is not None:
-            fn, post = self._tiler.wrap(fn), None
-        else:
-            post = self._postprocess
-        microbatch = self.config.microbatch
-
-        def runner(x: np.ndarray) -> np.ndarray:
-            return _tiled(fn, post, x, microbatch)
-
+        runner = self._runner(self._clone_forward())
         if self._warmup_shape is not None:
             # Pool the fresh clone's arena at the steady-state serving
             # batch shape before any real request reaches it.
@@ -404,17 +392,7 @@ class Session:
         path (eager backend, or a directly-loaded ``CompiledNet``)."""
         if self._eager_forward is None:
             return None
-        fn = self._eager_forward
-        if self._tiler is not None:
-            fn, post = self._tiler.wrap(fn), None
-        else:
-            post = self._postprocess
-        microbatch = self.config.microbatch
-
-        def runner(x: np.ndarray) -> np.ndarray:
-            return _tiled(fn, post, x, microbatch)
-
-        return runner
+        return self._runner(self._eager_forward)
 
     @property
     def server(self):
@@ -517,14 +495,23 @@ class Session:
                 f"serving={self._server is not None})")
 
 
-def _tiled(forward, postprocess, x: np.ndarray, microbatch: int) -> np.ndarray:
-    """Apply ``forward`` (+ ``postprocess``) in microbatch tiles."""
-    n = x.shape[0]
-    if microbatch and n > microbatch:
-        outs = []
-        for i in range(0, n, microbatch):
-            raw = forward(x[i : i + microbatch])
-            outs.append(raw if postprocess is None else postprocess(raw))
-        return np.concatenate(outs, axis=0)
-    raw = forward(x)
-    return raw if postprocess is None else postprocess(raw)
+@dataclass(frozen=True)
+class _Runner:
+    """A batch runner: ``forward`` (+ ``postprocess``) applied in
+    microbatch tiles of at most ``microbatch`` images (0 = whole batch)."""
+
+    forward: Callable[[np.ndarray], np.ndarray]
+    postprocess: Callable[[np.ndarray], np.ndarray] | None
+    microbatch: int
+
+    def _one(self, x: np.ndarray) -> np.ndarray:
+        raw = self.forward(x)
+        return raw if self.postprocess is None else self.postprocess(raw)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        mb = self.microbatch
+        if mb and x.shape[0] > mb:
+            return np.concatenate([self._one(x[i : i + mb])
+                                   for i in range(0, x.shape[0], mb)],
+                                  axis=0)
+        return self._one(x)

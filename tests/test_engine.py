@@ -312,7 +312,7 @@ class TestEnginePools:
 
 
 class TestBatchedExecution:
-    """PR 7: batched im2col GEMM, strip-fused bundles, intra-op tiling.
+    """Batched im2col GEMM, cache-blocked kernels, intra-op tiling.
 
     Every fast path must reproduce the per-sample engine outputs at
     1e-6 — batching is a performance transform, never a numerics one.
@@ -331,24 +331,25 @@ class TestBatchedExecution:
         net, x, singles = self._net_and_ref(rng)
         np.testing.assert_allclose(net(x), singles, atol=1e-6)
 
-    def test_strip_fused_bundles_match(self, rng, monkeypatch):
-        from repro.nn.engine.kernels import FusedBundleKernel
+    @pytest.mark.parametrize("hw", [(16, 32), (18, 34)],
+                             ids=["even", "odd"])
+    def test_cache_blocks_match(self, hw, rng, monkeypatch):
+        """A tiny block budget splits every depthwise into one-channel
+        blocks and every pointwise (+ pool) into one-window row blocks,
+        including a ragged last block on odd maps; the tap loop is
+        forced too.  Results must match eager and the per-sample runs."""
+        from repro.nn.engine.kernels import DWConvKernel, Kernel
 
-        # Tiny thresholds force the halo-strip path at test-size inputs.
-        monkeypatch.setattr(FusedBundleKernel, "STRIP_TARGET_BYTES", 1 << 12)
-        monkeypatch.setattr(FusedBundleKernel, "STRIP_MIN_BYTES", 1)
-        net, x, singles = self._net_and_ref(rng)
-        np.testing.assert_allclose(net(x), singles, atol=1e-6)
-
-    def test_strip_path_odd_height_falls_back(self, rng, monkeypatch):
-        from repro.nn.engine.kernels import FusedBundleKernel
-
-        monkeypatch.setattr(FusedBundleKernel, "STRIP_TARGET_BYTES", 1 << 12)
-        monkeypatch.setattr(FusedBundleKernel, "STRIP_MIN_BYTES", 1)
-        # Odd spatial size: pooled bundles must fall back (pool halo
-        # would straddle strips), unpooled ones may still strip.
-        net, x, singles = self._net_and_ref(rng, hw=(18, 34))
-        np.testing.assert_allclose(net(x), singles, atol=1e-6)
+        monkeypatch.setattr(Kernel, "BLOCK_BYTES", 1 << 10)
+        monkeypatch.setattr(DWConvKernel, "TAP_MIN_PIXELS", 1)
+        net, x, singles = self._net_and_ref(rng, hw=hw)
+        out = net(x)
+        np.testing.assert_allclose(out, singles, atol=1e-6)
+        bb = SkyNetBackbone("B", width_mult=0.25, rng=rng)
+        _randomize_bn_stats(bb, rng)
+        bb.eval()
+        np.testing.assert_allclose(compile_net(bb)(x), _eager(bb, x),
+                                   atol=1e-5)
 
     def test_intra_op_tiling_matches_serial(self, rng, monkeypatch):
         from repro.nn.engine import threads

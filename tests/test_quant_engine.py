@@ -226,6 +226,114 @@ class TestMaxpoolFusion:
 
 
 # --------------------------------------------------------------------- #
+# the shared kernel variants on the integer plan
+# --------------------------------------------------------------------- #
+class TestIntegerVariants:
+    """The depthwise tap loop and multi-block kernels are what the
+    paper-size plan runs; at test size the natural rules pick im2col and
+    single blocks.  Compile under those rules (so the reference comes
+    from them), then force the other variant and require bit equality."""
+
+    @pytest.mark.parametrize("scheme", [(8, 8), (16, 16)])
+    @pytest.mark.parametrize("model", ["skynet", "dw-dw-pw"])
+    def test_tap_accumulation_exact(self, scheme, model, rng, monkeypatch):
+        """Bundle depthwise halves (carrier output) and a standalone
+        depthwise (int8/int16 output) both take the tap loop."""
+        from repro.core.bundles import GenericBundle, bundle_by_name
+        from repro.nn.engine.kernels import DWConvKernel
+
+        if model == "skynet":
+            bb = _backbone(rng, "C")
+        else:
+            bb = GenericBundle(bundle_by_name("dw3-dw3-pw"), 3, 8, "relu6",
+                               rng=rng)
+            _randomize_bn_stats(bb, rng)
+            bb.eval()
+        x = _images(rng, 2)
+        net = compile_net(bb, quant=QuantConfig(*scheme), calibration=x)
+        monkeypatch.setattr(DWConvKernel, "TAP_MIN_PIXELS", 1)
+        np.testing.assert_array_equal(net(x),
+                                      net.quant_stats["reference_output"])
+
+    @pytest.mark.parametrize("scheme", [(8, 8), (16, 16)])
+    @pytest.mark.parametrize("hw", [(16, 32), (18, 34)])
+    def test_cache_blocks_exact(self, scheme, hw, rng, monkeypatch):
+        """One-channel depthwise blocks (both variants) and one-window
+        pointwise row blocks, ragged on odd maps."""
+        from repro.nn.engine.kernels import DWConvKernel, Kernel
+
+        bb = _backbone(rng, "C")
+        x = rng.normal(0, 1, (2, 3) + hw).astype(np.float32)
+        net = compile_net(bb, quant=QuantConfig(*scheme), calibration=x)
+        monkeypatch.setattr(Kernel, "BLOCK_BYTES", 1 << 10)
+        ref = net.quant_stats["reference_output"]
+        np.testing.assert_array_equal(net(x), ref)
+        monkeypatch.setattr(DWConvKernel, "TAP_MIN_PIXELS", 1)
+        np.testing.assert_array_equal(net(x), ref)
+
+    def test_natural_thresholds_past_test_size(self, rng, monkeypatch):
+        """At 2x160x320 the default rules pick the tap loop and several
+        row blocks by themselves; the reference is frozen under im2col
+        and single-block rules."""
+        from repro.nn.engine import kernels
+        from repro.nn.engine.kernels import ConvKernel, DWConvKernel, Kernel
+
+        bb = _backbone(rng)
+        x = rng.normal(0, 1, (2, 3, 160, 320)).astype(np.float32)
+        with monkeypatch.context() as m:
+            m.setattr(DWConvKernel, "TAP_MIN_PIXELS", 1 << 40)
+            m.setattr(Kernel, "BLOCK_BYTES", 1 << 40)
+            net = compile_net(bb, quant=QuantConfig(8, 8), calibration=x)
+        calls = {"taps": 0, "blocks": 0}
+        dw_run, matmul = DWConvKernel.run, kernels.intra_op_matmul
+
+        def count_taps(self, inputs, arena):
+            out = dw_run(self, inputs, arena)
+            n, _, oh, ow = out.shape
+            calls["taps"] += n * oh * ow >= self.TAP_MIN_PIXELS
+            return out
+
+        def count_blocks(a, b, out):
+            calls["blocks"] += 1
+            return matmul(a, b, out)
+
+        monkeypatch.setattr(DWConvKernel, "run", count_taps)
+        monkeypatch.setattr(kernels, "intra_op_matmul", count_blocks)
+        np.testing.assert_array_equal(net(x),
+                                      net.quant_stats["reference_output"])
+        n_pointwise = sum(isinstance(getattr(k, "pw", k), ConvKernel)
+                          for k, _, _ in net.steps)
+        # One GEMM per sample and pointwise kernel would be a single
+        # block; more means some map was split into row blocks.
+        assert calls["taps"] > 0
+        assert calls["blocks"] > len(x) * n_pointwise
+
+# --------------------------------------------------------------------- #
+# non-finite inputs
+# --------------------------------------------------------------------- #
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_poisoned_sample_gives_non_finite_box(self, bad, rng):
+        """A NaN/inf pixel has no integer image: that sample's box must
+        come out non-finite (as eager and the fp32 engine give), with no
+        cast warning, while the other sample stays bit-exact."""
+        import warnings
+
+        det = _detector(rng)
+        x = rng.normal(0, 1, (2, 3, 32, 64)).astype(np.float32)
+        session = Session.load(det, SessionConfig(backend="quant"),
+                               calibration=x)
+        clean = session.run(x)
+        poisoned = x.copy()
+        poisoned[1, 0, 5, 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            boxes = session.run(poisoned)
+        assert not np.isfinite(boxes[1]).any()
+        np.testing.assert_array_equal(boxes[0], clean[0])
+
+
+# --------------------------------------------------------------------- #
 # Session wiring: backend selection + fallback ladder
 # --------------------------------------------------------------------- #
 class TestSessionQuant:

@@ -424,6 +424,7 @@ class TestPerfGate:
         (root / "BENCH_quant.json").write_text(json.dumps({
             "input_hw": [16, 32], "width_mult": 0.25,
             "speed": {"min_ratio": quant},
+            "exactness_max_abs_diff": {"w8/f8": 0.0},
         }))
 
     def test_load_baselines(self, tmp_path):
@@ -535,6 +536,27 @@ class TestPerfGate:
         assert run_gate(str(tmp_path), reps=1,
                         inject_regression=0.001) == 1
 
+    def test_run_gate_fails_on_quant_mismatch(self, tmp_path, monkeypatch):
+        """A w8/f8 plan that drifts from its fake-quant reference by one
+        grid step fails the gate even when every ratio is healthy."""
+        from repro.nn.engine import quant
+
+        self._write_baselines(tmp_path, engine=0.01, quant=0.01)
+        store = quant.IntEpilogue.store
+
+        def off_by_one(self, acc, out):
+            acc += 1.0
+            store(self, acc, out)
+
+        monkeypatch.setattr(quant.IntEpilogue, "store", off_by_one)
+        out_json = str(tmp_path / "verdicts.json")
+        assert run_gate(str(tmp_path), reps=1, out_json=out_json) == 1
+        with open(out_json) as fh:
+            verdicts = {v["metric"]: v for v in json.load(fh)["verdicts"]}
+        exact = verdicts["quant/exactness_max_abs_diff"]
+        assert exact["regressed"] and exact["fresh"] > 0
+        assert not verdicts["engine/A/speedup"]["regressed"]
+
     def test_run_gate_without_baselines(self, tmp_path):
         assert run_gate(str(tmp_path)) == 2
 
@@ -544,7 +566,10 @@ class TestPerfGate:
         baselines = load_baselines(".")
         for spec in GATE_METRICS:
             if spec.name in baselines:
-                assert baselines[spec.name]["value"] > 0
+                value = baselines[spec.name]["value"]
+                # Ratios are positive; lower-is-better values (the quant
+                # exactness diff) are recorded at 0.
+                assert value > 0 if spec.better == "higher" else value == 0
 
 
 # --------------------------------------------------------------------- #
