@@ -101,6 +101,7 @@ if __name__ == "__main__":
     payload = {
         "bench": "engine_speedup",
         "input_hw": list(CONTEST_HW),
+        "width_mult": 1.0,  # SkyNetBackbone's default width
         "batch": 1,
         "results": measured,
     }

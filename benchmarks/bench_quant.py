@@ -190,6 +190,7 @@ if __name__ == "__main__":
     payload = {
         "bench": "quant_engine",
         "input_hw": list(CONTEST_HW),
+        "width_mult": 1.0,  # SkyNetBackbone's default width
         "batch": 1,
         "scheme": "w8/f8",
         "speed": speed,

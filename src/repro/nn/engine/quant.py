@@ -327,10 +327,14 @@ class _Calibrator:
         w_q = quantize_to_fracbits(w, w_frac, q.w_bits)
         b_q = None if a["bias"] is None else quantize_fixed(
             np.asarray(a["bias"], np.float32), q.w_bits)
-        cout, cin, kh, kw = w.shape
+        w_int = np.rint(w_q * 2.0**w_frac)
         acc_frac = w_frac + in_frac
-        bound = (2.0 ** (q.w_bits - 1) * 2.0 ** (q.fm_bits - 1)
-                 * (cin if kind == "conv" else 1) * kh * kw)
+        # Largest accumulator magnitude over every input on the grid, in
+        # accumulator units: the biggest per-output L1 norm of the
+        # integer weights times the largest feature, plus the bias.
+        # Every partial sum stays below it, whatever the summation order.
+        bound = (np.abs(w_int).reshape(len(w_int), -1).sum(axis=1).max()
+                 * 2.0 ** (q.fm_bits - 1))
         if b_q is not None and b_q.size:
             bound += _max_abs(b_q) * 2.0**acc_frac
         carrier = np.dtype(np.float32 if bound <= _F32_EXACT else np.float64)
@@ -343,8 +347,7 @@ class _Calibrator:
         shift = 2.0 ** (out_frac - acc_frac)
         attrs = {
             **a,
-            "weight": np.rint(w_q * 2.0**w_frac).astype(carrier)
-            * carrier.type(shift),
+            "weight": w_int.astype(carrier) * carrier.type(shift),
             "epilogue": IntEpilogue(
                 None if b_q is None else b_q * 2.0**acc_frac * shift,
                 a["act"], out_frac, q, carrier, emit_int),

@@ -8,7 +8,7 @@ quant-over-fp32 ratio) at the baseline's own model scale and input
 resolution, and fails when a fresh ratio falls below the recorded one
 by more than a noise tolerance.  It also re-checks one invariant the
 benches record: the re-measured w8/f8 plan must match its fake-quant
-reference exactly (``quant/exactness_max_abs_diff`` stays 0).
+reference exactly (any nonzero difference fails the gate).
 
 Ratios, not absolute times: milliseconds do not transfer between hosts,
 but "the compiled plan is N times the eager forward *on the same
@@ -35,6 +35,7 @@ __all__ = [
     "GateMetric",
     "GATE_METRICS",
     "load_baselines",
+    "QUANT_MISMATCH",
     "measure_fresh",
     "compare_metrics",
     "render_verdicts",
@@ -60,17 +61,9 @@ class GateMetric:
     #: least this many host CPUs (a 1-core host cannot beat the serial
     #: loop with worker processes, so gating there would always fail).
     abs_floor_min_cpus: int = 2
-    #: ``"higher"``: a fresh value below ``floor`` regresses.
-    #: ``"lower"``: ``floor`` is a ceiling a fresh value must not pass
-    #: (zero baseline and tolerance: any nonzero value regresses).
-    better: str = "higher"
 
     def floor(self, baseline: float, scale: float = 1.0) -> float:
-        tol = min(0.95, self.tolerance * scale)
-        return baseline * (1.0 - tol if self.better == "higher" else 1.0 + tol)
-
-    def regressed(self, value: float, bound: float) -> bool:
-        return value < bound if self.better == "higher" else value > bound
+        return baseline * (1.0 - min(0.95, self.tolerance * scale))
 
 
 #: The gated metrics.  Engine/quant ratios are re-measured by
@@ -83,11 +76,6 @@ GATE_METRICS = (
                ("results", "A", "speedup"), tolerance=0.30, measured=True),
     GateMetric("quant/min_ratio", "BENCH_quant.json",
                ("speed", "min_ratio"), tolerance=0.20, measured=True),
-    # The integer plan must reproduce its fake-quant reference bit for
-    # bit: any nonzero difference on the re-measured w8/f8 plan fails.
-    GateMetric("quant/exactness_max_abs_diff", "BENCH_quant.json",
-               ("exactness_max_abs_diff", "w8/f8"), tolerance=0.0,
-               measured=True, better="lower"),
     GateMetric("serve/speedup_batch8", "BENCH_serve.json",
                ("results", "speedup_batch8"), tolerance=0.40, measured=False),
     GateMetric("serve/speedup_vs_serial", "BENCH_serve.json",
@@ -129,7 +117,9 @@ def load_baselines(root: str = ".") -> dict[str, dict]:
 
     Returns ``{metric name: {"value", "source", "input_hw", "width"}}``;
     metrics whose baseline file or key is missing are skipped (a fresh
-    clone without artifacts gates nothing rather than erroring).
+    clone without artifacts gates nothing rather than erroring).  A
+    baseline that records no width was measured on the model's default
+    width (1.0), so that is the width it is re-measured at.
     """
     out: dict[str, dict] = {}
     for spec in GATE_METRICS:
@@ -146,7 +136,7 @@ def load_baselines(root: str = ".") -> dict[str, dict]:
             "value": float(value),
             "source": spec.source,
             "input_hw": tuple(bench.get("input_hw", (48, 96))),
-            "width": float(bench.get("width_mult", bench.get("width", 0.25))),
+            "width": float(bench.get("width_mult", bench.get("width", 1.0))),
             "host_cpus": int(bench.get("host_cpus", 1)),
         }
     return out
@@ -165,6 +155,12 @@ def _best_ms(fn, x, reps: int) -> float:
     return best
 
 
+#: Key of :func:`measure_fresh`'s exactness value: the largest
+#: difference between the re-measured w8/f8 plan and its fake-quant
+#: reference.  Not a ratio — :func:`run_gate` fails on any nonzero value.
+QUANT_MISMATCH = "quant/max_abs_diff_vs_reference"
+
+
 def measure_fresh(baselines: dict[str, dict], reps: int = 3,
                   seed: int = 0) -> dict[str, float]:
     """Re-measure the ``measured`` gate ratios at each baseline's scale.
@@ -172,7 +168,8 @@ def measure_fresh(baselines: dict[str, dict], reps: int = 3,
     Builds one SkyNet-A at the baseline's recorded width and input
     resolution, then times eager vs compiled vs quantized (w8/f8)
     forwards back-to-back, best-of-``reps`` per arm — the same
-    statistic the baseline benches record.
+    statistic the baseline benches record.  The quantized arm also
+    reports :data:`QUANT_MISMATCH`.
     """
     from ..core import SkyNetBackbone
     from ..nn import Tensor, no_grad
@@ -199,11 +196,11 @@ def measure_fresh(baselines: dict[str, dict], reps: int = 3,
     if any(s.name == "engine/A/speedup" for s in needed):
         eager_ms = _best_ms(eager, x, reps)
         fresh["engine/A/speedup"] = eager_ms / compiled_ms
-    if any(s.name.startswith("quant/") for s in needed):
+    if any(s.name == "quant/min_ratio" for s in needed):
         quant = compile_net(bb, quant=QuantConfig(8, 8), calibration=x)
         quant_ms = _best_ms(quant, x, reps)
         fresh["quant/min_ratio"] = compiled_ms / quant_ms
-        fresh["quant/exactness_max_abs_diff"] = float(np.abs(
+        fresh[QUANT_MISMATCH] = float(np.abs(
             quant(x) - quant.quant_stats["reference_output"]).max())
     return fresh
 
@@ -237,9 +234,7 @@ def compare_metrics(
         else:
             floor = spec.floor(base["value"], tolerance_scale)
             verdict.update(fresh=value, floor=floor,
-                           regressed=spec.regressed(value, floor),
-                           skipped=False)
-        verdict["better"] = spec.better
+                           regressed=value < floor, skipped=False)
         # The absolute floor gates the recorded value itself, even for
         # metrics the gate does not re-measure: a baseline below it is
         # a loud failure, not a tracked number.
@@ -258,8 +253,6 @@ def render_verdicts(verdicts: list[dict]) -> str:
 
     rows = []
     for v in verdicts:
-        # Ratios print as "1.23x"; lower-is-better values as plain numbers.
-        fmt = "{:.2f}x".format if v["better"] == "higher" else "{:g}".format
         if v.get("below_abs_floor"):
             status = f"BELOW {v['abs_floor']:.1f}x FLOOR"
             fresh = "—" if v["skipped"] else f"{v['fresh']:.2f}x"
@@ -268,8 +261,8 @@ def render_verdicts(verdicts: list[dict]) -> str:
             status, fresh, floor = "skipped", "—", "—"
         else:
             status = "REGRESSED" if v["regressed"] else "ok"
-            fresh, floor = fmt(v["fresh"]), fmt(v["floor"])
-        rows.append([v["metric"], fmt(v["baseline"]), fresh, floor,
+            fresh, floor = f"{v['fresh']:.2f}x", f"{v['floor']:.2f}x"
+        rows.append([v["metric"], f"{v['baseline']:.2f}x", fresh, floor,
                      status])
     return format_table(
         ["metric", "baseline", "fresh", "floor", "status"], rows,
@@ -293,6 +286,7 @@ def run_gate(
                 "nothing to gate")
         return 2
     fresh = measure_fresh(baselines, reps=reps)
+    mismatch = fresh.pop(QUANT_MISMATCH, 0.0)
     if inject_regression is not None:
         fresh = {k: v * inject_regression for k, v in fresh.items()}
     verdicts = compare_metrics(baselines, fresh, tolerance_scale)
@@ -302,13 +296,17 @@ def run_gate(
             json.dump({"verdicts": verdicts,
                        "tolerance_scale": tolerance_scale,
                        "reps": reps,
-                       "injected_regression": inject_regression},
+                       "injected_regression": inject_regression,
+                       QUANT_MISMATCH: mismatch},
                       fh, indent=2)
-    regressed = [v for v in verdicts if v["regressed"]]
+    if mismatch:
+        printer(f"MISMATCH: the w8/f8 plan differs from its fake-quant "
+                f"reference by up to {mismatch:g}")
+    regressed = [v["metric"] for v in verdicts if v["regressed"]]
     if regressed:
-        names = ", ".join(v["metric"] for v in regressed)
-        printer(f"REGRESSION: {names} below the noise floor "
+        printer(f"REGRESSION: {', '.join(regressed)} below the noise floor "
                 f"(tolerance x{tolerance_scale:g})")
+    if mismatch or regressed:
         return 1
-    printer("gate passed: no ratio below its noise floor")
+    printer("gate passed: no ratio below its noise floor, w8/f8 plan exact")
     return 0
