@@ -44,6 +44,7 @@ from ..layers.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..layers.reorg import Reorg, UpsampleNearest
 from ..module import Module, Sequential
 from .arena import BufferArena
+from .blas import forward_threads
 from . import kernels as K
 
 __all__ = ["CompileError", "CompiledNet", "compile_net"]
@@ -455,15 +456,17 @@ class CompiledNet:
         regs: list[np.ndarray | None] = [None] * self.n_regs
         regs[0] = x
         arena = self.arena
-        if obs.enabled():
-            with obs.span("engine/forward", engine=self.name,
-                          batch=x.shape[0]):
+        with forward_threads(x.shape[0]) as blas_threads:
+            if obs.enabled():
+                with obs.span("engine/forward", engine=self.name,
+                              batch=x.shape[0], blas_threads=blas_threads):
+                    for kern, ins, out in self.steps:
+                        with obs.span("engine/kernel", kernel=kern.label):
+                            regs[out] = kern.run([regs[i] for i in ins],
+                                                 arena)
+            else:
                 for kern, ins, out in self.steps:
-                    with obs.span("engine/kernel", kernel=kern.label):
-                        regs[out] = kern.run([regs[i] for i in ins], arena)
-        else:
-            for kern, ins, out in self.steps:
-                regs[out] = kern.run([regs[i] for i in ins], arena)
+                    regs[out] = kern.run([regs[i] for i in ins], arena)
         # Copy out of the arena so the caller can hold the result across
         # frames without the next call overwriting it.
         return np.array(regs[self.out_reg], copy=True)

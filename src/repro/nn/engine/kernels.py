@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..im2col import conv_out_size
-from .threads import intra_op_matmul
 
 __all__ = [
     "Kernel",
@@ -245,7 +244,7 @@ class ConvKernel(Kernel):
         cols, oh, ow = im2col_cm(arena, self.key, xp, self.kh, self.kw,
                                  self.stride, carrier)
         acc = arena.get(self.key, "acc", (cout, n, oh, ow), carrier)
-        intra_op_matmul(self._wmat, cols, acc.reshape(cout, n * oh * ow))
+        np.matmul(self._wmat, cols, out=acc.reshape(cout, n * oh * ow))
         if self.pool is not None:
             acc = maxpool(acc, *self.pool, arena, self.key)
         # (C, N, H, W) -> NCHW; one sample leaves the layouts identical,
@@ -284,8 +283,8 @@ class ConvKernel(Kernel):
                 acc = (dst if direct else arena.get(
                     self.key, "acc", (cout, r1 - r0, w),
                     self.epilogue.carrier))
-                intra_op_matmul(self._wmat, x[b, :, r0:r1].reshape(cin, -1),
-                                acc.reshape(cout, -1))
+                np.matmul(self._wmat, x[b, :, r0:r1].reshape(cin, -1),
+                          out=acc.reshape(cout, -1))
                 if self.pool is not None:
                     acc = maxpool(acc, *self.pool, arena, self.key)
                 self.epilogue(acc, None if direct else dst, axis=0)
@@ -569,7 +568,7 @@ class LinearKernel(Kernel):
         (x,) = inputs
         out = arena.get(self.key, "out", (x.shape[0], self._wt.shape[1]),
                         np.float32)
-        intra_op_matmul(x, self._wt, out)
+        np.matmul(x, self._wt, out=out)
         self.epilogue(out)
         return out
 

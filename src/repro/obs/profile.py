@@ -171,6 +171,8 @@ def profile_net(net, x: np.ndarray, reps: int = 10,
     first.  Per step, ``best_ms`` (minimum over reps — the noise-robust
     statistic the benches use) and ``mean_ms`` are reported.
     """
+    from ..nn.engine.blas import forward_threads
+
     if reps < 1 or warmup < 0:
         raise ValueError("reps must be >= 1 and warmup >= 0")
     x = np.asarray(x)
@@ -183,21 +185,23 @@ def profile_net(net, x: np.ndarray, reps: int = 10,
     times = [[] for _ in steps]
     meta: list[tuple[str, int, int] | None] = [None] * len(steps)
 
-    for rep in range(warmup + reps):
-        regs: list[np.ndarray | None] = [None] * net.n_regs
-        regs[0] = x
-        timed = rep >= warmup
-        for i, (kern, ins, out_reg) in enumerate(steps):
-            inputs = [regs[r] for r in ins]
-            t0 = time.perf_counter()
-            out = kern.run(inputs, net.arena)
-            t1 = time.perf_counter()
-            regs[out_reg] = out
-            if timed:
-                times[i].append((t1 - t0) * 1e3)
-            if meta[i] is None:
-                meta[i] = (_step_dtype(kern, out), _step_flops(kern, out),
-                           int(out.nbytes))
+    # Steps run under the BLAS thread count of a real forward.
+    with forward_threads(x.shape[0]):
+        for rep in range(warmup + reps):
+            regs: list[np.ndarray | None] = [None] * net.n_regs
+            regs[0] = x
+            timed = rep >= warmup
+            for i, (kern, ins, out_reg) in enumerate(steps):
+                inputs = [regs[r] for r in ins]
+                t0 = time.perf_counter()
+                out = kern.run(inputs, net.arena)
+                t1 = time.perf_counter()
+                regs[out_reg] = out
+                if timed:
+                    times[i].append((t1 - t0) * 1e3)
+                if meta[i] is None:
+                    meta[i] = (_step_dtype(kern, out),
+                               _step_flops(kern, out), int(out.nbytes))
 
     profile = KernelProfile(
         name=net.name,

@@ -465,11 +465,16 @@ class Session:
     def health(self) -> dict:
         """Server readiness snapshot (see
         :meth:`repro.serve.InferenceServer.health`); an ``"idle"``
-        status before the first :meth:`submit` starts the server."""
+        status before the first :meth:`submit` starts the server.
+        ``blas`` gives this process's BLAS library and thread count."""
+        from ..nn.engine.blas import blas_info
+
         if self._server is None:
-            return {"status": "idle", "backend": self.backend}
+            return {"status": "idle", "backend": self.backend,
+                    "blas": blas_info()}
         health = self._server.health()
         health["backend"] = self.backend
+        health["blas"] = blas_info()
         if self._procpool is not None:
             health["procpool"] = self._procpool.stats()
         return health

@@ -18,6 +18,9 @@ engine, and buffer arena:
   batches are never pickled on the hot path; the child runs directly on
   the shared-memory view (the protocol is synchronous per worker, so the
   parent never overwrites an in-flight request).
+* **OpenBLAS's default thread count at every batch**: switching per
+  batch stalled a child's batch-2 forwards, and one thread throughout
+  raised latency (EXPERIMENTS.md, "BLAS threads per batch").
 * **Crash = retry, not loss.**  A killed worker process surfaces as a
   :class:`ProcWorkerDied` from the runner; the server's retry ladder
   re-runs the batch, and the runner respawns its child on the next call
@@ -74,27 +77,25 @@ class WorkerSpec:
 
     Only picklable leaves: the model rides as bytes, and the child calls
     ``Session.load`` itself, so the fallback ladder, microbatch tiling,
-    and postprocess resolution behave exactly as in the parent.
+    and postprocess resolution behave exactly as in the parent.  The
+    child runs OpenBLAS's default thread count at every batch.
     """
 
     model_blob: bytes
     session_config: object = None  # SessionConfig | None
     calibration: np.ndarray | None = None
     warmup_shape: tuple[int, ...] | None = None
-    intra_op_threads: int = 1
     name: str = "model"
 
     @classmethod
     def for_model(cls, model, config=None, calibration=None,
-                  warmup_shape=None, intra_op_threads=1,
-                  name=None) -> "WorkerSpec":
+                  warmup_shape=None, name=None) -> "WorkerSpec":
         return cls(
             model_blob=pickle.dumps(model),
             session_config=config,
             calibration=calibration,
             warmup_shape=(None if warmup_shape is None
                           else tuple(warmup_shape)),
-            intra_op_threads=intra_op_threads,
             name=name if name is not None else type(model).__name__,
         )
 
@@ -154,10 +155,10 @@ class _Block:
 def _child_main(conn, spec_blob: bytes) -> None:
     """Worker-process entry: build the runner, answer run requests."""
     spec: WorkerSpec = pickle.loads(spec_blob)
-    from ..nn.engine.threads import set_intra_op_threads
+    from ..nn.engine.blas import keep_default_threads
     from ..runtime.session import Session
 
-    set_intra_op_threads(spec.intra_op_threads)
+    keep_default_threads()
     out_block = _Block()
     in_shm: shared_memory.SharedMemory | None = None
     in_name = None

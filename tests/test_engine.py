@@ -312,7 +312,7 @@ class TestEnginePools:
 
 
 class TestBatchedExecution:
-    """Batched im2col GEMM, cache-blocked kernels, intra-op tiling.
+    """Batched im2col GEMM and cache-blocked kernels.
 
     Every fast path must reproduce the per-sample engine outputs at
     1e-6 — batching is a performance transform, never a numerics one.
@@ -350,38 +350,6 @@ class TestBatchedExecution:
         bb.eval()
         np.testing.assert_allclose(compile_net(bb)(x), _eager(bb, x),
                                    atol=1e-5)
-
-    def test_intra_op_tiling_matches_serial(self, rng, monkeypatch):
-        from repro.nn.engine import threads
-
-        monkeypatch.setattr(threads, "_MIN_MACS_PER_THREAD", 1)
-        net, x, singles = self._net_and_ref(rng)
-        prev = threads.get_intra_op_threads()
-        threads.set_intra_op_threads(3)
-        try:
-            np.testing.assert_allclose(net(x), singles, atol=1e-6)
-        finally:
-            threads.set_intra_op_threads(prev)
-
-    def test_intra_op_matmul_2d_and_stacked(self, rng, monkeypatch):
-        from repro.nn.engine import threads
-
-        monkeypatch.setattr(threads, "_MIN_MACS_PER_THREAD", 1)
-        prev = threads.get_intra_op_threads()
-        threads.set_intra_op_threads(4)
-        try:
-            a = rng.normal(0, 1, (13, 21)).astype(np.float32)
-            b = rng.normal(0, 1, (21, 37)).astype(np.float32)
-            out = np.empty((13, 37), np.float32)
-            threads.intra_op_matmul(a, b, out)
-            np.testing.assert_allclose(out, a @ b, atol=1e-6)
-            sa = rng.normal(0, 1, (5, 4, 9)).astype(np.float32)
-            sb = rng.normal(0, 1, (5, 9, 7)).astype(np.float32)
-            sout = np.empty((5, 4, 7), np.float32)
-            threads.intra_op_matmul(sa, sb, sout)
-            np.testing.assert_allclose(sout, sa @ sb, atol=1e-6)
-        finally:
-            threads.set_intra_op_threads(prev)
 
 
 class TestThreadedPipeline:

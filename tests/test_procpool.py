@@ -45,7 +45,6 @@ class TestWorkerSpec:
         spec = WorkerSpec.for_model(det, config=SessionConfig())
         assert spec.name == "Detector"
         assert isinstance(spec.model_blob, bytes) and spec.model_blob
-        assert spec.intra_op_threads == 1  # children default to 1
 
     def test_config_validates_worker_backend(self):
         with pytest.raises(ValueError, match="worker_backend"):

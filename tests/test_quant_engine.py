@@ -275,7 +275,6 @@ class TestIntegerVariants:
         """At 2x160x320 the default rules pick the tap loop and several
         row blocks by themselves; the reference is frozen under im2col
         and single-block rules."""
-        from repro.nn.engine import kernels
         from repro.nn.engine.kernels import ConvKernel, DWConvKernel, Kernel
 
         bb = _backbone(rng)
@@ -285,7 +284,7 @@ class TestIntegerVariants:
             m.setattr(Kernel, "BLOCK_BYTES", 1 << 40)
             net = compile_net(bb, quant=QuantConfig(8, 8), calibration=x)
         calls = {"taps": 0, "blocks": 0}
-        dw_run, matmul = DWConvKernel.run, kernels.intra_op_matmul
+        dw_run, matmul = DWConvKernel.run, np.matmul
 
         def count_taps(self, inputs, arena):
             out = dw_run(self, inputs, arena)
@@ -293,12 +292,14 @@ class TestIntegerVariants:
             calls["taps"] += n * oh * ow >= self.TAP_MIN_PIXELS
             return out
 
-        def count_blocks(a, b, out):
-            calls["blocks"] += 1
-            return matmul(a, b, out)
+        def count_blocks(a, b, out=None):
+            # 2-D weights: the conv, pointwise and linear GEMMs; the
+            # depthwise kernel's stacked weights are not counted.
+            calls["blocks"] += np.ndim(a) == 2
+            return matmul(a, b, out=out)
 
         monkeypatch.setattr(DWConvKernel, "run", count_taps)
-        monkeypatch.setattr(kernels, "intra_op_matmul", count_blocks)
+        monkeypatch.setattr(np, "matmul", count_blocks)
         np.testing.assert_array_equal(net(x),
                                       net.quant_stats["reference_output"])
         n_pointwise = sum(isinstance(getattr(k, "pw", k), ConvKernel)
