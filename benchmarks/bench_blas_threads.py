@@ -1,7 +1,7 @@
 """OpenBLAS thread count per batch: one thread vs OpenBLAS's default.
 
 The engine runs a batch-1 forward on one BLAS thread and a batch > 1
-forward on OpenBLAS's default count (``repro.nn.engine.blas``).  This
+forward on OpenBLAS's default count (``repro.nn.engine.threads``).  This
 script measures that rule at the shapes the benchmark workloads run, on
 SkyNet config C at width 1.0:
 
@@ -47,7 +47,8 @@ def _child(shape: str, threads: int) -> dict:
     from repro.core.skynet import SkyNetBackbone
     from repro.detection.head import YoloHead
     from repro.detection.model import Detector
-    from repro.nn.engine import QuantConfig, blas, compile_net
+    from repro.nn.engine import QuantConfig, compile_net
+    from repro.nn.engine import threads as blas
 
     batch, (h, w), quantized = SHAPES[shape]
     rng = np.random.default_rng(0)
@@ -91,7 +92,7 @@ def _quartiles(values) -> tuple[float, float, float]:
 
 
 def run(pairs: int, shapes=tuple(SHAPES)) -> dict:
-    from repro.nn.engine import blas
+    from repro.nn.engine import threads as blas
 
     default = blas.DEFAULT
     if default is None:

@@ -44,7 +44,7 @@ from ..layers.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..layers.reorg import Reorg, UpsampleNearest
 from ..module import Module, Sequential
 from .arena import BufferArena
-from .blas import forward_threads
+from .threads import forward_threads
 from . import kernels as K
 
 __all__ = ["CompileError", "CompiledNet", "compile_net"]

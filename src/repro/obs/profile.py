@@ -171,7 +171,7 @@ def profile_net(net, x: np.ndarray, reps: int = 10,
     first.  Per step, ``best_ms`` (minimum over reps — the noise-robust
     statistic the benches use) and ``mean_ms`` are reported.
     """
-    from ..nn.engine.blas import forward_threads
+    from ..nn.engine.threads import forward_threads
 
     if reps < 1 or warmup < 0:
         raise ValueError("reps must be >= 1 and warmup >= 0")

@@ -467,7 +467,7 @@ class Session:
         :meth:`repro.serve.InferenceServer.health`); an ``"idle"``
         status before the first :meth:`submit` starts the server.
         ``blas`` gives this process's BLAS library and thread count."""
-        from ..nn.engine.blas import blas_info
+        from ..nn.engine.threads import blas_info
 
         if self._server is None:
             return {"status": "idle", "backend": self.backend,

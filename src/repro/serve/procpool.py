@@ -155,7 +155,7 @@ class _Block:
 def _child_main(conn, spec_blob: bytes) -> None:
     """Worker-process entry: build the runner, answer run requests."""
     spec: WorkerSpec = pickle.loads(spec_blob)
-    from ..nn.engine.blas import keep_default_threads
+    from ..nn.engine.threads import keep_default_threads
     from ..runtime.session import Session
 
     keep_default_threads()

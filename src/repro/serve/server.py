@@ -232,7 +232,10 @@ class InferenceServer:
         self._inflight: list[list[_Request] | None] = (
             [None] * self.config.num_workers
         )
-        self._workers = [self._spawn(i) for i in range(self.config.num_workers)]
+        self._workers = [self._new_worker(i)
+                         for i in range(self.config.num_workers)]
+        for thread in self._workers:
+            thread.start()
         self._watchdog_thread = None
         if self.config.watchdog:
             self._watchdog_thread = threading.Thread(
@@ -385,13 +388,14 @@ class InferenceServer:
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #
-    def _spawn(self, index: int) -> threading.Thread:
-        thread = threading.Thread(
+    def _new_worker(self, index: int) -> threading.Thread:
+        """An unstarted worker thread.  Callers publish it in
+        ``_workers`` before starting it: a new worker may serve requests
+        before ``start()`` returns, and :meth:`health` must count it."""
+        return threading.Thread(
             target=self._worker, args=(index,), daemon=True,
             name=f"serve-{self.name}-{index}",
         )
-        thread.start()
-        return thread
 
     def _worker(self, index: int) -> None:
         runners = _WorkerRunners()
@@ -442,7 +446,8 @@ class InferenceServer:
                 obs.inc("serve/worker_respawn")
                 obs.event("serve/worker_respawn", server=self.name,
                           worker=i, requeued=requeued)
-                self._workers[i] = self._spawn(i)
+                thread = self._workers[i] = self._new_worker(i)
+                thread.start()
 
     def _fill_batch(self, first: _Request, index: int) -> list[_Request]:
         """Coalesce requests: flush on ``max_batch_size`` or on the

@@ -1,4 +1,4 @@
-"""Tests for the engine-owned OpenBLAS thread count (repro.nn.engine.blas).
+"""Tests for the engine-owned OpenBLAS thread count (repro.nn.engine.threads).
 
 One thread at batch 1, OpenBLAS's default at batch > 1, one thread
 while forwards overlap; the count never changes a result.
@@ -13,18 +13,21 @@ import pytest
 
 from repro import obs
 from repro.core import SkyNetBackbone
-from repro.detection import Detector
-from repro.nn.engine import QuantConfig, blas, compile_net
+from repro.detection import Detector, YoloHead
+from repro.nn.engine import QuantConfig, compile_net, threads
 from repro.runtime import ServeConfig, Session, SessionConfig
 from repro.serve import STATUS_OK
 
 needs_openblas = pytest.mark.skipif(
-    blas.get_threads() is None,
+    threads.get_threads() is None,
     reason="NumPy exports no OpenBLAS thread-count symbol")
 
 
 def _detector(rng) -> Detector:
-    det = Detector(SkyNetBackbone("C", width_mult=0.125, rng=rng))
+    # The head draws from ``rng`` too, not from the shared generator:
+    # these tests leave the weights later tests build unchanged.
+    bb = SkyNetBackbone("C", width_mult=0.125, rng=rng)
+    det = Detector(bb, YoloHead(bb.out_channels, rng=rng))
     det.eval()
     return det
 
@@ -45,7 +48,7 @@ class TestBatchRule:
         det = _detector(rng)
         with Session.load(det) as session:
             session.run(_images(rng, 1))
-            assert blas.get_threads() == 1
+            assert threads.get_threads() == 1
         tiled = Session.load(det, SessionConfig(tiles=(2, 2),
                                                 tile_max_detections=8))
         with obs.recording() as rec:
@@ -54,21 +57,21 @@ class TestBatchRule:
                     if r.get("type") == "span"
                     and r["name"] == "engine/forward"]
         assert forwards == [{"engine": forwards[0]["engine"], "batch": 4,
-                             "blas_threads": blas.DEFAULT}]
-        assert blas.get_threads() == blas.DEFAULT
+                             "blas_threads": threads.DEFAULT}]
+        assert threads.get_threads() == threads.DEFAULT
 
     def test_overlapping_forwards_run_one_thread(self, monkeypatch):
-        monkeypatch.setattr(blas, "DEFAULT", 2)
-        with blas.forward_threads(4) as outer:
-            assert outer == blas.get_threads() == 2
-            with blas.forward_threads(4) as inner:
-                assert inner == blas.get_threads() == 1
+        monkeypatch.setattr(threads, "DEFAULT", 2)
+        with threads.forward_threads(4) as outer:
+            assert outer == threads.get_threads() == 2
+            with threads.forward_threads(4) as inner:
+                assert inner == threads.get_threads() == 1
             # the remaining forward gets its own count back
-            assert blas.get_threads() == 2
+            assert threads.get_threads() == 2
 
     def test_setter_calls_library_only_on_change(self, monkeypatch):
         calls = []
-        lib = blas._lib
+        lib = threads._lib
 
         class Counting:
             def __getattr__(self, name):
@@ -78,19 +81,19 @@ class TestBatchRule:
                 calls.append(n)
                 lib.scipy_openblas_set_num_threads64_(n)
 
-        blas.set_threads(1)
-        monkeypatch.setattr(blas, "_lib", Counting())
+        threads.set_threads(1)
+        monkeypatch.setattr(threads, "_lib", Counting())
         for n in (1, 1, 2, 2, 1):
-            assert blas.set_threads(n) == n
-        blas.set_threads(1)
+            assert threads.set_threads(n) == n
+        threads.set_threads(1)
         assert calls == [2, 1]
 
     def test_pool_child_keeps_default_at_batch_one(self, rng,
                                                    monkeypatch):
-        monkeypatch.setattr(blas, "_single", blas._single)
-        blas.keep_default_threads()  # as a process-pool child does
-        with blas.forward_threads(1) as n:
-            assert n == blas.get_threads() == blas.DEFAULT
+        monkeypatch.setattr(threads, "_single", threads._single)
+        threads.keep_default_threads()  # as a process-pool child does
+        with threads.forward_threads(1) as n:
+            assert n == threads.get_threads() == threads.DEFAULT
 
     def test_health_reports_library_and_count(self, rng):
         with Session.load(_detector(rng)) as session:
@@ -106,9 +109,9 @@ class TestCountDoesNotChangeResults:
         net = compile_net(_backbone(rng))
         x = _images(rng, 2, hw=(64, 128))
         at_default = net(x)
-        monkeypatch.setattr(blas, "DEFAULT", 1)
+        monkeypatch.setattr(threads, "DEFAULT", 1)
         at_one = net(x)
-        assert blas.get_threads() == 1
+        assert threads.get_threads() == 1
         np.testing.assert_allclose(at_one, at_default, atol=1e-6)
 
     def test_w8f8_plan_bit_exact_at_both_counts(self, rng, monkeypatch):
@@ -117,7 +120,7 @@ class TestCountDoesNotChangeResults:
                           calibration=x)
         ref = net.quant_stats["reference_output"]
         np.testing.assert_array_equal(net(x), ref)
-        monkeypatch.setattr(blas, "DEFAULT", 1)
+        monkeypatch.setattr(threads, "DEFAULT", 1)
         np.testing.assert_array_equal(net(x), ref)
 
 
@@ -127,14 +130,14 @@ class TestConcurrentForwards:
         outputs equal ``Session.run``, and while forwards overlap the
         count is one thread."""
         applied = []
-        real_apply = blas._apply
+        real_apply = threads._apply
 
         def recording_apply():
             n = real_apply()
-            applied.append((len(blas._in_flight), n))
+            applied.append((len(threads._in_flight), n))
             return n
 
-        monkeypatch.setattr(blas, "_apply", recording_apply)
+        monkeypatch.setattr(threads, "_apply", recording_apply)
         det = _detector(rng)
         x = _images(rng, 24, hw=(64, 128))
         serve = ServeConfig(max_batch_size=4, max_wait_ms=5.0,
@@ -166,7 +169,7 @@ class TestConcurrentForwards:
                    if r.get("type") == "span"
                    and r["name"] == "engine/forward"}
         assert {1, 4} <= batches
-        if blas.get_threads() is not None:
+        if threads.get_threads() is not None:
             assert all(n == 1 for flying, n in applied if flying > 1)
 
 
@@ -178,21 +181,21 @@ class TestConcurrentForwards:
         the cached count matches the library afterwards."""
         import sys
 
-        monkeypatch.setattr(blas, "DEFAULT", 2)
+        monkeypatch.setattr(threads, "DEFAULT", 2)
         applied = []
-        real_apply = blas._apply
+        real_apply = threads._apply
 
         def recording_apply():
             n = real_apply()
-            applied.append((list(blas._in_flight), n))
+            applied.append((list(threads._in_flight), n))
             return n
 
-        monkeypatch.setattr(blas, "_apply", recording_apply)
+        monkeypatch.setattr(threads, "_apply", recording_apply)
 
         def worker(seed: int) -> None:
             batches = np.random.default_rng(seed).choice([1, 4], 300)
             for batch in batches:
-                with blas.forward_threads(int(batch)):
+                with threads.forward_threads(int(batch)):
                     pass
 
         workers = [threading.Thread(target=worker, args=(s,))
@@ -207,23 +210,23 @@ class TestConcurrentForwards:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in workers)
-        assert blas._in_flight == []
+        assert threads._in_flight == []
         assert len(applied) >= 6 * 300
         for flying, n in applied:
             want = flying[0] if len(flying) == 1 else 1
-            assert n == (want if blas.get_threads() is not None else None)
-        assert blas.get_threads() == blas._current
+            assert n == (want if threads.get_threads() is not None else None)
+        assert threads.get_threads() == threads._current
 
 
 class TestWithoutSymbol:
     def test_setter_is_a_noop(self, rng, monkeypatch):
-        lib = blas._lib
+        lib = threads._lib
         if lib is not None:
-            blas.set_threads(1)
-        monkeypatch.setattr(blas, "_lib", None)
-        assert blas.set_threads(2) is None
-        assert blas.get_threads() is None
-        assert blas.blas_info() == {"library": None, "threads": None}
+            threads.set_threads(1)
+        monkeypatch.setattr(threads, "_lib", None)
+        assert threads.set_threads(2) is None
+        assert threads.get_threads() is None
+        assert threads.blas_info() == {"library": None, "threads": None}
         net = compile_net(_backbone(rng))
         with obs.recording() as rec:
             net(_images(rng, 4, hw=(32, 64)))
