@@ -236,56 +236,45 @@ def _remap(nodes: list[_Node], alias: dict[int, int], out_reg: int) -> int:
     return resolve(out_reg)
 
 
-def _fold_batchnorm(nodes: list[_Node], out_reg: int) -> tuple[list[_Node], int]:
-    """Fold ``conv/dw -> affine`` pairs into the conv weights."""
+def _absorb(nodes: list[_Node], out_reg: int, kind: str, into: tuple,
+            absorb) -> tuple[list[_Node], int]:
+    """Fold each ``kind`` node into its producer when that is one of
+    ``into`` with no activation and no other consumer;
+    ``absorb(producer, node)`` moves the node's work into the producer."""
     producer = {n.out: n for n in nodes}
     counts = _consumer_counts(nodes, out_reg)
     alias: dict[int, int] = {}
     kept: list[_Node] = []
     for node in nodes:
-        if node.kind == "affine":
-            prev = producer.get(node.inputs[0])
-            if (
-                prev is not None
-                and prev.kind in ("conv", "dw")
-                and prev.attrs["act"] is None
-                and counts[prev.out] == 1
-            ):
-                scale = np.asarray(node.attrs["scale"], dtype=np.float32)
-                shift = np.asarray(node.attrs["bias"], dtype=np.float32)
-                w = np.asarray(prev.attrs["weight"], dtype=np.float32)
-                prev.attrs["weight"] = w * scale[:, None, None, None]
-                bias = prev.attrs["bias"]
-                bias = 0.0 if bias is None else np.asarray(bias, np.float32)
-                prev.attrs["bias"] = scale * bias + shift
-                alias[node.out] = prev.out
-                continue
-        kept.append(node)
-    out_reg = _remap(kept, alias, out_reg)
-    return kept, out_reg
+        prev = producer.get(node.inputs[0]) if node.kind == kind else None
+        if (prev is not None and prev.kind in into
+                and prev.attrs["act"] is None and counts[prev.out] == 1):
+            absorb(prev, node)
+            alias[node.out] = prev.out
+        else:
+            kept.append(node)
+    return kept, _remap(kept, alias, out_reg)
+
+
+def _fold_batchnorm(nodes: list[_Node], out_reg: int) -> tuple[list[_Node], int]:
+    """Fold ``conv/dw -> affine`` pairs into the conv weights."""
+
+    def absorb(prev: _Node, node: _Node) -> None:
+        scale = np.asarray(node.attrs["scale"], dtype=np.float32)
+        shift = np.asarray(node.attrs["bias"], dtype=np.float32)
+        w = np.asarray(prev.attrs["weight"], dtype=np.float32)
+        prev.attrs["weight"] = w * scale[:, None, None, None]
+        bias = prev.attrs["bias"]
+        bias = 0.0 if bias is None else np.asarray(bias, np.float32)
+        prev.attrs["bias"] = scale * bias + shift
+
+    return _absorb(nodes, out_reg, "affine", ("conv", "dw"), absorb)
 
 
 def _fuse_activations(nodes: list[_Node], out_reg: int) -> tuple[list[_Node], int]:
     """Absorb act steps into the producing conv/dw/affine/linear step."""
-    producer = {n.out: n for n in nodes}
-    counts = _consumer_counts(nodes, out_reg)
-    alias: dict[int, int] = {}
-    kept: list[_Node] = []
-    for node in nodes:
-        if node.kind == "act":
-            prev = producer.get(node.inputs[0])
-            if (
-                prev is not None
-                and prev.kind in ("conv", "dw", "affine", "linear")
-                and prev.attrs["act"] is None
-                and counts[prev.out] == 1
-            ):
-                prev.attrs["act"] = node.attrs["act"]
-                alias[node.out] = prev.out
-                continue
-        kept.append(node)
-    out_reg = _remap(kept, alias, out_reg)
-    return kept, out_reg
+    return _absorb(nodes, out_reg, "act", ("conv", "dw", "affine", "linear"),
+                   lambda prev, node: prev.attrs.update(act=node.attrs["act"]))
 
 
 def _fuse_bundles(nodes: list[_Node], out_reg: int) -> tuple[list[_Node], int]:

@@ -4,9 +4,10 @@ Each :class:`~repro.nn.engine.CompiledNet` forward sets the
 process-wide count (:func:`forward_threads`): one thread at batch 1,
 OpenBLAS's default at batch > 1, and one thread while forwards overlap
 in this process, where the other workers supply the parallelism.  A
-process-pool child keeps the default at every batch
-(:func:`keep_default_threads`).  EXPERIMENTS.md ("BLAS threads per
-batch") has the measurements.  Without NumPy's ``scipy_openblas_*64_``
+server worker thread or process-pool child, serving mixed batch sizes,
+keeps the default at every batch (:func:`keep_default_threads`):
+switching there sometimes stalled a forward ~0.5 s (EXPERIMENTS.md,
+"BLAS threads per batch").  Without NumPy's ``scipy_openblas_*64_``
 symbols every function here is a no-op.
 """
 
@@ -41,7 +42,7 @@ _lib = _lookup()
 #: OpenBLAS's own count at import, before the engine set anything.
 DEFAULT = None if _lib is None else _lib.scipy_openblas_get_num_threads64_()
 _current = DEFAULT
-_single = 1  # the count for a lone forward of batch 1
+_thread = threading.local()  # .single: a lone batch-1 forward's count
 _lock = threading.RLock()  # forward_threads calls set_threads under it
 _in_flight: list[int | None] = []  # the count each running forward wants
 
@@ -71,9 +72,8 @@ def blas_info() -> dict:
 
 
 def keep_default_threads() -> None:
-    """Run every later lone forward of this process on the default."""
-    global _single
-    _single = DEFAULT
+    """Run the calling thread's later lone forwards on the default."""
+    _thread.single = DEFAULT
 
 
 def _apply() -> int | None:
@@ -83,8 +83,9 @@ def _apply() -> int | None:
 @contextmanager
 def forward_threads(batch: int):
     """Run one forward of ``batch`` samples under the rule; yields the
-    count set for it."""
-    want = _single if batch <= 1 else DEFAULT
+    count set as it enters.  A forward that another one overlaps later
+    runs on at one thread from then on."""
+    want = DEFAULT if batch > 1 else getattr(_thread, "single", 1)
     with _lock:
         _in_flight.append(want)
         n = _apply()

@@ -469,12 +469,9 @@ class Session:
         ``blas`` gives this process's BLAS library and thread count."""
         from ..nn.engine.threads import blas_info
 
-        if self._server is None:
-            return {"status": "idle", "backend": self.backend,
-                    "blas": blas_info()}
-        health = self._server.health()
-        health["backend"] = self.backend
-        health["blas"] = blas_info()
+        health = ({"status": "idle"} if self._server is None
+                  else self._server.health())
+        health.update(backend=self.backend, blas=blas_info())
         if self._procpool is not None:
             health["procpool"] = self._procpool.stats()
         return health

@@ -63,6 +63,7 @@ from concurrent.futures import Future, InvalidStateError
 import numpy as np
 
 from .. import obs
+from ..nn.engine.threads import keep_default_threads
 from ..resilience import faults
 from ..resilience.breaker import OPEN, CircuitBreaker
 from ..resilience.retry import RetryPolicy
@@ -389,15 +390,15 @@ class InferenceServer:
     # worker side
     # ------------------------------------------------------------------ #
     def _new_worker(self, index: int) -> threading.Thread:
-        """An unstarted worker thread.  Callers publish it in
-        ``_workers`` before starting it: a new worker may serve requests
-        before ``start()`` returns, and :meth:`health` must count it."""
+        """An unstarted worker thread: callers publish it in ``_workers``
+        first, so :meth:`health` counts it once it serves."""
         return threading.Thread(
             target=self._worker, args=(index,), daemon=True,
             name=f"serve-{self.name}-{index}",
         )
 
     def _worker(self, index: int) -> None:
+        keep_default_threads()  # it serves every batch size
         runners = _WorkerRunners()
         rng = np.random.default_rng(1000 + index)  # retry jitter
         while not self._stopping.is_set():

@@ -1,7 +1,8 @@
 """Tests for the engine-owned OpenBLAS thread count (repro.nn.engine.threads).
 
 One thread at batch 1, OpenBLAS's default at batch > 1, one thread
-while forwards overlap; the count never changes a result.
+while forwards overlap, the default at every batch in serving threads;
+the count never changes a result.
 """
 
 from __future__ import annotations
@@ -88,12 +89,35 @@ class TestBatchRule:
         threads.set_threads(1)
         assert calls == [2, 1]
 
-    def test_pool_child_keeps_default_at_batch_one(self, rng,
-                                                   monkeypatch):
-        monkeypatch.setattr(threads, "_single", threads._single)
-        threads.keep_default_threads()  # as a process-pool child does
+    def test_keep_default_applies_to_the_calling_thread_only(self):
+        seen = []
+
+        def serving_thread() -> None:
+            # as a server worker thread or a process-pool child does
+            threads.keep_default_threads()
+            with threads.forward_threads(1) as n:
+                seen.append((n, threads.get_threads()))
+
+        t = threading.Thread(target=serving_thread)
+        t.start()
+        t.join()
+        assert seen == [(threads.DEFAULT, threads.DEFAULT)]
         with threads.forward_threads(1) as n:
-            assert n == threads.get_threads() == threads.DEFAULT
+            assert n == threads.get_threads() == 1
+
+    def test_server_worker_keeps_default_while_run_follows_batch(self,
+                                                                 rng):
+        """A batch-1 request through the thread server runs at the
+        default; ``Session.run`` of the same session at one thread."""
+        with Session.load(_detector(rng)) as session:
+            with obs.recording() as rec:
+                served = session.submit(_images(rng, 1)[0]).result(30.0)
+                session.run(_images(rng, 1))
+        assert served.status == STATUS_OK
+        counts = [(r["attrs"]["batch"], r["attrs"]["blas_threads"])
+                  for r in rec.records() if r.get("type") == "span"
+                  and r["name"] == "engine/forward"]
+        assert counts == [(1, threads.DEFAULT), (1, 1)]
 
     def test_health_reports_library_and_count(self, rng):
         with Session.load(_detector(rng)) as session:
