@@ -33,6 +33,7 @@ on-chip BRAM buffers inside one layer).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,18 +350,17 @@ class FrameTiler:
         The returned callable maps ``(N, C, H, W)`` frames to packed
         ``(N, max_detections, 5)`` detections, running the *entire* tile
         fan-out as one batched forward call — the batch dimension seen
-        by the engine is ``N * rows * cols``.
+        by the engine is ``N * rows * cols``; it pickles if ``forward`` does.
         """
+        return functools.partial(self.run, forward)
 
-        def runner(x: np.ndarray) -> np.ndarray:
-            tiles, plan = self.split(x)
-            with obs.span("detection/tiling", frames=x.shape[0],
-                          tiles=plan.num_tiles,
-                          tile_batch=tiles.shape[0]):
-                raw = forward(tiles)
-                return self.merge(raw, x.shape[0], plan)
-
-        return runner
+    def run(self, forward, x: np.ndarray) -> np.ndarray:
+        """Split ``x``, run ``forward`` on the tile batch, and merge."""
+        tiles, plan = self.split(x)
+        with obs.span("detection/tiling", frames=x.shape[0],
+                      tiles=plan.num_tiles, tile_batch=tiles.shape[0]):
+            raw = forward(tiles)
+            return self.merge(raw, x.shape[0], plan)
 
 
 # --------------------------------------------------------------------- #

@@ -29,6 +29,7 @@ retrain the module, recompile the engine.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -493,11 +494,15 @@ class CompiledNet:
         clone and the plan becomes freely parallelizable (this is what
         :class:`repro.serve.InferenceServer` does per worker).
         """
-        return CompiledNet(
-            self.steps, self.n_regs, self.out_reg, self.name,
-            arena=BufferArena(), quant=self.quant,
-            quant_stats=self.quant_stats,
-        )
+        return copy.copy(self)  # __setstate__ gives it a fresh arena
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles are fresh clones: the plan without the
+        # arena's scratch buffers (~40x the plan's bytes once warmed).
+        return dict(self.__dict__, arena=None)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, arena=BufferArena())
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -295,14 +295,16 @@ class DWConvKernel(Kernel):
     """Depthwise convolution + epilogue.
 
     Small maps unfold im2col columns and run one batched matmul of tiny
-    ``(1, k*k) @ (k*k, P)`` factors; from :attr:`TAP_MIN_PIXELS` output
-    pixels on, the 9x larger column matrix costs more memory traffic
-    than it saves, and the k*k taps accumulate as vectorized
+    ``(1, k*k) @ (k*k, OH*OW)`` factors; from :attr:`TAP_MIN_PIXELS`
+    output pixels on, the 9x larger column matrix costs more memory
+    traffic than it saves, and the k*k taps accumulate as vectorized
     multiply-adds over strided views of the padded input instead.  Both
-    variants work one cache-sized channel block at a time.
+    variants work one cache-sized channel block at a time, and both are
+    chosen and sized per sample, so a sample's rounding never depends
+    on its batch.
     """
 
-    #: Output pixels (N*OH*OW) from which tap accumulation beats im2col.
+    #: Output pixels per sample (OH*OW) from which taps beat im2col.
     TAP_MIN_PIXELS = 6400
 
     def __init__(
@@ -344,7 +346,7 @@ class DWConvKernel(Kernel):
         out = arena.get(self.key, "out", (n, c, oh, ow),
                         self.epilogue.out_dtype)
         out_cm = out.transpose(1, 0, 2, 3)
-        taps = n * oh * ow >= self.TAP_MIN_PIXELS
+        taps = oh * ow >= self.TAP_MIN_PIXELS
         per_channel = n * oh * ow * carrier.itemsize * (2 if taps else k2 + 1)
         cb = min(c, max(1, self.BLOCK_BYTES // per_channel))
         block = (cb, n, oh, ow)
@@ -374,8 +376,9 @@ class DWConvKernel(Kernel):
             else:
                 cols, _, _ = im2col_cm(arena, self.key, xb, self.kh, self.kw,
                                        s, carrier)
-                np.matmul(self._wmat[c0:c1], cols.reshape(c1 - c0, k2, -1),
-                          out=acc.reshape(c1 - c0, 1, -1))
+                np.matmul(self._wmat[c0:c1, None],
+                          cols.reshape(c1 - c0, k2, n, -1).transpose(0, 2, 1, 3),
+                          out=acc.reshape(c1 - c0, n, 1, -1))
             self.epilogue(acc, None if in_place else ob, axis=0, c0=c0)
         return out
 

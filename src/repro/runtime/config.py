@@ -141,7 +141,8 @@ class ServeConfig:
         ``"thread"`` runs each worker's forward in-process (zero startup
         cost, but the GIL serializes the Python portions of concurrent
         forwards); ``"process"`` gives each worker a child process with
-        its own engine and interpreter — true core-level parallelism,
+        its own interpreter, running the session's already-compiled
+        plan on its own buffer arena — true core-level parallelism,
         shared-memory tensor transport, at the cost of per-worker
         startup and memory (see :mod:`repro.serve.procpool`).
     max_retries:

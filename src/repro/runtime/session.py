@@ -28,6 +28,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import threading
 import warnings
 from collections.abc import Callable
@@ -42,6 +43,11 @@ from .config import ServeConfig, SessionConfig
 __all__ = ["Session", "eager_forced", "eager_inference"]
 
 _EAGER_PIN = threading.local()
+#: The fallback ladder: (rung, verb, next rung, its name, counter).
+_LADDER = (
+    ("quant", "quantize", "engine", "fp32 engine", "runtime/quant_fallback"),
+    ("engine", "compile", "eager", "eager backend", "runtime/eager_fallback"),
+)
 
 
 @contextmanager
@@ -103,7 +109,6 @@ class Session:
         self._server = None
         self._serve_config = ServeConfig()
         self._server_lock = threading.Lock()
-        self._calibration = None
         self._warmup_shape: tuple[int, ...] | None = None
         self._procpool = None
         self._streams: list = []
@@ -183,7 +188,7 @@ class Session:
                 model, config,
                 "quant" if model.quant is not None else "engine",
                 forward=model,
-                clone_forward=lambda: model.clone_for_thread(),
+                clone_forward=model.clone_for_thread,
                 postprocess=None,
                 name=model.name,
             )
@@ -200,49 +205,31 @@ class Session:
             if backend in ("engine", "quant") and eager_forced():
                 obs.inc("runtime/eager_pinned")
                 backend = "eager"
-            net = None
-            if backend == "quant":
-                # Top rung of the fallback ladder: quant -> engine ->
-                # eager, one warning per step down.
+            # The fallback ladder quant -> engine -> eager, one warning
+            # per step down.
+            for rung, verb, lower, lower_name, counter in _LADDER:
+                if backend != rung:
+                    continue
+                kwargs = ({} if rung == "engine" else dict(
+                    quant=QuantConfig(*config.quant_bits),
+                    calibration=calibration))
                 try:
-                    net = compile_target(
-                        quant=QuantConfig(*config.quant_bits),
-                        calibration=calibration,
-                    )
+                    net = compile_target(**kwargs)
                 except CompileError as exc:
                     if not config.fallback:
                         raise
                     warnings.warn(
-                        f"Session: cannot quantize {name} "
-                        f"({exc}); falling back to the fp32 engine",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    obs.inc("runtime/quant_fallback")
-                    backend = "engine"
-            if backend == "engine":
-                try:
-                    net = compile_target()
-                except CompileError as exc:
-                    if not config.fallback:
-                        raise
-                    warnings.warn(
-                        f"Session: cannot compile {name} "
-                        f"({exc}); falling back to the eager backend",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    obs.inc("runtime/eager_fallback")
-                    backend = "eager"
-            if backend in ("engine", "quant"):
-                forward = net
-                clone_forward = net.clone_for_thread
+                        f"Session: cannot {verb} {name} ({exc}); falling "
+                        f"back to the {lower_name}", RuntimeWarning,
+                        stacklevel=2)
+                    obs.inc(counter)
+                    backend = lower
+            if backend == "eager":
+                session = cls(model, config, backend, target,
+                              lambda: target, postprocess, name)
             else:
-                forward = target
-                clone_forward = lambda: target  # noqa: E731 - stateless
-            session = cls(model, config, backend, forward, clone_forward,
-                          postprocess, name)
-            if backend in ("engine", "quant"):
+                session = cls(model, config, backend, net,
+                              net.clone_for_thread, postprocess, name)
                 session._eager_forward = target
         if tiler is not None:
             # The tiler's merge step replaces the single-box decode:
@@ -251,7 +238,6 @@ class Session:
             session._postprocess = None
         if serve is not None:
             session._serve_config = serve
-        session._calibration = calibration
         if warmup is not None:
             shape = tuple(warmup)
             if len(shape) == 3:
@@ -273,48 +259,25 @@ class Session:
     def _resolve(model):
         """Pick the forward target for ``model``: (eager_fn,
         postprocess, compile_fn).  The compile fn accepts the optional
-        ``quant``/``calibration`` pair of the quantized backend."""
+        ``quant``/``calibration`` pair of the quantized backend.  The
+        eager fn and postprocess pickle (process-pool children)."""
         from ..detection.head import best_box
         from ..detection.model import Detector
-        from ..nn import Tensor, no_grad
         from ..nn.engine import compile_net
 
         if isinstance(model, Detector):
-            def eager(x: np.ndarray) -> np.ndarray:
-                with no_grad():
-                    return model.forward(Tensor(x)).data
-
-            def postprocess(raw: np.ndarray) -> np.ndarray:
-                return best_box(raw, model.head.anchors)
-
-            def compile_target(quant=None, calibration=None):
-                return compile_net(
-                    model, name=type(model.backbone).__name__,
-                    quant=quant, calibration=calibration,
-                )
-
-            return eager, postprocess, compile_target
+            return (_Eager(model, "forward"),
+                    functools.partial(best_box, anchors=model.head.anchors),
+                    functools.partial(compile_net, model,
+                                      name=type(model.backbone).__name__))
 
         if hasattr(model, "extract"):  # Siamese trackers
             from ..tracking.siamese import compile_extractor
 
-            def eager(x: np.ndarray) -> np.ndarray:
-                with no_grad():
-                    return model.extract(Tensor(x)).data
+            return (_Eager(model, "extract"), None,
+                    functools.partial(compile_extractor, model))
 
-            return eager, None, (
-                lambda quant=None, calibration=None:
-                compile_extractor(model, quant=quant, calibration=calibration)
-            )
-
-        def eager(x: np.ndarray) -> np.ndarray:
-            with no_grad():
-                return model(Tensor(x)).data
-
-        return eager, None, (
-            lambda quant=None, calibration=None:
-            compile_net(model, quant=quant, calibration=calibration)
-        )
+        return _Eager(model), None, functools.partial(compile_net, model)
 
     # ------------------------------------------------------------------ #
     # synchronous path
@@ -446,20 +409,28 @@ class Session:
         self._streams.append(manager)
         return manager.start()
 
+    def worker_spec(self, warmup_shape=None, name=None):
+        """What a process-pool child serves: this session's own runner
+        (frozen plan or eager forward, postprocess or tiler, microbatch
+        size), pickled without arena buffers."""
+        from ..serve.procpool import WorkerSpec
+
+        return WorkerSpec(
+            self._runner(self._forward), self.backend,
+            None if warmup_shape is None else tuple(warmup_shape),
+            self.name if name is None else name,
+        )
+
     def _process_pool(self):
         """Build the worker-process pool for the ``"process"`` backend."""
-        from ..serve.procpool import ProcessPool, WorkerSpec
+        from ..serve.procpool import ProcessPool
 
         if self._procpool is None:
             warmup = None
             if self._warmup_shape is not None:
                 warmup = ((self._serve_config.max_batch_size,)
                           + self._warmup_shape[1:])
-            self._procpool = ProcessPool(WorkerSpec.for_model(
-                self.model, config=self.config,
-                calibration=self._calibration,
-                warmup_shape=warmup, name=self.name,
-            ))
+            self._procpool = ProcessPool(self.worker_spec(warmup))
         return self._procpool
 
     def health(self) -> dict:
@@ -495,6 +466,20 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Session({self.name}, backend={self.backend!r}, "
                 f"serving={self._server is not None})")
+
+
+@dataclass(frozen=True)
+class _Eager:
+    """The eager ``no_grad`` forward ``model.<method>(x)`` on ndarrays."""
+
+    model: object
+    method: str = "__call__"
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        from ..nn import Tensor, no_grad
+
+        with no_grad():
+            return getattr(self.model, self.method)(Tensor(x)).data
 
 
 @dataclass(frozen=True)

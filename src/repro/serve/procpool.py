@@ -4,14 +4,14 @@ The thread backend keeps every worker inside one interpreter, so the
 Python portions of concurrent forwards serialize on the GIL: adding
 workers past one buys fault isolation, not throughput.  This module
 breaks that ceiling the way FastMOT's multi-process analytics pipeline
-does — each worker is a *child process* owning its own interpreter,
-engine, and buffer arena:
+does — each worker is a *child process* owning its own interpreter
+and buffer arena:
 
-* **Worker spec, not runner pickling.**  The parent ships a
-  :class:`WorkerSpec` — the pickled model, its
-  :class:`~repro.runtime.SessionConfig`, and optional calibration — and
-  each child rebuilds its runner with ``Session.load``.  Closures (a
-  Detector's box-decoding postprocess) never cross the process boundary.
+* **Plan shipping: compile once.**  The parent ships a
+  :class:`WorkerSpec` holding the runner it already resolved (frozen
+  plan or eager forward, postprocess or tiler, microbatch size); the
+  child unpickles it, warms a fresh arena and serves.  It never
+  compiles or calibrates, so it runs exactly the parent's plan.
 * **Shared-memory tensor transport.**  Request and response tensors move
   through ``multiprocessing.shared_memory`` blocks; the control pipe
   carries only tiny pickled headers (shape, dtype, block name).  Image
@@ -30,7 +30,9 @@ engine, and buffer arena:
   ``time.perf_counter`` (CLOCK_MONOTONIC — system-wide on Linux) and
   return span timestamps in the response header; the parent replays them
   into the ambient request context, so per-request traces show child
-  execution alongside queue waits.
+  execution alongside queue waits.  Set-up is split likewise (imports,
+  plan load, warm-up: a ``serve/proc_spawn`` span and
+  :meth:`ProcessPool.stats`), and a set-up failure carries its cause.
 
 Select it with ``ServeConfig(worker_backend="process")`` or
 ``repro serve --worker-backend process``.
@@ -38,12 +40,14 @@ Select it with ``ServeConfig(worker_backend="process")`` or
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing import shared_memory
 
@@ -73,31 +77,26 @@ class ProcWorkerError(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a child process needs to rebuild its runner.
+    """The runner a child process serves, resolved in the parent
+    (:meth:`Session.worker_spec <repro.runtime.Session.worker_spec>`),
+    and the backend name the child reports back when ready.  The child
+    warms ``warmup_shape`` and runs OpenBLAS's default thread count at
+    every batch."""
 
-    Only picklable leaves: the model rides as bytes, and the child calls
-    ``Session.load`` itself, so the fallback ladder, microbatch tiling,
-    and postprocess resolution behave exactly as in the parent.  The
-    child runs OpenBLAS's default thread count at every batch.
-    """
-
-    model_blob: bytes
-    session_config: object = None  # SessionConfig | None
-    calibration: np.ndarray | None = None
+    runner: Callable[[np.ndarray], np.ndarray]
+    backend: str
     warmup_shape: tuple[int, ...] | None = None
     name: str = "model"
 
     @classmethod
     def for_model(cls, model, config=None, calibration=None,
                   warmup_shape=None, name=None) -> "WorkerSpec":
-        return cls(
-            model_blob=pickle.dumps(model),
-            session_config=config,
-            calibration=calibration,
-            warmup_shape=(None if warmup_shape is None
-                          else tuple(warmup_shape)),
-            name=name if name is not None else type(model).__name__,
-        )
+        """Resolve ``model`` here (``Session.load``: compile, calibrate,
+        or fall back) and ship the result."""
+        from ..runtime.session import Session
+
+        session = Session.load(model, config, calibration=calibration)
+        return session.worker_spec(warmup_shape, name)
 
 
 # --------------------------------------------------------------------- #
@@ -153,23 +152,27 @@ class _Block:
 # child process
 # --------------------------------------------------------------------- #
 def _child_main(conn, spec_blob: bytes) -> None:
-    """Worker-process entry: build the runner, answer run requests."""
-    spec: WorkerSpec = pickle.loads(spec_blob)
+    """Worker-process entry: load and warm the shipped runner (or send
+    the parent the cause of failing to), then answer run requests."""
     from ..nn.engine.threads import keep_default_threads
-    from ..runtime.session import Session
 
+    t_imports = time.perf_counter()
     keep_default_threads()
     out_block = _Block()
     in_shm: shared_memory.SharedMemory | None = None
     in_name = None
     try:
-        model = pickle.loads(spec.model_blob)
-        session = Session.load(model, spec.session_config,
-                               calibration=spec.calibration)
-        runner = session.runner_for_thread()
-        if spec.warmup_shape is not None:
-            runner(np.zeros(spec.warmup_shape, np.float32))
-        conn.send(("ready", os.getpid(), session.backend))
+        try:
+            spec: WorkerSpec = pickle.loads(spec_blob)
+            t_loaded = time.perf_counter()
+            runner = spec.runner
+            if spec.warmup_shape is not None:
+                runner(np.zeros(spec.warmup_shape, np.float32))
+        except Exception as exc:
+            conn.send(("failed", f"{type(exc).__name__}: {exc}"))
+            return
+        conn.send(("ready", os.getpid(), spec.backend,
+                   (t_imports, t_loaded, time.perf_counter())))
         while True:
             try:
                 msg = conn.recv()
@@ -177,9 +180,6 @@ def _child_main(conn, spec_blob: bytes) -> None:
                 break
             if msg[0] == "stop":
                 break
-            if msg[0] == "ping":
-                conn.send(("pong",))
-                continue
             # ("run", shape, dtype, input-block name)
             _, shape, dtype, name = msg
             try:
@@ -228,23 +228,30 @@ class _ProcWorker:
             target=_child_main, args=(child_conn, spec_blob),
             name=f"serve-{name}-proc-{index}", daemon=True,
         )
+        t_spawn = time.perf_counter()
         self._proc.start()
         child_conn.close()
         self._in_block = _Block()
         self._out_shm: shared_memory.SharedMemory | None = None
         self._out_name: str | None = None
-        self.backend = None
         self.dead = False
-        if not self._conn.poll(_READY_TIMEOUT_S):
+        try:
+            msg = (self._conn.recv() if self._conn.poll(_READY_TIMEOUT_S)
+                   else ("failed", f"not ready after {_READY_TIMEOUT_S} s"))
+        except (EOFError, OSError):
+            self._proc.join(timeout=5.0)
+            msg = ("failed", f"exited with code {self._proc.exitcode}")
+        if msg[0] != "ready":
             self.close(kill=True)
             raise ProcWorkerDied(
-                f"worker process {index} never became ready")
-        msg = self._recv()
-        if msg[0] != "ready":  # pragma: no cover - protocol guard
-            self.close(kill=True)
-            raise ProcWorkerDied(f"unexpected handshake {msg[0]!r}")
-        self.pid = msg[1]
-        self.backend = msg[2]
+                f"worker process {index} failed during set-up: {msg[1]}")
+        _, self.pid, self.backend, stamps = msg
+        # perf_counter is one clock across processes on Linux.
+        self.setup_s = dict(zip(("imports_s", "load_s", "warmup_s"),
+                                np.diff((t_spawn, *stamps)).tolist()))
+        obs.record_span("serve/proc_spawn", t_spawn, stamps[-1],
+                        worker=index, pid=self.pid, backend=self.backend,
+                        **self.setup_s)
 
     @property
     def alive(self) -> bool:
@@ -260,7 +267,7 @@ class _ProcWorker:
         except (EOFError, OSError) as exc:
             self.dead = True
             raise ProcWorkerDied(
-                f"worker process {self.index} (pid {self.pid if hasattr(self, 'pid') else '?'}) "
+                f"worker process {self.index} (pid {self.pid}) "
                 f"died mid-request") from exc
 
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -366,10 +373,11 @@ class ProcessPool:
         self._spec_blob = pickle.dumps(spec)
         self._lock = threading.Lock()
         self._runners: list[_ProcRunner] = []
-        self._next_index = 0
+        self._indices = itertools.count()
         self._closed = False
         self.respawns = 0
         self.spawned = 0
+        self.last_setup_s: dict = {}
 
     def runner_factory(self) -> _ProcRunner:
         """One runner per server worker thread (child spawns lazily)."""
@@ -386,8 +394,7 @@ class ProcessPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("ProcessPool is closed")
-            index = self._next_index
-            self._next_index += 1
+            index = next(self._indices)
         if dead is not None:
             dead.close(kill=True)
             with self._lock:
@@ -398,12 +405,9 @@ class ProcessPool:
         worker = _ProcWorker(self._spec_blob, self.spec.name, index)
         with self._lock:
             self.spawned += 1
-        self._worker_of(runner, worker)
-        return worker
-
-    @staticmethod
-    def _worker_of(runner: _ProcRunner, worker: _ProcWorker) -> None:
+            self.last_setup_s = worker.setup_s
         runner._worker = worker
+        return worker
 
     def stats(self) -> dict:
         with self._lock:
@@ -416,6 +420,7 @@ class ProcessPool:
                 "alive": alive,
                 "spawned": self.spawned,
                 "respawns": self.respawns,
+                "last_setup_s": dict(self.last_setup_s),
             }
 
     def close(self) -> None:

@@ -6,6 +6,16 @@ import numpy as np
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def _reseed_shared_rng():
+    """Reseed ``repro.utils.rng``'s shared generator before every test,
+    so weights drawn from it (e.g. ``Detector(bb)``'s head) do not
+    depend on which tests ran first."""
+    from repro.utils.rng import seed_all
+
+    seed_all(0)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)

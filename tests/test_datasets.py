@@ -38,9 +38,12 @@ class TestStats:
     def test_parameters_solve_quantile_equations(self):
         from scipy.stats import norm
 
-        # P(ln r < ln 0.01) == 0.31 under N(mu, sigma)
+        # P(ln r < ln 0.01) == 0.31 and P(ln r < ln 0.09) == 0.91
+        # under N(mu, sigma)
         z = (np.log(0.01) - AREA_RATIO_MU) / AREA_RATIO_SIGMA
         assert norm.cdf(z) == pytest.approx(0.31, abs=1e-6)
+        z = (np.log(0.09) - AREA_RATIO_MU) / AREA_RATIO_SIGMA
+        assert norm.cdf(z) == pytest.approx(0.91, abs=1e-6)
 
     def test_samples_clipped_to_plausible_range(self, rng):
         ratios = sample_area_ratio(10_000, rng)

@@ -10,16 +10,19 @@ fallback while no child process ever served a request.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import time
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import SkyNetBackbone
 from repro.detection import Detector
+from repro.nn.engine import CompiledNet
 from repro.resilience import faults
-from repro.runtime import ServeConfig, Session, SessionConfig
+from repro.runtime import ServeConfig, Session, SessionConfig, eager_inference
 from repro.serve import (
     STATUS_OK,
     ProcessPool,
@@ -39,12 +42,43 @@ def _images(rng, n: int) -> np.ndarray:
     return rng.normal(0, 1, (n, 3, 16, 32)).astype(np.float32)
 
 
+def _quant_config() -> SessionConfig:
+    return SessionConfig(backend="quant", quant_bits=(8, 8))
+
+
 class TestWorkerSpec:
     def test_for_model_pickles_and_names(self, rng):
         det = _tiny_detector(rng)
         spec = WorkerSpec.for_model(det, config=SessionConfig())
         assert spec.name == "Detector"
-        assert isinstance(spec.model_blob, bytes) and spec.model_blob
+        # The parent resolved the plan; the spec ships it, not the model.
+        assert spec.backend == "engine"
+        assert isinstance(spec.runner.forward, CompiledNet)
+        assert not hasattr(spec, "model_blob")
+        x = _images(rng, 2)
+        shipped = pickle.loads(pickle.dumps(spec))
+        np.testing.assert_array_equal(shipped.runner(x), spec.runner(x))
+
+    def test_quant_spec_ships_the_calibrated_plan(self, rng):
+        det = _tiny_detector(rng)
+        cal = _images(rng, 4)
+        spec = WorkerSpec.for_model(det, config=_quant_config(),
+                                    calibration=cal)
+        assert spec.backend == "quant"
+        shipped = pickle.loads(pickle.dumps(spec)).runner.forward
+        assert shipped.quant is not None
+        x = _images(rng, 3)
+        np.testing.assert_array_equal(shipped(x), spec.runner.forward(x))
+
+    def test_warmed_plan_pickles_without_arena_bytes(self, rng):
+        det = _tiny_detector(rng)
+        with Session.load(det, _quant_config(),
+                          calibration=_images(rng, 4)) as session:
+            fresh = len(pickle.dumps(session.worker_spec((4, 3, 16, 32))))
+            session.run(_images(rng, 4))
+            assert session._forward.arena.nbytes() > 0
+            warmed = len(pickle.dumps(session.worker_spec((4, 3, 16, 32))))
+        assert warmed <= fresh
 
     def test_config_validates_worker_backend(self):
         with pytest.raises(ValueError, match="worker_backend"):
@@ -94,6 +128,59 @@ class TestProcessPoolDirect:
             stats = pool.stats()
             assert stats["respawns"] == 1
             assert stats["spawned"] == 2
+
+    def test_setup_failure_reports_its_cause(self, rng):
+        det = _tiny_detector(rng)
+        # Warm-up with 7 channels cannot run: the child fails before
+        # "ready" and the parent's error must carry the child's cause.
+        spec = WorkerSpec.for_model(det, warmup_shape=(1, 7, 16, 32))
+        with pytest.raises(Exception) as want:
+            spec.runner(np.zeros((1, 7, 16, 32), np.float32))
+        cause = f"{type(want.value).__name__}: {want.value}"
+        with ProcessPool(spec) as pool:
+            runner = pool.runner_factory()
+            with pytest.raises(ProcWorkerDied, match="set-up") as err:
+                runner(_images(rng, 1))
+        assert cause in str(err.value)
+
+    def test_setup_split_in_span_and_stats(self, rng):
+        det = _tiny_detector(rng)
+        with obs.recording() as rec, \
+                ProcessPool(WorkerSpec.for_model(
+                    det, warmup_shape=(2, 3, 16, 32))) as pool:
+            pool.runner_factory()(_images(rng, 1))
+            stats = pool.stats()
+        phases = ("imports_s", "load_s", "warmup_s")
+        assert set(stats) >= {"workers", "alive", "spawned", "respawns"}
+        assert sorted(stats["last_setup_s"]) == sorted(phases)
+        assert all(stats["last_setup_s"][k] >= 0 for k in phases)
+        spans = [r for r in rec.records() if r.get("type") == "span"
+                 and r["name"] == "serve/proc_spawn"]
+        assert len(spans) == 1
+        span = spans[0]
+        assert span["attrs"]["backend"] == "engine"
+        # The three phases add up to the span (one clock across processes).
+        total = sum(span["attrs"][k] for k in phases)
+        assert total == pytest.approx(span["duration_ms"] / 1e3, abs=1e-3)
+
+    def test_quant_pool_is_bit_exact_across_a_respawn(self, rng):
+        det = _tiny_detector(rng)
+        cal = _images(rng, 4)
+        x = _images(rng, 3)
+        with Session.load(det, _quant_config(), calibration=cal) as session:
+            want = session.run(x)
+        spec = WorkerSpec.for_model(det, config=_quant_config(),
+                                    calibration=cal,
+                                    warmup_shape=(4, 3, 16, 32))
+        with ProcessPool(spec) as pool:
+            runner = pool.runner_factory()
+            np.testing.assert_array_equal(runner(x), want)
+            assert runner._worker.backend == "quant"
+            os.kill(runner._worker.pid, signal.SIGKILL)
+            with pytest.raises(ProcWorkerDied):
+                runner(x)
+            np.testing.assert_array_equal(runner(x), want)
+            assert pool.stats()["respawns"] == 1
 
     def test_factory_refused_after_close(self, rng):
         pool = ProcessPool(WorkerSpec.for_model(_tiny_detector(rng)))
@@ -146,6 +233,40 @@ class TestProcessBackendServing:
         for got, via_thread, ref in zip(proc_out, thread_out, want):
             np.testing.assert_allclose(got, ref, atol=1e-6)
             np.testing.assert_allclose(got, via_thread, atol=1e-6)
+
+    def test_child_runs_the_backend_the_parent_resolved(self, rng):
+        """A session pinned to eager in the parent serves eager in the
+        child too: the pin is thread-local and does not cross spawn, so
+        only a shipped runner can carry it."""
+        det = _tiny_detector(rng)
+        frame = _images(rng, 1)[0]
+        serve = ServeConfig(num_workers=1, worker_backend="process")
+        with eager_inference():
+            session = Session.load(det, serve=serve)
+        with session:
+            assert session.backend == "eager"
+            result = session.submit(frame).result(timeout=120.0)
+            assert result.ok
+            np.testing.assert_allclose(result.value, session.run(frame),
+                                       atol=1e-6)
+            worker = session._procpool._runners[0]._worker
+            assert worker.backend == session.backend
+
+    def test_tiled_session_through_process_backend(self, rng):
+        det = _tiny_detector(rng)
+        frames = rng.normal(0, 1, (4, 3, 32, 64)).astype(np.float32)
+        config = SessionConfig(tiles=(2, 2), tile_max_detections=8)
+        serve = ServeConfig(max_batch_size=2, max_wait_ms=1.0,
+                            num_workers=1, worker_backend="process")
+        with Session.load(det, config, serve=serve) as session:
+            want = session.run(frames)
+            results = [session.submit(f).result(timeout=120.0)
+                       for f in frames]
+            assert all(r.status == STATUS_OK for r in results)
+            assert session.server.stats.snapshot()["fallback_batches"] == 0
+        got = np.stack([r.value for r in results])
+        assert got.shape == (4, 8, 5)
+        np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_sigkill_during_serving_loses_no_accepted_request(self, rng):
         det = _tiny_detector(rng)
