@@ -4,9 +4,9 @@ The DAC-SDC stream is long and unattended: the interesting number is
 not peak throughput but what survives faults.  Two measurements:
 
 * **Throughput under a 1 % worker-crash rate** — every batch pickup has
-  a 1 % chance of killing its worker thread
+  a 1 % chance of crashing its worker
   (``FaultSpec("serve.worker", "crash", rate=0.01, times=None)``); the
-  watchdog requeues the dropped batch and respawns the worker.  The
+  worker requeues the batch it held and recovers in place.  The
   headline is the throughput ratio vs the fault-free baseline *with
   zero lost accepted requests* — recovery should cost a few percent,
   not halve the server.
@@ -95,8 +95,7 @@ def measure_crash_throughput(requests: int = REQUESTS,
                              reps: int = REPS) -> dict:
     frames = _frames(requests)
     config = ServeConfig(queue_depth=32, max_batch_size=4,
-                         max_wait_ms=1.0, num_workers=2,
-                         watchdog_interval_ms=5.0)
+                         max_wait_ms=1.0, num_workers=2)
 
     baseline_rps = 0.0
     for _ in range(reps):
@@ -141,7 +140,7 @@ def measure_breaker_recovery(reps: int = BREAKER_REPS) -> dict:
 
     config = ServeConfig(max_batch_size=1, max_wait_ms=0.0, max_retries=0,
                          bisect_failed_batches=False, breaker_threshold=3,
-                         breaker_cooldown_ms=25.0, watchdog=False)
+                         breaker_cooldown_ms=25.0)
     frame = _frames(1)[0]
     latencies = []
     for _ in range(reps):
@@ -202,29 +201,16 @@ def measure_procworker_crash(requests: int = 48) -> dict:
 
 
 def run_bench() -> dict:
-    # The injected WorkerCrash escapes its thread by design; keep the
-    # default excepthook from spamming the bench output with tracebacks.
-    prev_hook = threading.excepthook
-
-    def quiet_hook(hook_args):
-        if not issubclass(hook_args.exc_type, faults.WorkerCrash):
-            prev_hook(hook_args)
-
-    threading.excepthook = quiet_hook
-    try:
-        crash = measure_crash_throughput()
-        breaker = measure_breaker_recovery()
-        procworker = measure_procworker_crash()
-    finally:
-        threading.excepthook = prev_hook
-    return {"crash": crash, "breaker": breaker, "procworker": procworker}
+    return {"crash": measure_crash_throughput(),
+            "breaker": measure_breaker_recovery(),
+            "procworker": measure_procworker_crash()}
 
 
 def _print(results: dict) -> None:
     crash, breaker = results["crash"], results["breaker"]
     print_table(
         f"Throughput under {CRASH_RATE:.0%} worker-crash injection "
-        f"({REQUESTS} requests, watchdog on)",
+        f"({REQUESTS} requests, in-place recovery)",
         ["arm", "req/s", "respawns", "lost"],
         [
             ["fault-free", f"{crash['baseline_rps']:.0f}", "-", "-"],
@@ -275,8 +261,8 @@ if __name__ == "__main__":
         "methodology": (
             "throughput_ratio = offered-load throughput with a 1% "
             "chance of a worker-thread crash per batch pickup "
-            "(watchdog requeues the in-flight batch and respawns the "
-            "thread) / fault-free throughput on the same config; both "
+            "(the worker requeues its in-flight batch and recovers in "
+            "place) / fault-free throughput on the same config; both "
             "arms use a ~0.5 ms stub forward so the measured cost is "
             "the recovery machinery.  lost_requests counts accepted "
             "requests that did not resolve ok across all faulted reps "

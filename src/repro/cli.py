@@ -660,7 +660,6 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    import threading
     import time
     from contextlib import nullcontext
 
@@ -687,7 +686,6 @@ def _cmd_stream(args) -> int:
                             num_workers=args.workers)
     stream_cfg = StreamConfig(queue_depth=args.queue_depth)
     plan = None
-    prev_hook = threading.excepthook
     if args.chaos:
         plan = faults.FaultPlan([
             faults.FaultSpec("stream.sink", "stall", rate=0.01,
@@ -695,28 +693,17 @@ def _cmd_stream(args) -> int:
             faults.FaultSpec("stream.worker", "crash", after=5, times=1),
         ], seed=args.seed)
 
-        # Injected crashes escape their threads by design; keep the
-        # default excepthook from spamming the run with tracebacks.
-        def quiet_hook(hook_args):
-            if not issubclass(hook_args.exc_type, faults.InjectedFault):
-                prev_hook(hook_args)
-
-        threading.excepthook = quiet_hook
-
-    try:
-        with _maybe_recording(args.trace), \
-                Session.load(detector, SessionConfig(),
-                             serve=serve_cfg) as session:
-            t0 = time.perf_counter()
-            with (faults.inject(plan) if plan else nullcontext()):
-                manager = session.open_streams(sources, sink=sink,
-                                               config=stream_cfg)
-                done = manager.join(timeout=max(60.0, args.frames * 2.0))
-            wall = time.perf_counter() - t0
-            health = manager.health()
-            manager.stop()
-    finally:
-        threading.excepthook = prev_hook
+    with _maybe_recording(args.trace), \
+            Session.load(detector, SessionConfig(),
+                         serve=serve_cfg) as session:
+        t0 = time.perf_counter()
+        with (faults.inject(plan) if plan else nullcontext()):
+            manager = session.open_streams(sources, sink=sink,
+                                           config=stream_cfg)
+            done = manager.join(timeout=max(60.0, args.frames * 2.0))
+        wall = time.perf_counter() - t0
+        health = manager.health()
+        manager.stop()
     if args.trace:
         print(f"trace written to {args.trace}")
 

@@ -16,8 +16,6 @@ ones.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from ... import obs
@@ -34,24 +32,12 @@ class BufferArena:
     callers must fully overwrite what they read — except for buffers
     requested with ``zero=True``, which are zero-filled once at
     allocation (used for padded inputs whose border must stay zero).
-
-    ``max_buffers`` bounds the pool for long-lived servers that see many
-    input geometries: when set, the least-recently-used buffer is
-    evicted once the pool exceeds the cap (``None``, the default, keeps
-    the historical unbounded behaviour).  A steady-state workload that
-    fits in the cap is unaffected — every request refreshes its buffer's
-    recency, so only cold geometries age out.
     """
 
-    def __init__(self, max_buffers: int | None = None) -> None:
-        if max_buffers is not None and max_buffers < 1:
-            raise ValueError("max_buffers must be >= 1 (or None, unbounded)")
-        self.max_buffers = max_buffers
-        self._buffers: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._spares: dict[tuple, list[np.ndarray]] = {}
+    def __init__(self) -> None:
+        self._buffers: dict[tuple, np.ndarray] = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def get(
         self,
@@ -72,60 +58,19 @@ class BufferArena:
                     f"({int(np.prod(shape)) * np.dtype(dtype).itemsize} "
                     f"bytes)"
                 )
-            spares = self._spares.get((shape, np.dtype(dtype)))
-            if spares:
-                buf = spares.pop()
-                if zero:
-                    buf.fill(0)
-            else:
-                buf = (np.zeros(shape, dtype) if zero
-                       else np.empty(shape, dtype))
+            buf = (np.zeros(shape, dtype) if zero
+                   else np.empty(shape, dtype))
             self._buffers[key] = buf
             self.misses += 1
-            if self.max_buffers is not None:
-                while len(self._buffers) > self.max_buffers:
-                    self._buffers.popitem(last=False)
-                    self.evictions += 1
             if obs.enabled():
                 obs.set_gauge("engine/arena/pooled_bytes", self.nbytes())
         else:
             self.hits += 1
-            self._buffers.move_to_end(key)
         return buf
-
-    def prewarm(self, shapes, dtype=np.float32) -> int:
-        """Pre-allocate (and page-fault) buffers for the given shapes.
-
-        ``shapes`` is an iterable of shape tuples, or of ``(shape,
-        dtype)`` pairs to mix precisions.  The arrays land in a spare
-        pool; the first ``get`` miss for a matching ``(shape, dtype)``
-        adopts one instead of allocating, so a server that prewarm's the
-        steady-state batch geometry pays neither ``np.empty`` nor the
-        first-touch page faults on its first request.  Returns the
-        number of bytes prewarmed.
-        """
-        total = 0
-        for spec in shapes:
-            if (len(spec) == 2 and isinstance(spec[0], tuple)):
-                shape, dt = spec
-            else:
-                shape, dt = tuple(spec), dtype
-            buf = np.zeros(shape, dt)  # zeros touches every page
-            self._spares.setdefault((shape, np.dtype(dt)), []).append(buf)
-            total += buf.nbytes
-        if obs.enabled():
-            obs.set_gauge("engine/arena/pooled_bytes", self.nbytes())
-        return total
-
-    def shapes(self) -> list[tuple[tuple[int, ...], np.dtype]]:
-        """``(shape, dtype)`` of every pooled buffer (for prewarm replay)."""
-        return [(key[2], key[3]) for key in self._buffers]
 
     def nbytes(self) -> int:
         """Total bytes currently held by the pool."""
-        pooled = sum(b.nbytes for b in self._buffers.values())
-        spare = sum(b.nbytes for bufs in self._spares.values() for b in bufs)
-        return pooled + spare
+        return sum(b.nbytes for b in self._buffers.values())
 
     def __len__(self) -> int:
         return len(self._buffers)
@@ -133,9 +78,7 @@ class BufferArena:
     def clear(self) -> None:
         """Drop every pooled buffer (and reset the hit/miss counters)."""
         self._buffers.clear()
-        self._spares.clear()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         if obs.enabled():
             obs.set_gauge("engine/arena/pooled_bytes", 0)

@@ -6,7 +6,7 @@ aimed at a standard consumer:
 * :func:`export_chrome_trace` writes the finished spans as a Chrome
   trace-event JSON file — load it at ``chrome://tracing`` (or Perfetto)
   and every server worker thread gets its own lane, with instant
-  markers for structured events (breaker trips, watchdog respawns).
+  markers for structured events (breaker trips, worker recoveries).
 * :func:`prometheus_text` renders the metrics registry in the
   Prometheus text exposition format (version 0.0.4): counters as
   ``_total``, histograms as quantile-labelled summaries with exact

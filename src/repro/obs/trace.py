@@ -164,7 +164,7 @@ class Tracer:
 
     def event(self, name: str, **attrs) -> dict:
         """Record an instant (zero-duration) structured event — breaker
-        trips, watchdog respawns, state transitions.  Exported as its
+        trips, worker crash recoveries, state transitions.  Exported as its
         own ``"event"`` record kind and as an instant marker in the
         Chrome trace."""
         ctx = current_context()

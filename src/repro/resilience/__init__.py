@@ -15,6 +15,9 @@ package makes survival testable:
 * :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker`, tripping
   a failing compiled backend over to the eager fallback and
   half-opening to probe recovery.
+* :mod:`~repro.resilience.supervise` — :func:`run_supervised`, the one
+  supervision primitive: a serving thread whose body crashes hands its
+  work back and runs the body again in the same thread.
 * :mod:`~repro.resilience.checkpoint` — :class:`CheckpointManager`,
   atomic (tmp+fsync+rename) checkpoints with CRC32 checksums and a
   manifest covering model/optimizer/scheduler/RNG state; loads fall
@@ -44,8 +47,10 @@ from .faults import (
     trigger,
 )
 from .retry import RetryPolicy
+from .supervise import CRASH_PAUSE_S, run_supervised
 
 __all__ = [
+    "CRASH_PAUSE_S",
     "FAULT_KINDS",
     "AnomalyGuard",
     "CLOSED",
@@ -64,5 +69,6 @@ __all__ = [
     "apply_array_fault",
     "corrupt_file",
     "inject",
+    "run_supervised",
     "trigger",
 ]

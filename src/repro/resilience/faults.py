@@ -17,21 +17,21 @@ site                      kinds
                           exercising retry/bisection), ``stall``
                           (sleep ``delay_s``), ``nan``/``inf``
                           (corrupt the batch output)
-``serve.worker``          ``crash`` (kill the worker thread itself,
-                          exercising the watchdog respawn + requeue)
+``serve.worker``          ``crash`` (raise in the worker loop itself,
+                          exercising in-place recovery + requeue)
 ``serve.procworker``      ``crash`` (SIGKILL the process-pool child
                           from the parent hot path, exercising the
                           ProcWorkerDied retry + respawn ladder),
                           ``stall`` (sleep ``delay_s`` before the
                           round-trip)
-``stream.source``         ``crash`` (kill a stream's producer thread,
-                          exercising the supervisor restart),
+``stream.source``         ``crash`` (raise in a stream's producer,
+                          exercising its in-place recovery),
                           ``stall`` (slow the camera)
 ``stream.queue``          ``crash`` (raise inside ``FrameQueue.put``),
                           ``stall`` (delay the accept path)
-``stream.worker``         ``crash`` (kill a stream worker holding a
-                          frame, exercising requeue + tracker
-                          re-attach), ``stall``
+``stream.worker``         ``crash`` (raise in a stream worker
+                          holding a frame, exercising requeue +
+                          tracker continuity), ``stall``
 ``stream.sink``           ``crash`` (fail the event publish — costs
                           the event, never the frame), ``stall``
                           (a slow consumer, driving backpressure)
@@ -84,7 +84,9 @@ class InjectedFault(RuntimeError):
 
 
 class WorkerCrash(InjectedFault):
-    """An injected fault that kills a server worker thread outright."""
+    """An injected fault that crashes a worker loop outside its batch
+    forward (the worker recovers in place, see
+    :func:`~repro.resilience.run_supervised`)."""
 
 
 @dataclass(frozen=True)

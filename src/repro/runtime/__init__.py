@@ -1,12 +1,11 @@
 """``repro.runtime`` — the unified inference runtime.
 
 One facade (:class:`Session`) and two frozen config objects
-(:class:`SessionConfig`, :class:`ServeConfig`) replace the per-class
-keyword sprawl that inference options used to live in.  Every inference
-consumer — :class:`~repro.detection.model.Detector`,
+(:class:`SessionConfig`, :class:`ServeConfig`) hold every inference
+option.  Every inference consumer —
+:class:`~repro.detection.model.Detector`,
 :class:`~repro.tracking.siamfc.SiamFCTracker`, the CLI and the
-benchmarks — routes through here; the old ``engine=``/``compile()``
-entrypoints remain as deprecation shims that forward to a Session.
+benchmarks — routes through here.
 
 Quick start::
 

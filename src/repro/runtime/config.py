@@ -1,13 +1,11 @@
 """Frozen configuration dataclasses for the inference runtime.
 
-These replace the loose keyword arguments that used to be scattered
-across ``Detector.predict(engine=...)``, ``SiamFCTracker(engine=...)``
-and the CLI option blocks: one hashable, validated value object per
-concern.  :class:`SessionConfig` says *how a forward runs* (which
-backend, batch tiling, pipelining); :class:`ServeConfig` says *how a
-server schedules requests* (queue bound, batching window, deadlines,
-workers).  Both are frozen so they can key session caches and be shared
-freely across threads.
+One hashable, validated value object per concern.
+:class:`SessionConfig` says *how a forward runs* (which backend, batch
+tiling, pipelining); :class:`ServeConfig` says *how a server schedules
+requests* (queue bound, batching window, deadlines, workers).  Both are
+frozen so they can key session caches and be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -163,11 +161,6 @@ class ServeConfig:
     breaker_cooldown_ms:
         How long a tripped breaker waits before half-opening to probe
         the primary runner.
-    watchdog:
-        Run the watchdog thread that respawns dead workers and requeues
-        their in-flight batches.
-    watchdog_interval_ms:
-        Watchdog poll interval.
     reject_nonfinite:
         Treat NaN/inf in runner outputs as a batch failure (entering
         the retry/bisect ladder) instead of returning it to callers.
@@ -184,8 +177,6 @@ class ServeConfig:
     bisect_failed_batches: bool = True
     breaker_threshold: int = 5
     breaker_cooldown_ms: float = 250.0
-    watchdog: bool = True
-    watchdog_interval_ms: float = 50.0
     reject_nonfinite: bool = False
 
     def __post_init__(self) -> None:
@@ -212,8 +203,6 @@ class ServeConfig:
             raise ValueError("breaker_threshold must be >= 0 (0 disables)")
         if self.breaker_cooldown_ms <= 0:
             raise ValueError("breaker_cooldown_ms must be positive")
-        if self.watchdog_interval_ms <= 0:
-            raise ValueError("watchdog_interval_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -252,11 +241,7 @@ class StreamConfig:
         Frame stride at the deepest rung: process every
         ``brownout_stride``-th frame, drop the rest by policy.
     supervisor_interval_ms:
-        Supervisor tick (watchdog restarts + brownout sampling +
-        per-stream gauges).
-    restart_workers:
-        Restart crashed stream producer/worker threads (off only in
-        tests that inspect a corpse).
+        Supervisor tick (brownout sampling + per-stream gauges).
     """
 
     queue_depth: int = 8
@@ -271,7 +256,6 @@ class StreamConfig:
     recover_ticks: int = 5
     brownout_stride: int = 2
     supervisor_interval_ms: float = 10.0
-    restart_workers: bool = True
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:

@@ -1,9 +1,7 @@
 """The :class:`Session` facade — the one way to run inference.
 
-Before this module existed the repository had four inference entrypoints
-with different spellings: ``Detector.predict(engine=...)``,
-``SiamFCTracker(engine=...)``, ``compile_extractor`` and the CLI's
-``--engine`` flag.  A Session unifies them::
+Detectors, Siamese trackers, the CLI and the benchmarks all run
+inference through a Session::
 
     session = Session.load(detector)            # compiles, or falls
     boxes = session.run(images)                 # back to eager
@@ -156,7 +154,8 @@ class Session:
             (:meth:`CompiledNet.warmup <repro.nn.engine.CompiledNet.warmup>`),
             so the first real request pays no allocation spike; server
             worker runners (thread clones and worker processes alike)
-            warm the same shape at the serving batch size.
+            warm the same shape.  The arena is keyed by exact shape, so
+            pass the batch shape the workers will actually see.
         """
         from ..nn.engine import CompiledNet, CompileError, QuantConfig
         from ..nn.module import Module
@@ -341,11 +340,9 @@ class Session:
         """A batch-runner callable safe to own by one worker thread."""
         runner = self._runner(self._clone_forward())
         if self._warmup_shape is not None:
-            # Pool the fresh clone's arena at the steady-state serving
-            # batch shape before any real request reaches it.
-            n = max(self._warmup_shape[0],
-                    self._serve_config.max_batch_size)
-            runner(np.zeros((n,) + self._warmup_shape[1:], np.float32))
+            # Pool the fresh clone's arena before any real request
+            # reaches it.
+            runner(np.zeros(self._warmup_shape, np.float32))
         return runner
 
     def fallback_runner_for_thread(self):
@@ -426,11 +423,7 @@ class Session:
         from ..serve.procpool import ProcessPool
 
         if self._procpool is None:
-            warmup = None
-            if self._warmup_shape is not None:
-                warmup = ((self._serve_config.max_batch_size,)
-                          + self._warmup_shape[1:])
-            self._procpool = ProcessPool(self.worker_spec(warmup))
+            self._procpool = ProcessPool(self.worker_spec(self._warmup_shape))
         return self._procpool
 
     def health(self) -> dict:

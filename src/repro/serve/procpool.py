@@ -22,10 +22,12 @@ and buffer arena:
   batch stalled a child's batch-2 forwards, and one thread throughout
   raised latency (EXPERIMENTS.md, "BLAS threads per batch").
 * **Crash = retry, not loss.**  A killed worker process surfaces as a
-  :class:`ProcWorkerDied` from the runner; the server's retry ladder
-  re-runs the batch, and the runner respawns its child on the next call
-  — zero accepted requests lost, mirroring the thread watchdog's
-  respawn-and-requeue contract.
+  :class:`ProcWorkerDied` from the runner in the server thread that
+  drives it; the server's retry ladder re-runs the batch, and the
+  runner respawns its child on the next call.  Recovery happens where
+  the failure is seen, with no polling — as for a crashed server
+  worker thread (:func:`~repro.resilience.run_supervised`) — and zero
+  accepted requests are lost.
 * **Telemetry crosses the boundary.**  Children time their forwards with
   ``time.perf_counter`` (CLOCK_MONOTONIC — system-wide on Linux) and
   return span timestamps in the response header; the parent replays them

@@ -5,16 +5,19 @@ Every submitted request resolves its future with a :class:`ServeResult`
 ``future.result(timeout=...)`` and branch on ``status``.  Statuses map
 onto the HTTP codes an RPC front-end would emit: a shed request is a
 503 (the bounded queue is the overload breaker), an expired deadline is
-a 504, a worker crash is a 500.
+a 504, a worker crash is a 500.  :class:`Counters` is the lock-protected
+accounting that servers and streams keep of those outcomes.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "Counters",
     "STATUS_ERROR",
     "STATUS_OK",
     "STATUS_SHED",
@@ -81,3 +84,36 @@ class ServeResult:
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
+
+
+class Counters:
+    """Thread-safe integer counters named by the subclass's ``FIELDS``.
+
+    Counters that move together must be written through one
+    :meth:`add_many` call: separate :meth:`add` calls would let a
+    concurrent :meth:`snapshot` observe a *torn* state (a request
+    completed but its batch not yet counted, a frame accepted but
+    neither processed nor dropped).
+    """
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        for field in self.FIELDS:
+            setattr(self, field, 0)
+
+    def add(self, field: str, amount: int = 1) -> None:
+        with self._lock:
+            setattr(self, field, getattr(self, field) + amount)
+
+    def add_many(self, **fields: int) -> None:
+        """Bump several counters atomically (one lock acquisition)."""
+        with self._lock:
+            for field, amount in fields.items():
+                setattr(self, field, getattr(self, field) + amount)
+
+    def snapshot(self) -> dict:
+        """A consistent point-in-time copy of every counter."""
+        with self._lock:
+            return {field: getattr(self, field) for field in self.FIELDS}

@@ -30,9 +30,11 @@ it):
   primary-runner failures and, once tripped, routes batches to the
   **fallback runner** (the eager forward behind a compiled plan),
   half-opening after a cooldown to probe recovery;
-* a **watchdog** respawns dead worker threads and requeues whatever
-  batch the corpse held, so a worker crash loses zero accepted
-  requests;
+* a worker that crashes **recovers in place**
+  (:func:`~repro.resilience.run_supervised`): its own thread requeues
+  the batch it held and re-enters the serve loop with fresh runners,
+  so a worker crash loses zero accepted requests and the worker never
+  reads as dead;
 * :meth:`InferenceServer.health` reports readiness (worker liveness,
   queue, breaker state) for the CLI and load balancers.
 
@@ -44,8 +46,8 @@ through :mod:`repro.obs`: ``serve/queue_depth`` gauge,
 ``serve/completed`` / ``serve/retries`` / ``serve/bisect`` /
 ``serve/worker_respawn`` / ``serve/breaker_*`` counters, a
 ``serve/queue_wait`` span per dequeued request, a ``serve/batch`` span
-per forward, and a ``serve/worker_respawn`` instant event per watchdog
-revival.  Every request is minted a
+per forward, and a ``serve/worker_respawn`` instant event per crash
+recovery.  Every request is minted a
 :class:`~repro.obs.RequestContext` in :meth:`InferenceServer.submit`;
 the context rides the queue and is re-entered around the batch forward,
 so queue-wait, batch, and engine kernel spans all carry the request id
@@ -55,6 +57,7 @@ so queue-wait, batch, and engine kernel spans all carry the request id
 
 from __future__ import annotations
 
+import functools
 import queue
 import threading
 import time
@@ -67,6 +70,7 @@ from ..nn.engine.threads import keep_default_threads
 from ..resilience import faults
 from ..resilience.breaker import OPEN, CircuitBreaker
 from ..resilience.retry import RetryPolicy
+from ..resilience.supervise import run_supervised
 from ..runtime.config import ServeConfig
 from .result import (
     STATUS_ERROR,
@@ -74,76 +78,43 @@ from .result import (
     STATUS_SHED,
     STATUS_SHUTDOWN,
     STATUS_TIMEOUT,
+    Counters,
     ServeResult,
 )
 
 __all__ = ["InferenceServer", "ServerStats"]
 
 
-class ServerStats:
+class ServerStats(Counters):
     """Thread-safe request accounting for one server.
 
-    Counters that move together (a resolved batch bumps ``completed``,
-    ``batches`` and ``batched_requests`` at once) must be written
-    through one :meth:`add_many` call — three separate :meth:`add` calls
-    would let a concurrent :meth:`snapshot` observe a *torn* state where
-    ``completed`` moved but ``batches`` has not, and a scrape during a
-    worker respawn would report an impossible mean batch size.
+    A resolved batch bumps ``completed``, ``batches`` and
+    ``batched_requests`` in one :meth:`add_many` call, so a scrape
+    during a worker restart never reports an impossible mean batch
+    size.
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.shed = 0
-        self.timeouts = 0
-        self.errors = 0
-        self.batches = 0
-        self.batched_requests = 0  # completed + errored, for batch sizing
-        self.retries = 0
-        self.bisections = 0
-        self.respawns = 0
-        self.requeued = 0
-        self.fallback_batches = 0
-
-    def add(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
-
-    def add_many(self, **fields: int) -> None:
-        """Bump several counters atomically (one lock acquisition)."""
-        with self._lock:
-            for field, amount in fields.items():
-                setattr(self, field, getattr(self, field) + amount)
+    FIELDS = (
+        "submitted", "completed", "shed", "timeouts", "errors", "batches",
+        "batched_requests",  # completed + errored, for batch sizing
+        "retries", "bisections", "respawns", "requeued", "fallback_batches",
+    )
 
     def mean_batch_size(self) -> float:
         with self._lock:
             return self.batched_requests / self.batches if self.batches else 0.0
 
     def snapshot(self) -> dict:
-        """A consistent point-in-time copy of every counter, stamped
-        with the monotonic clock (``ts_monotonic``) so scrape consumers
-        can order snapshots without trusting wall time."""
-        with self._lock:
-            return {
-                "ts_monotonic": time.monotonic(),
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "shed": self.shed,
-                "timeouts": self.timeouts,
-                "errors": self.errors,
-                "batches": self.batches,
-                "batched_requests": self.batched_requests,
-                "retries": self.retries,
-                "bisections": self.bisections,
-                "respawns": self.respawns,
-                "requeued": self.requeued,
-                "fallback_batches": self.fallback_batches,
-                "mean_batch_size": (
-                    self.batched_requests / self.batches if self.batches
-                    else 0.0
-                ),
-            }
+        """Every counter, consistent, plus ``mean_batch_size`` and a
+        monotonic stamp (``ts_monotonic``) so scrape consumers can order
+        snapshots without trusting wall time."""
+        snap = super().snapshot()
+        snap["ts_monotonic"] = time.monotonic()
+        snap["mean_batch_size"] = (
+            snap["batched_requests"] / snap["batches"] if snap["batches"]
+            else 0.0
+        )
+        return snap
 
 
 class _Request:
@@ -165,8 +136,9 @@ class _Request:
 
 
 class _WorkerRunners:
-    """Per-worker-thread runner pair, created lazily so a respawned
-    worker rebuilds its own engine clone."""
+    """Per-worker-thread runner pair, created lazily.  A worker builds
+    a fresh pair each time its loop (re)starts, so it never reuses a
+    runner that a crash left mid-forward."""
 
     __slots__ = ("primary", "fallback")
 
@@ -233,17 +205,17 @@ class InferenceServer:
         self._inflight: list[list[_Request] | None] = (
             [None] * self.config.num_workers
         )
-        self._workers = [self._new_worker(i)
-                         for i in range(self.config.num_workers)]
+        self._workers = [
+            threading.Thread(
+                target=run_supervised,
+                args=(functools.partial(self._worker, i),
+                      functools.partial(self._recover, i), self._stopping),
+                daemon=True, name=f"serve-{name}-{i}",
+            )
+            for i in range(self.config.num_workers)
+        ]
         for thread in self._workers:
             thread.start()
-        self._watchdog_thread = None
-        if self.config.watchdog:
-            self._watchdog_thread = threading.Thread(
-                target=self._watchdog, daemon=True,
-                name=f"serve-{name}-watchdog",
-            )
-            self._watchdog_thread.start()
 
     # ------------------------------------------------------------------ #
     # client side
@@ -345,26 +317,16 @@ class InferenceServer:
     def stop(self) -> None:
         """Stop the workers and fail queued requests fast (idempotent).
 
-        Requests already inside a worker's batch finish normally; the
-        rest — queued, or stranded in a crashed worker's in-flight slot
-        — resolve with shutdown results so no caller ever hangs on a
-        dangling future.
+        Requests already inside a worker's batch finish normally, and a
+        worker that crashes meanwhile requeues its batch before it
+        exits; everything left queued resolves with a shutdown result,
+        so no caller ever hangs on a dangling future.
         """
         if self._stopping.is_set():
             return
         self._stopping.set()
-        if self._watchdog_thread is not None:
-            self._watchdog_thread.join()
         for t in self._workers:
             t.join()
-        for i, batch in enumerate(self._inflight):
-            self._inflight[i] = None
-            for request in batch or ():
-                _resolve(
-                    request.future,
-                    ServeResult(STATUS_SHUTDOWN,
-                                request_id=request.request_id),
-                )
         while True:
             try:
                 request = self._queue.get_nowait()
@@ -389,15 +351,10 @@ class InferenceServer:
     # ------------------------------------------------------------------ #
     # worker side
     # ------------------------------------------------------------------ #
-    def _new_worker(self, index: int) -> threading.Thread:
-        """An unstarted worker thread: callers publish it in ``_workers``
-        first, so :meth:`health` counts it once it serves."""
-        return threading.Thread(
-            target=self._worker, args=(index,), daemon=True,
-            name=f"serve-{self.name}-{index}",
-        )
-
     def _worker(self, index: int) -> None:
+        """One worker's serve loop, run under :func:`run_supervised`:
+        after a crash, :meth:`_recover` requeues the batch and the loop
+        starts over with fresh runners."""
         keep_default_threads()  # it serves every batch size
         runners = _WorkerRunners()
         rng = np.random.default_rng(1000 + index)  # retry jitter
@@ -410,45 +367,37 @@ class InferenceServer:
             self._inflight[index] = batch
             spec = faults.trigger("serve.worker")
             if spec is not None and spec.kind == "crash":
-                # The thread dies with its batch still in the in-flight
-                # slot; the watchdog requeues it and respawns us.
+                # Crash holding the batch: _recover requeues it.
                 raise faults.WorkerCrash(
                     f"injected worker crash (worker {index})"
                 )
             self._run_batch(runners, batch, index, rng)
             self._inflight[index] = None
 
-    def _watchdog(self) -> None:
-        """Respawn dead workers and requeue the batches they dropped."""
-        interval = self.config.watchdog_interval_ms / 1e3
-        while not self._stopping.wait(interval):
-            for i, thread in enumerate(self._workers):
-                if thread.is_alive():
-                    continue
-                batch, self._inflight[i] = self._inflight[i], None
-                requeued = 0
-                for request in batch or ():
-                    if request.future.done():
-                        continue
-                    try:
-                        self._queue.put_nowait(request)
-                        requeued += 1
-                    except queue.Full:
-                        self.stats.add("shed")
-                        obs.inc("serve/shed")
-                        _resolve(
-                            request.future,
-                            ServeResult(STATUS_SHED,
-                                        request_id=request.request_id),
-                        )
-                self.stats.add_many(respawns=1, requeued=requeued)
-                if requeued:
-                    obs.inc("serve/requeued", requeued)
-                obs.inc("serve/worker_respawn")
-                obs.event("serve/worker_respawn", server=self.name,
-                          worker=i, requeued=requeued)
-                thread = self._workers[i] = self._new_worker(i)
-                thread.start()
+    def _recover(self, index: int, exc: Exception) -> None:
+        """Requeue the batch a crashed worker held; requests that no
+        longer fit in the queue are shed."""
+        batch, self._inflight[index] = self._inflight[index], None
+        requeued = 0
+        for request in batch or ():
+            if request.future.done():
+                continue
+            try:
+                self._queue.put_nowait(request)
+                requeued += 1
+            except queue.Full:
+                self.stats.add("shed")
+                obs.inc("serve/shed")
+                _resolve(
+                    request.future,
+                    ServeResult(STATUS_SHED, request_id=request.request_id),
+                )
+        self.stats.add_many(respawns=1, requeued=requeued)
+        if requeued:
+            obs.inc("serve/requeued", requeued)
+        obs.inc("serve/worker_respawn")
+        obs.event("serve/worker_respawn", server=self.name, worker=index,
+                  requeued=requeued, error=type(exc).__name__)
 
     def _fill_batch(self, first: _Request, index: int) -> list[_Request]:
         """Coalesce requests: flush on ``max_batch_size`` or on the
@@ -632,9 +581,8 @@ class InferenceServer:
 
 
 def _resolve(future: Future, result: ServeResult) -> None:
-    """Resolve a future exactly once (stop() or the watchdog can race a
-    live worker)."""
+    """Resolve a future exactly once; a second resolution is dropped."""
     try:
         future.set_result(result)
-    except InvalidStateError:  # benign shutdown/watchdog race
+    except InvalidStateError:  # already resolved elsewhere: benign
         pass

@@ -18,7 +18,7 @@ contract made explicit and testable:
   evicted by backpressure, skipped by the brownout stride, rejected by
   the engine pool (shed/timeout/error), or drained at shutdown are all
   *dropped by policy*, never silently lost — including the frame a
-  crashed worker held (the supervisor requeues it).
+  crashed worker held (the worker requeues it as it recovers).
 * **Overload browns out, then recovers.**  A hysteretic
   :class:`BrownoutController` climbs a degradation ladder under
   sustained queue pressure — shrink the dynamic batch
@@ -27,10 +27,12 @@ contract made explicit and testable:
   :class:`~repro.resilience.CircuitBreaker`), then raise the
   frame-drop stride — and steps back down rung by rung once pressure
   stays low, the breaker re-closing through its own half-open probe.
-* **Stream workers are supervised.**  A per-manager watchdog restarts
-  crashed producer/worker threads; the stream's sticky tracker state
-  (:class:`TrackState`) lives on the :class:`Stream`, not the thread,
-  so a restarted worker resumes the same track ids.
+* **Stream threads recover in place.**  Producers and workers run
+  under :func:`~repro.resilience.run_supervised`: a crashed worker
+  requeues its in-hand frame and re-enters its loop in the same
+  thread, a crashed producer resumes the same frame iterator.  The
+  stream's sticky tracker state (:class:`TrackState`) lives on the
+  :class:`Stream`, so a recovered worker keeps the same track ids.
 * **Events go somewhere pluggable.**  Each processed frame publishes a
   detection/track event through an :class:`EventSink` — a JSONL file
   (:class:`JsonlSink`) or an in-process callback bus
@@ -48,6 +50,7 @@ gauge, and counters for every drop class and restart.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import threading
 import time
@@ -58,7 +61,8 @@ import numpy as np
 
 from .. import obs
 from ..resilience import faults
-from .result import STATUS_OK, ServeResult
+from ..resilience.supervise import run_supervised
+from .result import STATUS_OK, Counters, ServeResult
 
 __all__ = [
     "BrownoutController",
@@ -87,7 +91,7 @@ DROP_FIELDS = (
 )
 
 
-class StreamStats:
+class StreamStats(Counters):
     """Thread-safe frame accounting for one stream.
 
     The load-bearing invariant — checked by :meth:`accounted` and the
@@ -95,35 +99,16 @@ class StreamStats:
 
         accepted == processed + sum(dropped_*)
 
-    Producer, worker, and supervisor all write through one lock, and
-    multi-counter updates go through :meth:`add_many` so a concurrent
-    snapshot can never observe a torn state where a frame is neither
-    processed nor dropped.
+    Producer and worker write through one lock, and multi-counter
+    updates go through :meth:`add_many`, so a concurrent snapshot can
+    never observe a frame that is neither processed nor dropped.
     """
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.produced = 0
-        self.accepted = 0
-        self.processed = 0
-        self.requeued = 0
-        self.sink_events = 0
-        self.sink_errors = 0
-        self.worker_restarts = 0
-        self.producer_restarts = 0
-        #: Longest single ``FrameQueue.put`` call (producer-block bound).
-        self.put_block_ns_max = 0
-        for field in DROP_FIELDS:
-            setattr(self, field, 0)
-
-    def add(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
-
-    def add_many(self, **fields: int) -> None:
-        with self._lock:
-            for field, amount in fields.items():
-                setattr(self, field, getattr(self, field) + amount)
+    FIELDS = (
+        "produced", "accepted", "processed", "requeued", "sink_events",
+        "sink_errors", "worker_restarts", "producer_restarts",
+        "put_block_ns_max",  # longest FrameQueue.put: the producer block
+    ) + DROP_FIELDS
 
     def observe_put_block(self, ns: int) -> None:
         with self._lock:
@@ -141,23 +126,10 @@ class StreamStats:
         return snap["accepted"] == snap["processed"] + snap["dropped_by_policy"]
 
     def snapshot(self) -> dict:
-        with self._lock:
-            snap = {
-                "produced": self.produced,
-                "accepted": self.accepted,
-                "processed": self.processed,
-                "requeued": self.requeued,
-                "sink_events": self.sink_events,
-                "sink_errors": self.sink_errors,
-                "worker_restarts": self.worker_restarts,
-                "producer_restarts": self.producer_restarts,
-                "put_block_ms_max": self.put_block_ns_max / 1e6,
-            }
-            snap.update({f: getattr(self, f) for f in DROP_FIELDS})
-            snap["dropped_by_policy"] = sum(
-                getattr(self, f) for f in DROP_FIELDS
-            )
-            return snap
+        snap = super().snapshot()
+        snap["put_block_ms_max"] = snap.pop("put_block_ns_max") / 1e6
+        snap["dropped_by_policy"] = sum(snap[f] for f in DROP_FIELDS)
+        return snap
 
 
 class _Frame:
@@ -377,9 +349,8 @@ class SyntheticSource:
 class TrackState:
     """Session-affine single-object track state for one stream.
 
-    Lives on the :class:`Stream` object — not the worker thread — so a
-    supervisor restart re-attaches the same state and track ids stay
-    stable across worker crashes.  Association is IoU-gated: a new
+    Lives on the :class:`Stream` object, so track ids stay stable
+    across worker crashes.  Association is IoU-gated: a new
     detection within ``iou_threshold`` of the current (EMA-smoothed)
     box continues the track; anything else starts a fresh track id.
     """
@@ -528,10 +499,10 @@ class BrownoutController:
 class Stream:
     """One stream's durable identity: source, queue, tracker, sink.
 
-    Threads (producer + worker) come and go — the supervisor restarts
-    crashed ones — but this object and the state that must survive a
-    crash (tracker, stats, the frame iterator's position, the in-hand
-    frame slot) persist for the stream's whole life.
+    The state that must survive a thread crash (tracker, stats, the
+    frame iterator's position, the in-hand frame slot) lives here, not
+    in the producer and worker loops, and persists for the stream's
+    whole life.
     """
 
     def __init__(self, stream_id: str, source, sink: EventSink,
@@ -546,8 +517,9 @@ class Stream:
         self.source_done = threading.Event()
         self.seq = 0
         #: The frame the worker is currently holding; only the worker
-        #: writes it while alive, and the supervisor reads it only
-        #: after the thread died — so no lock is needed.
+        #: thread writes it (its crash recovery requeues it), and
+        #: :meth:`StreamManager.stop` reads it after joining that
+        #: thread, so no lock is needed.
         self.inhand: _Frame | None = None
         self._frames = iter(source)
         self.producer: threading.Thread | None = None
@@ -585,7 +557,7 @@ class StreamManager:
         Stream names; default ``s0 .. s{N-1}``.
 
     Lifecycle: :meth:`start` spawns per-stream producer/worker threads
-    plus one supervisor (watchdog + brownout ticks); :meth:`join`
+    plus one supervisor (brownout ticks + gauges); :meth:`join`
     waits for the sources to drain; :meth:`stop` tears down and
     accounts every frame still in flight as ``dropped_shutdown``.
     """
@@ -674,12 +646,18 @@ class StreamManager:
             return self
         self._started = True
         for stream in self.streams:
-            stream.producer = self._spawn_producer(stream)
-            stream.worker = self._spawn_worker(stream)
+            stream.producer = self._thread(
+                stream, "producer", self._producer_loop,
+                self._producer_crashed)
+            stream.worker = self._thread(
+                stream, "worker", self._worker_loop, self._worker_crashed)
         self._supervisor = threading.Thread(
             target=self._supervise, daemon=True,
             name=f"stream-{self.name}-supervisor",
         )
+        for stream in self.streams:
+            stream.producer.start()
+            stream.worker.start()
         self._supervisor.start()
         return self
 
@@ -778,21 +756,16 @@ class StreamManager:
     # ------------------------------------------------------------------ #
     # threads
     # ------------------------------------------------------------------ #
-    def _spawn_producer(self, stream: Stream) -> threading.Thread:
-        thread = threading.Thread(
-            target=self._producer_loop, args=(stream,), daemon=True,
-            name=f"stream-{stream.stream_id}-producer",
+    def _thread(self, stream: Stream, role: str, loop,
+                on_crash) -> threading.Thread:
+        """An unstarted thread running ``loop(stream)`` under
+        :func:`run_supervised`, recovering through ``on_crash``."""
+        return threading.Thread(
+            target=run_supervised,
+            args=(functools.partial(loop, stream),
+                  functools.partial(on_crash, stream), self._stopping),
+            daemon=True, name=f"stream-{stream.stream_id}-{role}",
         )
-        thread.start()
-        return thread
-
-    def _spawn_worker(self, stream: Stream) -> threading.Thread:
-        thread = threading.Thread(
-            target=self._worker_loop, args=(stream,), daemon=True,
-            name=f"stream-{stream.stream_id}-worker",
-        )
-        thread.start()
-        return thread
 
     def _producer_loop(self, stream: Stream) -> None:
         """The camera side: pull frames, never wait for anyone."""
@@ -825,8 +798,8 @@ class StreamManager:
             stream.inhand = frame
             spec = faults.trigger("stream.worker")
             if spec is not None and spec.kind == "crash":
-                # Die holding the frame: the supervisor requeues it and
-                # restarts us — accounting must still balance.
+                # Crash holding the frame: _worker_crashed requeues it,
+                # so accounting must still balance.
                 raise faults.WorkerCrash(
                     f"injected stream-worker crash ({stream.stream_id})"
                 )
@@ -894,43 +867,35 @@ class StreamManager:
             stream.stats.add("sink_events")
             obs.inc("stream/sink_events")
 
+    def _worker_crashed(self, stream: Stream, exc: Exception) -> None:
+        """Requeue the frame a crashed worker held, so it is processed
+        or dropped, never lost."""
+        frame, stream.inhand = stream.inhand, None
+        if frame is not None:
+            stream.queue.requeue(frame)
+        stream.stats.add("worker_restarts")
+        obs.inc("stream/worker_restarts")
+        obs.event("stream/worker_restart", stream=stream.stream_id,
+                  requeued=int(frame is not None),
+                  track_id=stream.tracker.track_id,
+                  error=type(exc).__name__)
+
+    def _producer_crashed(self, stream: Stream, exc: Exception) -> None:
+        """Count the crash; the producer resumes the same iterator."""
+        stream.stats.add("producer_restarts")
+        obs.inc("stream/producer_restarts")
+        obs.event("stream/producer_restart", stream=stream.stream_id,
+                  error=type(exc).__name__)
+
     # ------------------------------------------------------------------ #
-    # supervisor: watchdog + brownout ticks + gauges
+    # supervisor: brownout ticks + gauges
     # ------------------------------------------------------------------ #
     def _supervise(self) -> None:
         interval = self.config.supervisor_interval_ms / 1e3
         while not self._stopping.wait(interval):
-            if self.config.restart_workers:
-                self._restart_dead()
             if self.controller is not None:
                 self.controller.observe(self._pressure())
             self._publish_gauges()
-
-    def _restart_dead(self) -> None:
-        for stream in self.streams:
-            worker = stream.worker
-            if worker is not None and not worker.is_alive():
-                # Requeue the frame the corpse held *before* the new
-                # worker starts, so it is processed-or-dropped, never
-                # lost.
-                frame, stream.inhand = stream.inhand, None
-                if frame is not None:
-                    stream.queue.requeue(frame)
-                stream.stats.add("worker_restarts")
-                obs.inc("stream/worker_restarts")
-                obs.event("stream/worker_restart",
-                          stream=stream.stream_id,
-                          requeued=int(frame is not None),
-                          track_id=stream.tracker.track_id)
-                stream.worker = self._spawn_worker(stream)
-            producer = stream.producer
-            if (producer is not None and not producer.is_alive()
-                    and not stream.source_done.is_set()):
-                stream.stats.add("producer_restarts")
-                obs.inc("stream/producer_restarts")
-                obs.event("stream/producer_restart",
-                          stream=stream.stream_id)
-                stream.producer = self._spawn_producer(stream)
 
     def _pressure(self) -> float:
         """Queue fullness in [0, 1]: the max of the mean per-stream

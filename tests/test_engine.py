@@ -15,6 +15,7 @@ from repro.nn.engine import (
     compile_net,
 )
 from repro.nn.layers import BatchNorm2d, Conv2d, ReLU6
+from repro.runtime import SessionConfig
 
 
 def _randomize_bn_stats(model, rng) -> None:
@@ -158,68 +159,21 @@ class TestArena:
         arena.clear()
         assert len(arena) == 0
 
-    def test_max_buffers_evicts_least_recently_used(self):
-        """Regression: the cap must evict by recency, not insertion —
-        a hot buffer that was allocated first must survive."""
-        arena = BufferArena(max_buffers=2)
-        a = arena.get("k", "out", (2,), np.float32)
-        arena.get("k", "out", (3,), np.float32)
-        assert arena.get("k", "out", (2,), np.float32) is a  # refresh a
-        arena.get("k", "out", (4,), np.float32)  # evicts the (3,) buffer
-        assert len(arena) == 2
-        assert arena.evictions == 1
-        assert arena.get("k", "out", (2,), np.float32) is a  # still pooled
-        hits = arena.hits
-        arena.get("k", "out", (3,), np.float32)  # cold again -> miss
-        assert arena.hits == hits
-        assert arena.evictions == 2
-
-    def test_max_buffers_none_is_unbounded(self):
-        arena = BufferArena()
-        for i in range(64):
-            arena.get("k", "out", (i + 1,), np.float32)
-        assert len(arena) == 64
-        assert arena.evictions == 0
-
-    def test_max_buffers_validated(self):
-        with pytest.raises(ValueError):
-            BufferArena(max_buffers=0)
-
     def test_pooled_bytes_gauge(self):
         from repro import obs
 
         rec = obs.enable()
         try:
-            arena = BufferArena(max_buffers=1)
+            arena = BufferArena()
             arena.get("k", "out", (8,), np.float32)
             gauge = rec.metrics.gauge("engine/arena/pooled_bytes")
             assert gauge.value == 32
-            arena.get("k", "out", (16,), np.float32)  # evicts the first
-            assert gauge.value == 64
+            arena.get("k", "out", (16,), np.float32)
+            assert gauge.value == 96
             arena.clear()
             assert gauge.value == 0
         finally:
             obs.disable()
-
-    def test_prewarm_spares_adopted_by_get(self):
-        arena = BufferArena()
-        assert arena.prewarm([(4, 8)]) == 4 * 8 * 4
-        assert arena.nbytes() == 128  # spare counted before first get
-        buf = arena.get("k", "out", (4, 8), np.float32)
-        assert arena.nbytes() == 128  # adopted, not re-allocated
-        assert len(arena) == 1
-        assert arena.get("k", "out", (4, 8), np.float32) is buf  # hit
-
-    def test_prewarm_zero_request_rezeroes_dirty_spare(self):
-        arena = BufferArena()
-        arena.prewarm([((3,), np.float32)])
-        # dirty the spare through a non-zero adoption, then return it
-        # via clear and prewarm again with known garbage
-        spare = arena._spares[((3,), np.dtype(np.float32))][0]
-        spare[:] = 5.0
-        buf = arena.get("k", "pad", (3,), np.float32, zero=True)
-        assert buf is spare
-        assert not buf.any()
 
     def test_compiled_net_warmup_allocates_steady_state(self, rng):
         bb = SkyNetBackbone("A", width_mult=0.25, rng=rng)
@@ -396,25 +350,23 @@ class TestIntegration:
         _randomize_bn_stats(det, rng)
         det.eval()
         images = rng.normal(0, 1, (3, 3, 16, 32)).astype(np.float32)
+        engine = SessionConfig(backend="engine")
+        assert det.session(engine).backend == "engine"  # really compiled
         np.testing.assert_allclose(
-            det.predict(images, engine="compiled"),
-            det.predict(images, engine="eager"),
+            det.predict(images, engine),
+            det.predict(images, SessionConfig(backend="eager")),
             atol=1e-4,
         )
 
     def test_detector_compile_cache_invalidated_by_train(self, rng):
         det = Detector(SkyNetBackbone("A", width_mult=0.25, rng=rng))
         det.eval()
-        first = det.compile()
-        assert det.compile() is first  # cached
+        first = det.session()
+        assert first.backend == "engine"
+        assert det.session() is first  # cached
         det.train()
         det.eval()
-        assert det.compile() is not first  # recompiled after training
-
-    def test_detector_predict_rejects_unknown_engine(self, rng):
-        det = Detector(SkyNetBackbone("A", width_mult=0.25, rng=rng))
-        with pytest.raises(ValueError, match="unknown engine"):
-            det.predict(np.zeros((1, 3, 16, 32), np.float32), engine="tpu")
+        assert det.session() is not first  # recompiled after training
 
     def test_siamfc_tracker_engines_agree(self, rng):
         from repro.tracking.siamfc import SiamFC, SiamFCTracker
@@ -422,18 +374,20 @@ class TestIntegration:
         frame = rng.uniform(0, 1, (3, 64, 64)).astype(np.float32)
         box = np.array([0.5, 0.5, 0.3, 0.3])
         boxes = {}
-        for engine in ("eager", "compiled"):
+        for backend in ("eager", "engine"):
             model = SiamFC(
                 SkyNetBackbone("A", width_mult=0.25,
                                rng=np.random.default_rng(3)),
                 rng=np.random.default_rng(4),
             )
             model.eval()
-            tracker = SiamFCTracker(model, engine=engine)
+            tracker = SiamFCTracker(
+                model, config=SessionConfig(backend=backend))
             tracker.init(frame, box)
-            boxes[engine] = tracker.track(frame)
+            assert tracker.session.backend == backend
+            boxes[backend] = tracker.track(frame)
         np.testing.assert_allclose(
-            boxes["compiled"], boxes["eager"], atol=1e-4
+            boxes["engine"], boxes["eager"], atol=1e-4
         )
 
     def test_compile_extractor_matches_extract(self, rng):

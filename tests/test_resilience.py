@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from repro.nn.engine import BufferArena
 from repro.nn.optim import SGD, Adam, ExponentialDecay
 from repro.resilience import (
     CLOSED,
+    CRASH_PAUSE_S,
     HALF_OPEN,
     OPEN,
     AnomalyGuard,
@@ -35,10 +35,10 @@ from repro.resilience import (
     FaultSpec,
     RetryPolicy,
     faults,
+    run_supervised,
 )
 from repro.runtime import ServeConfig, Session
 from repro.serve import InferenceServer
-from repro.utils import reset_warned, warn_once
 from repro.utils.atomic import atomic_write_bytes, crc32_bytes, crc32_file
 
 
@@ -505,6 +505,54 @@ class TestTrainingRecovery:
 
 
 # --------------------------------------------------------------------- #
+# in-place supervision
+# --------------------------------------------------------------------- #
+class TestRunSupervised:
+    def test_crashed_body_reruns_in_the_same_thread(self):
+        runs, crashes, threads = [], [], set()
+
+        def body():
+            threads.add(threading.get_ident())
+            runs.append(1)
+            if len(runs) < 3:
+                raise RuntimeError(f"crash {len(runs)}")
+
+        run_supervised(body, crashes.append, threading.Event())
+        assert len(runs) == 3  # returned once the body returned
+        assert [str(e) for e in crashes] == ["crash 1", "crash 2"]
+        assert len(threads) == 1
+
+    def test_stopping_ends_the_crash_loop(self):
+        stopping = threading.Event()
+        crashes = []
+
+        def body():
+            stopping.set()
+            raise RuntimeError("crash while stopping")
+
+        run_supervised(body, crashes.append, stopping)
+        assert len(crashes) == 1  # recovered, then saw stopping
+
+    def test_crash_loop_is_paced(self):
+        stopping = threading.Event()
+        crashes = []
+
+        def body():
+            raise RuntimeError("always")
+
+        thread = threading.Thread(target=run_supervised,
+                                  args=(body, crashes.append, stopping))
+        t0 = time.perf_counter()
+        thread.start()
+        time.sleep(0.1)
+        stopping.set()
+        thread.join(timeout=5.0)
+        elapsed = time.perf_counter() - t0
+        assert not thread.is_alive()
+        assert 2 <= len(crashes) <= elapsed / CRASH_PAUSE_S + 1
+
+
+# --------------------------------------------------------------------- #
 # serving recovery
 # --------------------------------------------------------------------- #
 def _echo_factory():
@@ -514,7 +562,7 @@ def _echo_factory():
 class TestServingRecovery:
     def test_retry_recovers_transient_crash(self, rng):
         cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0, max_retries=2,
-                          retry_backoff_ms=0.1, watchdog=False)
+                          retry_backoff_ms=0.1)
         plan = FaultPlan([FaultSpec("serve.runner", "crash", times=1)])
         with obs.recording() as rec:
             with InferenceServer(_echo_factory, cfg) as server:
@@ -525,14 +573,10 @@ class TestServingRecovery:
             assert rec.metrics.counter("serve/retries").value == 1
         assert plan.fired() == 1
 
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_worker_crash_loses_zero_requests(self, rng):
-        """The watchdog requeues the crashed worker's in-flight batch
-        and respawns the thread: every accepted request resolves ok.
-        (The WorkerCrash escaping its thread is the injected fault.)"""
-        cfg = ServeConfig(max_batch_size=4, max_wait_ms=1.0, num_workers=1,
-                          watchdog=True, watchdog_interval_ms=5.0)
+        """The crashed worker requeues its in-flight batch and recovers
+        in place: every accepted request resolves ok."""
+        cfg = ServeConfig(max_batch_size=4, max_wait_ms=1.0, num_workers=1)
         plan = FaultPlan([FaultSpec("serve.worker", "crash", times=1)])
         images = _images(rng, 12)
         with obs.recording() as rec:
@@ -563,7 +607,7 @@ class TestServingRecovery:
 
         cfg = ServeConfig(max_batch_size=4, max_wait_ms=100.0,
                           max_retries=0, bisect_failed_batches=True,
-                          num_workers=1, watchdog=False)
+                          num_workers=1)
         images = _images(rng, 4)
         poison = np.full((1, 3, 16, 32), 999.0, dtype=np.float32)
         with obs.recording() as rec:
@@ -594,7 +638,7 @@ class TestServingRecovery:
 
         cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0, max_retries=0,
                           bisect_failed_batches=False, breaker_threshold=2,
-                          breaker_cooldown_ms=30.0, watchdog=False)
+                          breaker_cooldown_ms=30.0)
         with obs.recording() as rec:
             with InferenceServer(primary_factory, cfg,
                                  fallback_factory=_echo_factory) as server:
@@ -630,7 +674,7 @@ class TestServingRecovery:
         on: the injected fault enters the retry ladder instead of being
         returned to the caller."""
         cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0, max_retries=1,
-                          reject_nonfinite=True, watchdog=False)
+                          reject_nonfinite=True)
         plan = FaultPlan([FaultSpec("serve.runner", "nan", times=1)])
         with InferenceServer(_echo_factory, cfg) as server:
             with faults.inject(plan):
@@ -640,7 +684,7 @@ class TestServingRecovery:
             assert server.stats.retries == 1
 
     def test_stall_fault_delays_but_completes(self, rng):
-        cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0, watchdog=False)
+        cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0)
         plan = FaultPlan([
             FaultSpec("serve.runner", "stall", delay_s=0.05),
         ])
@@ -650,8 +694,50 @@ class TestServingRecovery:
             assert result.ok
             assert result.latency_ms >= 50.0
 
+    def test_health_ok_right_after_worker_crash(self, rng):
+        """A crashed worker recovers in its own thread, so health never
+        reads it as dead: sampled from the moment the crash fires
+        through the recovery pause, the server is ok with every worker
+        alive."""
+        cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0, num_workers=1)
+        plan = FaultPlan([FaultSpec("serve.worker", "crash", times=1)])
+        samples = []
+        with InferenceServer(_echo_factory, cfg) as server:
+            with faults.inject(plan):
+                future = server.submit(_images(rng, 1))
+                deadline = time.perf_counter() + 5.0
+                while plan.fired() == 0 and time.perf_counter() < deadline:
+                    time.sleep(0.0002)
+                for _ in range(20):
+                    samples.append(server.health())
+                    time.sleep(0.001)
+                assert future.result(timeout=5.0).ok
+            assert server.stats.respawns == 1
+        assert plan.fired() == 1
+        assert [h["status"] for h in samples] == ["ok"] * 20
+        assert all(h["workers_alive"] == 1 for h in samples)
+
+    def test_stop_during_crash_loop_resolves_every_future(self, rng):
+        """Workers that crash on every batch keep requeueing it; stop()
+        still resolves every accepted future, and the pause between
+        recoveries bounds how often each worker restarts."""
+        cfg = ServeConfig(max_batch_size=2, max_wait_ms=0.0, num_workers=2)
+        plan = FaultPlan([FaultSpec("serve.worker", "crash", times=None)])
+        server = InferenceServer(_echo_factory, cfg)
+        t0 = time.perf_counter()
+        with faults.inject(plan):
+            futures = [server.submit(_images(rng, 1)) for _ in range(16)]
+            time.sleep(0.1)
+            server.stop()
+        elapsed = time.perf_counter() - t0
+        results = [f.result(timeout=5.0) for f in futures]
+        assert {r.status for r in results} <= {"ok", "shutdown"}
+        respawns = server.stats.respawns
+        assert 1 <= respawns <= cfg.num_workers * (elapsed / CRASH_PAUSE_S + 1)
+        assert server.health()["workers_alive"] == 0
+
     def test_health_reports_stopped(self, rng):
-        server = InferenceServer(_echo_factory, ServeConfig(watchdog=False))
+        server = InferenceServer(_echo_factory, ServeConfig())
         assert server.health()["status"] == "ok"
         server.stop()
         health = server.health()
@@ -665,7 +751,7 @@ class TestServingRecovery:
         session = Session.load(det, serve=ServeConfig(
             max_batch_size=1, max_wait_ms=0.0, max_retries=1,
             bisect_failed_batches=False, breaker_threshold=1,
-            breaker_cooldown_ms=10_000.0, watchdog=False,
+            breaker_cooldown_ms=10_000.0,
         ))
         assert session.health()["status"] == "idle"
         if session.backend != "engine":
@@ -703,7 +789,7 @@ class TestServingRecovery:
 
 
 # --------------------------------------------------------------------- #
-# satellites: serialization extension fix + warn_once thread safety
+# satellites: serialization extension fix
 # --------------------------------------------------------------------- #
 class TestSaveModelExtension:
     def test_roundtrip_without_npz_extension(self, tmp_path, rng):
@@ -720,29 +806,3 @@ class TestSaveModelExtension:
         det3 = _tiny_detector(np.random.default_rng(98))
         load_model(det3, path + ".npz")
         assert _states_equal(det.state_dict(), det3.state_dict())
-
-
-class TestWarnOnceThreadSafety:
-    def test_exactly_one_warning_across_threads(self):
-        reset_warned()
-        start = threading.Barrier(8)
-        caught: list = []
-        lock = threading.Lock()
-
-        def worker():
-            start.wait()
-            with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("always")
-                for _ in range(50):
-                    warn_once("resilience-test-key", "deprecated thing")
-            with lock:
-                caught.extend(seen)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        reset_warned()

@@ -1,6 +1,5 @@
 """Tests for the serving stack: repro.runtime (Session/configs) and
-repro.serve (dynamic-batching server), plus the deprecation shims the
-Session API replaces."""
+repro.serve (dynamic-batching server)."""
 
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ from repro.serve import (
     InferenceServer,
     ServeResult,
 )
-from repro.utils import reset_warned
 
 
 def _tiny_detector(rng) -> Detector:
@@ -269,8 +267,8 @@ class TestBatching:
         assert STATUS_OK in statuses  # the in-flight batch completed
 
     def test_resolve_tolerates_already_resolved_future(self):
-        """The stop()/watchdog race can try to resolve a future twice;
-        the second set_result must be swallowed, not raised."""
+        """A second resolution of a future (a worker and the shutdown
+        drain) must be swallowed, not raised."""
         from concurrent.futures import Future
 
         from repro.serve.server import _resolve
@@ -327,6 +325,19 @@ class TestSession:
         misses = arena.misses
         session.run(_images(rng, 1)[0])
         assert arena.misses == misses
+
+    def test_workers_warm_the_session_warmup_shape(self, rng):
+        """Thread clones and pool children warm at the shape given to
+        ``Session.load``, not at ``max_batch_size``: the arena is keyed
+        by exact shape, so a batch-8 warm-up pools buffers that
+        batch-1 forwards never reuse."""
+        session = Session.load(_tiny_detector(rng),
+                               serve=ServeConfig(max_batch_size=8),
+                               warmup=(3, 16, 32))
+        runner = session.runner_for_thread()
+        assert runner.forward.arena.nbytes() == session._forward.arena.nbytes()
+        assert session._process_pool().spec.warmup_shape == (1, 3, 16, 32)
+        session.close()
 
     def test_load_warmup_validates_shape(self, rng):
         with pytest.raises(ValueError):
@@ -450,54 +461,6 @@ class TestEagerPin:
             fm_pred = det.predict(x)
         assert not np.allclose(fm_pred, float_pred, atol=1e-6)
         np.testing.assert_allclose(det.predict(x), float_pred, atol=1e-6)
-
-
-# --------------------------------------------------------------------- #
-# deprecation shims (old entrypoints forward + warn once)
-# --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_predict_engine_kwarg_warns_once_and_forwards(self, rng):
-        reset_warned()
-        det = _tiny_detector(rng)
-        x = _images(rng, 2)
-        with pytest.warns(DeprecationWarning, match="predict"):
-            old = det.predict(x, engine="compiled")
-        np.testing.assert_allclose(old, det.predict(x), atol=1e-6)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second call must NOT warn
-            det.predict(x, engine="eager")
-
-    def test_predict_rejects_config_and_engine(self, rng):
-        reset_warned()
-        det = _tiny_detector(rng)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="not both"):
-                det.predict(_images(rng, 1), config=SessionConfig(),
-                            engine="eager")
-
-    def test_detector_compile_warns_and_still_runs(self, rng):
-        reset_warned()
-        det = _tiny_detector(rng)
-        with pytest.warns(DeprecationWarning, match="compile"):
-            net = det.compile()
-        x = _images(rng, 1)
-        assert net(x).ndim == 4  # raw grid predictions
-        assert det.predict(x).shape == (1, 4)
-
-    def test_siamfc_engine_kwarg_warns(self, rng):
-        from repro.tracking import SiamFC, SiamFCTracker
-
-        reset_warned()
-        model = SiamFC(SkyNetBackbone("C", width_mult=0.125, rng=rng),
-                       feat_ch=8, rng=rng)
-        model.eval()
-        with pytest.warns(DeprecationWarning, match="SiamFCTracker"):
-            tracker = SiamFCTracker(model, engine="eager")
-        assert tracker.config.backend == "eager"
-        with pytest.raises(ValueError, match="unknown engine"):
-            SiamFCTracker(model, engine="tpu")
 
 
 # --------------------------------------------------------------------- #

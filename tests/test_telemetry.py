@@ -588,7 +588,7 @@ class TestServeTracePropagation:
         det = Detector(SkyNetBackbone("C", width_mult=0.25, rng=rng))
         det.eval()
         serve = ServeConfig(max_batch_size=4, max_wait_ms=2.0,
-                            num_workers=1, watchdog=False)
+                            num_workers=1)
         with obs.recording() as rec:
             with Session.load(det, SessionConfig(), serve=serve) as session:
                 futures = [session.submit(img[None])
@@ -612,14 +612,11 @@ class TestServeTracePropagation:
         assert all(s.request_id and s.request_id in batch_ids
                    for s in kernels)
 
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_ids_survive_watchdog_respawn(self, rng):
-        """A request requeued by the watchdog keeps its identity: the
-        respawn event fires and the request's id still reaches a batch
-        span on the respawned worker."""
-        cfg = ServeConfig(max_batch_size=4, max_wait_ms=1.0, num_workers=1,
-                          watchdog=True, watchdog_interval_ms=5.0)
+        """A request requeued by a crashed worker keeps its identity:
+        the respawn event fires and the request's id still reaches a
+        batch span on the recovered worker."""
+        cfg = ServeConfig(max_batch_size=4, max_wait_ms=1.0, num_workers=1)
         plan = FaultPlan([FaultSpec("serve.worker", "crash", times=1)])
         images = _images(rng, 8)
         with obs.recording() as rec:
@@ -649,7 +646,7 @@ class TestServeTracePropagation:
 
         cfg = ServeConfig(max_batch_size=2, max_wait_ms=1.0, num_workers=1,
                           max_retries=0, breaker_threshold=1,
-                          breaker_cooldown_ms=10_000.0, watchdog=False)
+                          breaker_cooldown_ms=10_000.0)
         images = _images(rng, 4)
         with obs.recording() as rec:
             with InferenceServer(broken_factory, cfg, name="flaky",
