@@ -99,10 +99,6 @@ def _add_infer_options(p: argparse.ArgumentParser, serve: bool) -> None:
                         "transport")
     p.add_argument("--concurrency", type=int, default=8,
                    help="client threads submitting load in serve mode")
-    p.add_argument("--microbatch", type=int, default=0,
-                   help="split batches into tiles of this size before "
-                        "the forward (0 = off); useful on cache-starved "
-                        "hosts")
     p.add_argument("--tiles", default=None, metavar="ROWSxCOLS",
                    help="tiled high-resolution inference: split each "
                         "frame into this grid of overlapping tiles, run "
@@ -122,11 +118,6 @@ def _add_infer_options(p: argparse.ArgumentParser, serve: bool) -> None:
                    help="consecutive engine failures before the circuit "
                         "breaker fails over to the eager runner "
                         "(0 disables the breaker)")
-    if not serve:
-        p.add_argument("--pipeline", action="store_true",
-                       help="run the 4-stage threaded pipeline (fetch, "
-                            "pre-process, DNN, post-process) and compare "
-                            "with the analytic simulator")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="record spans/metrics to a JSONL trace file")
     p.add_argument("--chrome-trace", default=None, metavar="PATH",
@@ -558,8 +549,6 @@ def _cmd_infer(args) -> int:
     config = SessionConfig(
         backend=backend,
         quant_bits=quant_bits if quant_bits is not None else (8, 8),
-        pipeline=getattr(args, "pipeline", False),
-        microbatch=args.microbatch,
         tiles=tiles,
         tile_overlap=args.tile_overlap,
     )
@@ -610,20 +599,6 @@ def _cmd_infer(args) -> int:
         try:
             if args.serve:
                 _serve_load(session, [f - mean for f in frames], args)
-            elif getattr(args, "pipeline", False):
-                boxes = session.stream(frames,
-                                       preprocess=lambda f: f - mean)
-                pipe = session.last_pipeline
-                print(f"pipelined: {len(boxes)} frames in "
-                      f"{pipe.wall_ms:.1f} ms ({pipe.fps:.1f} FPS)")
-                for name, ms in pipe.stage_ms.items():
-                    print(f"  {name:<13}{ms:7.2f} ms/frame")
-                sim = pipe.to_simulator()
-                serial = sim.run_serial(len(frames))
-                piped = sim.run_pipelined(len(frames))
-                print(f"simulator: serial {serial.fps:.1f} FPS, pipelined "
-                      f"{piped.fps:.1f} FPS (bottleneck: "
-                      f"{piped.bottleneck})")
             else:
                 outs = []
                 t0 = time.perf_counter()

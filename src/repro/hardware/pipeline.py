@@ -92,11 +92,11 @@ class PipelineSimulator:
         """Build a simulator from measured per-stage latencies.
 
         ``stage_ms`` maps stage name to per-batch milliseconds (dict
-        order is the stage order), as produced by
-        :attr:`repro.nn.engine.ThreadedPipeline.stage_ms`.  This closes
-        the loop between the executable pipeline and the analytic model:
-        measure real threads, then explore schedules (merges, batch
-        sizes) analytically.
+        order is the stage order), for example per-stage times taken
+        from the spans of a traced run.  This closes the loop between
+        the measured system and the analytic model: measure the real
+        stages, then explore schedules (merges, batch sizes)
+        analytically.
         """
         items = stage_ms.items() if isinstance(stage_ms, dict) else stage_ms
         stages = [Stage(name, float(ms)) for name, ms in items]

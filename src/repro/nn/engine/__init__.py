@@ -17,9 +17,6 @@ This package provides the ahead-of-time alternative:
   ``compile_net(net, quant=QuantConfig(8, 8), calibration=batch)`` to
   calibrate power-of-two scales and run the same plan on int8/int16
   feature maps (Section 6.4.1 / Table 7 of the paper).
-* :class:`ThreadedPipeline` — real threaded stage pipeline mirroring
-  the paper's 4-stage TX2 schedule, exportable to the analytic
-  :class:`~repro.hardware.pipeline.PipelineSimulator`.
 
 Compiled plans implement the eval-mode forward only and snapshot the
 weights at compile time: retrain, then recompile.
@@ -28,7 +25,6 @@ weights at compile time: retrain, then recompile.
 from .arena import BufferArena
 from .compiler import CompiledNet, CompileError, compile_net
 from .quant import QuantConfig
-from .runner import ThreadedPipeline
 
 __all__ = [
     "BufferArena",
@@ -36,5 +32,4 @@ __all__ = [
     "CompileError",
     "QuantConfig",
     "compile_net",
-    "ThreadedPipeline",
 ]

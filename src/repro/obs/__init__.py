@@ -9,8 +9,8 @@ that makes those measurements first-class in the reproduction:
   or an indented tree report (``repro obs trace.jsonl``).
 * **Metrics** — counters, gauges, and quantile histograms through
   :func:`inc`, :func:`set_gauge`, :func:`observe`.
-* **Layer timing** — :class:`LayerTimer` hooks any model and produces a
-  per-layer time/call table, the measured complement of the static
+* **Layer profiling** — :func:`profile_net` times every kernel of a
+  compiled plan (ms, GFLOP/s), the measured complement of the static
   MAC counts in :mod:`repro.hardware.profiler`.
 
 All helpers route through one global recorder that defaults to **off**:
@@ -34,7 +34,6 @@ from .export import (
     export_chrome_trace,
     prometheus_text,
 )
-from .layer_timer import LayerTimer
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import (
     KernelProfile,
@@ -86,7 +85,6 @@ __all__ = [
     "observe",
     "load_trace",
     "render_trace",
-    "LayerTimer",
     "RequestContext",
     "current_context",
     "use_context",

@@ -1,11 +1,11 @@
 """Frozen configuration dataclasses for the inference runtime.
 
 One hashable, validated value object per concern.
-:class:`SessionConfig` says *how a forward runs* (which backend, batch
-tiling, pipelining); :class:`ServeConfig` says *how a server schedules
-requests* (queue bound, batching window, deadlines, workers).  Both are
-frozen so they can key session caches and be shared freely across
-threads.
+:class:`SessionConfig` says *how a forward runs* (which backend, its
+quantization scheme, tiled inference); :class:`ServeConfig` says *how a
+server schedules requests* (queue bound, batching window, deadlines,
+workers).  Both are frozen so they can key session caches and be shared
+freely across threads.
 """
 
 from __future__ import annotations
@@ -37,17 +37,6 @@ class SessionConfig:
         ``(weight_bits, feature_map_bits)`` for the ``"quant"`` backend
         (ignored otherwise) — the Table-7 scheme handed to
         :class:`~repro.nn.engine.QuantConfig`.
-    pipeline:
-        Route :meth:`Session.stream` through the 4-stage
-        :class:`~repro.nn.engine.ThreadedPipeline` (fetch, pre-process,
-        DNN, post-process) instead of a serial loop.
-    microbatch:
-        Split batches larger than this into sequential tiles before the
-        forward (``0`` = never split).  On cache-starved hosts a large
-        batch can run *slower* per frame than several small ones; tiling
-        keeps the dynamic batcher's scheduling win without the memory
-        penalty.  Outputs are bit-identical to the untiled forward per
-        sample for the compiled engine.
     fallback:
         When the requested backend cannot compile the model
         (:class:`~repro.nn.engine.CompileError`), degrade down the
@@ -72,8 +61,6 @@ class SessionConfig:
 
     backend: str = "engine"
     quant_bits: tuple[int, int] = (8, 8)
-    pipeline: bool = False
-    microbatch: int = 0
     fallback: bool = True
     tiles: tuple[int, int] | None = None
     tile_overlap: float = 0.25
@@ -94,8 +81,6 @@ class SessionConfig:
                 f"in [2, 16], got {self.quant_bits!r}"
             )
         object.__setattr__(self, "quant_bits", bits)
-        if self.microbatch < 0:
-            raise ValueError("microbatch must be >= 0 (0 disables tiling)")
         if self.tiles is not None:
             grid = tuple(self.tiles)
             if len(grid) != 2 or not all(

@@ -26,6 +26,7 @@ across threads.
 
 from __future__ import annotations
 
+import copy
 import functools
 import threading
 import warnings
@@ -87,7 +88,6 @@ class Session:
         config: SessionConfig,
         backend: str,
         forward,
-        clone_forward,
         postprocess,
         name: str,
     ) -> None:
@@ -97,9 +97,7 @@ class Session:
         #: backend was requested but compilation fell back.
         self.backend = backend
         self.name = name
-        self.last_pipeline = None
         self._forward = forward
-        self._clone_forward = clone_forward
         self._postprocess = postprocess
         #: Eager forward kept alongside a compiled plan; the serving
         #: circuit breaker fails over to it when the engine misbehaves.
@@ -187,7 +185,6 @@ class Session:
                 model, config,
                 "quant" if model.quant is not None else "engine",
                 forward=model,
-                clone_forward=model.clone_for_thread,
                 postprocess=None,
                 name=model.name,
             )
@@ -225,10 +222,10 @@ class Session:
                     backend = lower
             if backend == "eager":
                 session = cls(model, config, backend, target,
-                              lambda: target, postprocess, name)
+                              postprocess, name)
             else:
-                session = cls(model, config, backend, net,
-                              net.clone_for_thread, postprocess, name)
+                session = cls(model, config, backend, net, postprocess,
+                              name)
                 session._eager_forward = target
         if tiler is not None:
             # The tiler's merge step replaces the single-box decode:
@@ -283,12 +280,10 @@ class Session:
     # ------------------------------------------------------------------ #
     def _runner(self, forward) -> _Runner:
         """``forward`` composed the way every path runs it: wrapped by
-        the tiler, or followed by the postprocess, then split into
-        microbatches."""
+        the tiler, or followed by the postprocess."""
         if self._tiler is not None:
-            return _Runner(self._tiler.wrap(forward), None,
-                           self.config.microbatch)
-        return _Runner(forward, self._postprocess, self.config.microbatch)
+            return _Runner(self._tiler.wrap(forward), None)
+        return _Runner(forward, self._postprocess)
 
     def run(self, batch: np.ndarray) -> np.ndarray:
         """Synchronous inference on ``(N, C, H, W)`` images (a single
@@ -307,38 +302,14 @@ class Session:
             out = self._runner(self._forward)(x)
         return out[0] if single else out
 
-    def stream(self, frames, preprocess=None) -> list:
-        """Run an ordered stream of single frames.
-
-        With ``config.pipeline`` the stream goes through the 4-stage
-        :class:`~repro.nn.engine.ThreadedPipeline` (fetch, pre-process,
-        DNN, post-process) — the TX2 schedule; the pipeline object is
-        kept on :attr:`last_pipeline` for stage timings.  Otherwise the
-        frames run serially through :meth:`run`.
-        """
-        if not self.config.pipeline:
-            return [self.run(f) for f in frames]
-
-        from ..nn.engine import ThreadedPipeline
-
-        runner = self._runner(self._forward)
-        pipe = ThreadedPipeline([
-            ("fetch", lambda f: np.asarray(f, dtype=np.float32)),
-            ("pre-process",
-             preprocess if preprocess is not None else (lambda f: f)),
-            ("dnn", lambda f: runner.forward(f if f.ndim == 4 else f[None])),
-            ("post-process", runner.postprocess or (lambda r: r)),
-        ])
-        outputs = pipe.run(frames)
-        self.last_pipeline = pipe
-        return outputs
-
     # ------------------------------------------------------------------ #
     # asynchronous (serving) path
     # ------------------------------------------------------------------ #
     def runner_for_thread(self):
-        """A batch-runner callable safe to own by one worker thread."""
-        runner = self._runner(self._clone_forward())
+        """A batch-runner callable safe to own by one worker thread:
+        a copy of the forward (a compiled plan's copy shares its kernels
+        and owns a fresh arena; an eager copy shares the model)."""
+        runner = self._runner(copy.copy(self._forward))
         if self._warmup_shape is not None:
             # Pool the fresh clone's arena before any real request
             # reaches it.
@@ -408,8 +379,8 @@ class Session:
 
     def worker_spec(self, warmup_shape=None, name=None):
         """What a process-pool child serves: this session's own runner
-        (frozen plan or eager forward, postprocess or tiler, microbatch
-        size), pickled without arena buffers."""
+        (frozen plan or eager forward, postprocess or tiler), pickled
+        without arena buffers."""
         from ..serve.procpool import WorkerSpec
 
         return WorkerSpec(
@@ -477,21 +448,11 @@ class _Eager:
 
 @dataclass(frozen=True)
 class _Runner:
-    """A batch runner: ``forward`` (+ ``postprocess``) applied in
-    microbatch tiles of at most ``microbatch`` images (0 = whole batch)."""
+    """A batch runner: ``forward``, then ``postprocess`` if any."""
 
     forward: Callable[[np.ndarray], np.ndarray]
     postprocess: Callable[[np.ndarray], np.ndarray] | None
-    microbatch: int
-
-    def _one(self, x: np.ndarray) -> np.ndarray:
-        raw = self.forward(x)
-        return raw if self.postprocess is None else self.postprocess(raw)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        mb = self.microbatch
-        if mb and x.shape[0] > mb:
-            return np.concatenate([self._one(x[i : i + mb])
-                                   for i in range(0, x.shape[0], mb)],
-                                  axis=0)
-        return self._one(x)
+        raw = self.forward(x)
+        return raw if self.postprocess is None else self.postprocess(raw)

@@ -9,9 +9,9 @@ and buffer arena:
 
 * **Plan shipping: compile once.**  The parent ships a
   :class:`WorkerSpec` holding the runner it already resolved (frozen
-  plan or eager forward, postprocess or tiler, microbatch size); the
-  child unpickles it, warms a fresh arena and serves.  It never
-  compiles or calibrates, so it runs exactly the parent's plan.
+  plan or eager forward, postprocess or tiler); the child unpickles
+  it, warms a fresh arena and serves.  It never compiles or
+  calibrates, so it runs exactly the parent's plan.
 * **Shared-memory tensor transport.**  Request and response tensors move
   through ``multiprocessing.shared_memory`` blocks; the control pipe
   carries only tiny pickled headers (shape, dtype, block name).  Image

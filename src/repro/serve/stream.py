@@ -14,9 +14,11 @@ contract made explicit and testable:
   ``put`` stays O(1) and lock-bounded.  A camera cannot be told to
   wait; it can only be told which frames to forget.
 * **Every accepted frame is accounted.**  The invariant
-  ``accepted == processed + dropped_by_policy`` holds exactly: frames
-  evicted by backpressure, skipped by the brownout stride, rejected by
-  the engine pool (shed/timeout/error), or drained at shutdown are all
+  ``accepted == processed + dropped_by_policy`` holds exactly once a
+  stream drains (mid-run the difference is the frames in flight, at
+  most the queue depth plus one): frames evicted by backpressure,
+  skipped by the brownout stride, rejected by the engine pool
+  (shed/timeout/error), or drained at shutdown are all
   *dropped by policy*, never silently lost — including the frame a
   crashed worker held (the worker requeues it as it recovers).
 * **Overload browns out, then recovers.**  A hysteretic
@@ -122,13 +124,15 @@ class StreamStats(Counters):
 
     def accounted(self) -> bool:
         """Does ``accepted == processed + dropped_by_policy`` hold?"""
-        snap = self.snapshot()
-        return snap["accepted"] == snap["processed"] + snap["dropped_by_policy"]
+        return self.snapshot()["in_flight"] == 0
 
     def snapshot(self) -> dict:
         snap = super().snapshot()
         snap["put_block_ms_max"] = snap.pop("put_block_ns_max") / 1e6
         snap["dropped_by_policy"] = sum(snap[f] for f in DROP_FIELDS)
+        # Accepted frames still queued or in the worker's hand.
+        snap["in_flight"] = (snap["accepted"] - snap["processed"]
+                             - snap["dropped_by_policy"])
         return snap
 
 
@@ -199,8 +203,9 @@ class FrameQueue:
         """Put a crashed worker's in-hand frame back at the head.
 
         No eviction and no ``accepted`` bump — the frame was already
-        accepted once; the queue may transiently hold ``capacity + 1``
-        frames, which the next :meth:`put` corrects.
+        accepted once; the queue may hold ``capacity + 1`` frames until
+        the worker next takes one (:meth:`put` evicts one per frame it
+        adds, so it keeps that length).
         """
         with self._not_empty:
             self._items.appendleft(frame)
@@ -707,18 +712,19 @@ class StreamManager:
     # health / accounting
     # ------------------------------------------------------------------ #
     def accounting(self) -> dict:
-        """Aggregate frame conservation across every stream."""
+        """Aggregate frame conservation across every stream.
+
+        ``in_flight`` counts accepted frames not yet processed or
+        dropped; ``exact`` holds when it is zero on every stream, as
+        after :meth:`join` or :meth:`stop`."""
         totals = {"produced": 0, "accepted": 0, "processed": 0,
-                  "dropped_by_policy": 0}
+                  "dropped_by_policy": 0, "in_flight": 0}
         exact = True
         for stream in self.streams:
             snap = stream.stats.snapshot()
             for key in totals:
                 totals[key] += snap[key]
-            exact = exact and (
-                snap["accepted"]
-                == snap["processed"] + snap["dropped_by_policy"]
-            )
+            exact = exact and snap["in_flight"] == 0
         totals["exact"] = exact
         totals["drop_ratio"] = (
             totals["dropped_by_policy"] / totals["accepted"]
@@ -727,16 +733,25 @@ class StreamManager:
         return totals
 
     def health(self) -> dict:
-        """Liveness + accounting + brownout snapshot for the CLI."""
+        """Liveness + accounting + brownout snapshot for the CLI.
+
+        ``"inconsistent"`` means a stream's counters cannot describe
+        real frames: fewer than zero in flight, or more than its queue
+        plus the one frame a requeue may add (:meth:`FrameQueue.requeue`).
+        Frames merely queued or in a worker's hand are consistent."""
         streams = [s.snapshot() for s in self.streams]
         alive = sum(
             1 for s in self.streams
             if s.worker is not None and s.worker.is_alive()
         )
+        consistent = all(
+            0 <= snap["in_flight"] <= stream.queue.capacity + 1
+            for stream, snap in zip(self.streams, streams)
+        )
         accounting = self.accounting()
         if self._stopping.is_set():
             status = "stopped"
-        elif not accounting["exact"]:
+        elif not consistent:
             status = "inconsistent"
         elif alive < len(self.streams) or (
             self.controller is not None and self.controller.level > 0

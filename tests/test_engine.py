@@ -11,7 +11,6 @@ from repro.nn import Sequential, Tensor, no_grad
 from repro.nn.engine import (
     BufferArena,
     CompileError,
-    ThreadedPipeline,
     compile_net,
 )
 from repro.nn.layers import BatchNorm2d, Conv2d, ReLU6
@@ -304,44 +303,6 @@ class TestBatchedExecution:
         bb.eval()
         np.testing.assert_allclose(compile_net(bb)(x), _eager(bb, x),
                                    atol=1e-5)
-
-
-class TestThreadedPipeline:
-    def test_preserves_order_and_results(self):
-        pipe = ThreadedPipeline([
-            ("double", lambda v: v * 2),
-            ("inc", lambda v: v + 1),
-        ])
-        assert pipe.run(range(50)) == [v * 2 + 1 for v in range(50)]
-        assert set(pipe.stage_ms) == {"double", "inc"}
-        assert pipe.fps > 0
-
-    def test_propagates_stage_errors(self):
-        def boom(v):
-            raise RuntimeError("stage failed")
-
-        pipe = ThreadedPipeline([("boom", boom)])
-        with pytest.raises(RuntimeError, match="stage failed"):
-            pipe.run([1, 2, 3])
-
-    def test_to_simulator_roundtrip(self):
-        pipe = ThreadedPipeline([("a", lambda v: v), ("b", lambda v: v)])
-        with pytest.raises(RuntimeError):
-            pipe.to_simulator()  # before run()
-        pipe.run(range(8))
-        sim = pipe.to_simulator()
-        assert [s.name for s in sim.stages] == ["a", "b"]
-        assert sim.run_pipelined(8).fps > 0
-
-    def test_from_measurements_orders_stages(self):
-        from repro.hardware.pipeline import PipelineSimulator
-
-        sim = PipelineSimulator.from_measurements(
-            {"fetch": 1.0, "dnn": 4.0, "post": 0.5}, batch=2
-        )
-        assert [s.name for s in sim.stages] == ["fetch", "dnn", "post"]
-        assert sim.batch == 2
-        assert sim.run_pipelined(16).bottleneck == "dnn"
 
 
 class TestIntegration:

@@ -301,6 +301,14 @@ class TestPipeline:
         assert 1.0 < s <= 4.0
         assert s == pytest.approx(35.0 / 15.0, rel=0.02)
 
+    def test_from_measurements_orders_stages(self):
+        sim = PipelineSimulator.from_measurements(
+            {"fetch": 1.0, "dnn": 4.0, "post": 0.5}, batch=2
+        )
+        assert [s.name for s in sim.stages] == ["fetch", "dnn", "post"]
+        assert sim.batch == 2
+        assert sim.run_pipelined(16).bottleneck == "dnn"
+
     def test_merge_stages(self):
         sim = PipelineSimulator(self._stages()).merge_stages(0, 1)
         assert len(sim.stages) == 3

@@ -1,5 +1,5 @@
 """Tests for the observability subsystem: spans, metrics, recorder,
-layer timing, hot-loop wiring, and the trace CLI."""
+hot-loop wiring, and the trace CLI."""
 
 from __future__ import annotations
 
@@ -11,10 +11,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
-from repro.nn import Sequential, Tensor
-from repro.nn.layers import Linear, ReLU
 from repro.obs import (
-    LayerTimer,
     MetricsRegistry,
     Recorder,
     Tracer,
@@ -231,51 +228,6 @@ class TestRecorder:
         assert "== span tree ==" in out
         assert "== span totals ==" in out
         assert "== metrics ==" in out
-
-
-def _toy_model():
-    return Sequential(
-        Linear(4, 8, rng=np.random.default_rng(0)),
-        ReLU(),
-        Linear(8, 2, rng=np.random.default_rng(1)),
-    )
-
-
-class TestLayerTimer:
-    def test_times_leaf_layers(self):
-        model = _toy_model()
-        with LayerTimer(model) as timer:
-            model(Tensor(np.ones((2, 4))))
-            model(Tensor(np.ones((2, 4))))
-        rows = timer.rows()
-        assert {r["layer"] for r in rows} == {"0", "1", "2"}
-        assert all(r["calls"] == 2 for r in rows)
-        assert timer.total_ms > 0.0
-        assert sum(r["share"] for r in rows) == pytest.approx(1.0)
-
-    def test_detach_removes_hooks(self):
-        model = _toy_model()
-        timer = LayerTimer(model).attach()
-        model(Tensor(np.ones((1, 4))))
-        timer.detach()
-        model(Tensor(np.ones((1, 4))))
-        assert all(r["calls"] == 1 for r in timer.rows())
-        assert all(
-            not m._forward_hooks and not m._forward_pre_hooks
-            for m in model.modules()
-        )
-
-    def test_table_renders(self):
-        model = _toy_model()
-        with LayerTimer(model) as timer:
-            model(Tensor(np.ones((1, 4))))
-        table = timer.table()
-        assert "Linear" in table and "calls" in table
-
-    def test_double_attach_rejected(self):
-        timer = LayerTimer(_toy_model()).attach()
-        with pytest.raises(RuntimeError):
-            timer.attach()
 
 
 class TestHotLoopWiring:

@@ -63,8 +63,6 @@ class TestConfigs:
     def test_session_config_validates_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
             SessionConfig(backend="cuda")
-        with pytest.raises(ValueError):
-            SessionConfig(microbatch=-1)
 
     @pytest.mark.parametrize("kwargs", [
         {"queue_depth": 0},
@@ -343,12 +341,25 @@ class TestSession:
         with pytest.raises(ValueError):
             Session.load(_tiny_detector(rng), warmup=(16, 32))
 
-    def test_microbatch_tiling_matches_untiled(self, rng):
+    def test_batch_composition_matches_whole_batch(self, rng):
+        """One batch-6 run equals three batch-2 runs and six batch-1
+        runs: the fp32 engine within 1e-6, the w8/f8 plan bit for bit."""
         det = _tiny_detector(rng)
         x = _images(rng, 6)
-        plain = Session.load(det, SessionConfig())
-        tiled = Session.load(det, SessionConfig(microbatch=2))
-        np.testing.assert_allclose(tiled.run(x), plain.run(x), atol=1e-6)
+        for backend in ("engine", "quant"):
+            session = Session.load(det, SessionConfig(backend=backend),
+                                   calibration=x)
+            assert session.backend == backend
+            whole = session.run(x)
+            pairs = np.concatenate([session.run(x[i : i + 2])
+                                    for i in range(0, 6, 2)])
+            singles = np.concatenate([session.run(x[i : i + 1])
+                                      for i in range(6)])
+            for parts in (pairs, singles):
+                if backend == "quant":
+                    np.testing.assert_array_equal(parts, whole)
+                else:
+                    np.testing.assert_allclose(parts, whole, atol=1e-6)
 
     def test_eager_fallback_on_uncompilable_model(self, rng):
         from repro.nn.module import Module
@@ -393,17 +404,6 @@ class TestSession:
         assert session.backend == "engine"
         x = rng.normal(0, 1, (1, 3, 16, 32)).astype(np.float32)
         np.testing.assert_allclose(session.run(x), net(x), atol=1e-6)
-
-    def test_stream_pipeline_matches_serial(self, rng):
-        det = _tiny_detector(rng)
-        frames = [f for f in _images(rng, 6)]
-        serial = Session.load(det).stream(frames)
-        piped = Session.load(det, SessionConfig(pipeline=True)
-                             ).stream(frames)
-        for a, b in zip(serial, piped):
-            np.testing.assert_allclose(np.asarray(a).reshape(-1),
-                                       np.asarray(b).reshape(-1),
-                                       atol=1e-6)
 
     def test_detector_session_cache_and_train_invalidation(self, rng):
         det = _tiny_detector(rng)

@@ -434,6 +434,58 @@ class TestStreamManager:
         assert health["status"] == "ok" and health["workers_alive"] == 1
         assert manager.streams[0].stats.snapshot()["worker_restarts"] == 1
 
+    def test_mid_run_health_counts_frames_in_flight(self):
+        """Frames queued or in the worker's hand are in flight, not
+        lost: a fault-free run never reads ``inconsistent`` from a
+        mid-run ``health()``, while frames are seen in flight."""
+        def slow_engine(x):
+            time.sleep(0.005)
+            return _center_box_engine(x)
+
+        depth = 8
+        sources = [SyntheticSource(frames=40, image_hw=(16, 32), seed=0)]
+        manager = StreamManager(
+            slow_engine, sources,
+            config=StreamConfig(queue_depth=depth, brownout=False),
+        )
+        samples = []
+        manager.start()
+        try:
+            deadline = time.perf_counter() + 30.0
+            while (not manager.join(timeout=0.001)
+                   and time.perf_counter() < deadline):
+                samples.append(manager.health())
+            assert manager.join(timeout=30.0)
+            final = manager.health()
+        finally:
+            manager.stop()
+        assert len(samples) >= 10
+        assert [h["status"] for h in samples
+                if h["status"] != "ok"] == []
+        in_flight = [h["accounting"]["in_flight"] for h in samples]
+        assert max(in_flight) > 0
+        assert all(0 <= n <= depth + 1 for n in in_flight)
+        assert final["status"] == "ok"
+        assert final["accounting"]["exact"]
+        assert final["accounting"]["in_flight"] == 0
+
+    def test_forged_counters_read_inconsistent(self):
+        """Counters that no real frames can produce still read
+        ``inconsistent``: more processed than accepted, or more in
+        flight than the queue plus the requeue slot can hold."""
+        sources = [SyntheticSource(frames=4, image_hw=(16, 32), seed=0)]
+        manager = StreamManager(_center_box_engine, sources,
+                                config=StreamConfig(queue_depth=4))
+        stats = manager.streams[0].stats
+        stats.add_many(accepted=2, processed=3)
+        assert manager.accounting()["in_flight"] == -1
+        assert manager.health()["status"] == "inconsistent"
+        stats.add("accepted", 5)  # 4 in flight: the queue holds them
+        assert manager.health()["status"] != "inconsistent"
+        stats.add("accepted", 2)  # 6 > queue_depth + 1
+        assert manager.health()["status"] == "inconsistent"
+        assert not manager.accounting()["exact"]
+
     def test_producer_crash_restarts_and_source_resumes(self):
         plan = faults.FaultPlan([
             faults.FaultSpec("stream.source", "crash", after=4, times=1),
