@@ -139,8 +139,7 @@ def measure_breaker_recovery(reps: int = BREAKER_REPS) -> dict:
         return runner
 
     config = ServeConfig(max_batch_size=1, max_wait_ms=0.0, max_retries=0,
-                         bisect_failed_batches=False, breaker_threshold=3,
-                         breaker_cooldown_ms=25.0)
+                         breaker_threshold=3, breaker_cooldown_ms=25.0)
     frame = _frames(1)[0]
     latencies = []
     for _ in range(reps):

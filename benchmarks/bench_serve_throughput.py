@@ -104,7 +104,8 @@ def _offered_load_rps(session: Session, frames: list[np.ndarray],
     results = [f.result(timeout=120.0) for f in futures]
     wall = time.perf_counter() - t0
     assert all(r.ok for r in results), "light load must not shed/timeout"
-    return len(frames) / wall, session.server.stats.mean_batch_size(), results
+    mean_batch = session.server.stats.snapshot()["mean_batch_size"]
+    return len(frames) / wall, mean_batch, results
 
 
 def _closed_loop_rps(session: Session, frames: list[np.ndarray]) -> float:
@@ -271,7 +272,6 @@ if __name__ == "__main__":
         "reps": REPS,
         "host_cpus": os.cpu_count(),
         "aggregation": "best-of-reps per arm (noisy shared host)",
-        "microbatch": 0,
         "methodology": (
             "speedup_batch8 = throughput under concurrent offered load "
             "with dynamic batching (batch 8) / closed-loop single-"

@@ -15,11 +15,12 @@ Subcommands cover the library's main workflows without writing code:
 * ``dataset``  — generate and save a synthetic dataset archive.
 * ``obs``      — render a JSONL trace written by ``--trace``.
 
-``infer`` and ``serve`` share one option block (``_add_infer_options``)
-and both route through :class:`repro.runtime.Session`; ``serve`` is
-``infer --serve`` under a dedicated name.  ``train``, ``search``,
-``infer`` and ``serve`` accept ``--trace PATH`` to record spans and
-metrics (see :mod:`repro.obs`) for later inspection with ``repro obs``.
+``infer`` and ``serve`` share one option block (``_add_session_options``)
+and both route through :class:`repro.runtime.Session`; ``serve`` adds
+the scheduling flags of the dynamic-batching server.  ``train``,
+``search``, ``infer`` and ``serve`` accept ``--trace PATH`` to record
+spans and metrics (see :mod:`repro.obs`) for later inspection with
+``repro obs``.
 ``infer``/``serve`` additionally take ``--metrics-port`` (a live
 Prometheus ``/metrics`` + ``/health`` endpoint for the duration of the
 run), ``--metrics-out`` (final exposition snapshot), and
@@ -52,12 +53,9 @@ def _parse_tiles(value: str | None) -> tuple[int, int] | None:
     return rows, cols
 
 
-def _add_infer_options(p: argparse.ArgumentParser, serve: bool) -> None:
-    """The option block shared by ``infer`` and ``serve``.
-
-    ``serve`` only flips defaults/help — the flags are identical, so the
-    two subcommands cannot drift apart.
-    """
+def _add_session_options(p: argparse.ArgumentParser, images: int) -> None:
+    """The option block shared by ``infer`` and ``serve``: the model,
+    the session backend, tiling and telemetry."""
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint from `repro train`; a fresh random "
                         "SkyNet is used when omitted")
@@ -75,30 +73,8 @@ def _add_infer_options(p: argparse.ArgumentParser, serve: bool) -> None:
                    help="SkyNet config when no checkpoint is given")
     p.add_argument("--width", type=float, default=0.25,
                    help="width multiplier when no checkpoint is given")
-    p.add_argument("--images", type=int, default=32 if not serve else 64)
+    p.add_argument("--images", type=int, default=images)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--serve", action="store_true", default=serve,
-                   help=argparse.SUPPRESS if serve else
-                        "serve the images as concurrent requests "
-                        "through the dynamic-batching server")
-    p.add_argument("--batch-size", type=int, default=8,
-                   help="dynamic batcher: flush at this many requests")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="dynamic batcher: flush after this wait window")
-    p.add_argument("--queue-depth", type=int, default=64,
-                   help="bounded request queue; overflow is shed (503)")
-    p.add_argument("--deadline-ms", type=float, default=None,
-                   help="per-request deadline; queued past it -> 504")
-    p.add_argument("--workers", type=int, default=1,
-                   help="server worker threads (one engine clone each)")
-    p.add_argument("--worker-backend", default="thread",
-                   choices=["thread", "process"],
-                   help="'thread' keeps workers in-process (GIL-bound); "
-                        "'process' gives each worker a child process "
-                        "with its own engine and shared-memory tensor "
-                        "transport")
-    p.add_argument("--concurrency", type=int, default=8,
-                   help="client threads submitting load in serve mode")
     p.add_argument("--tiles", default=None, metavar="ROWSxCOLS",
                    help="tiled high-resolution inference: split each "
                         "frame into this grid of overlapping tiles, run "
@@ -111,13 +87,6 @@ def _add_infer_options(p: argparse.ArgumentParser, serve: bool) -> None:
                    help="overlap ratio between adjacent tiles in "
                         "[0, 1); objects up to F*tile wide are "
                         "guaranteed whole in some tile")
-    p.add_argument("--retries", type=int, default=1,
-                   help="re-run a failed batch this many times "
-                        "(exponential backoff; 0 = fail fast)")
-    p.add_argument("--breaker-threshold", type=int, default=5,
-                   help="consecutive engine failures before the circuit "
-                        "breaker fails over to the eager runner "
-                        "(0 disables the breaker)")
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="record spans/metrics to a JSONL trace file")
     p.add_argument("--chrome-trace", default=None, metavar="PATH",
@@ -205,14 +174,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "infer", help="run timed batch inference (eager or compiled engine)"
     )
-    _add_infer_options(p, serve=False)
+    _add_session_options(p, images=32)
 
     p = sub.add_parser(
         "serve",
         help="run the dynamic-batching inference server under a "
-             "synthetic concurrent load (alias of `infer --serve`)",
+             "synthetic concurrent load",
     )
-    _add_infer_options(p, serve=True)
+    _add_session_options(p, images=64)
+    p.add_argument("--batch-size", type=int, default=8,
+                   help="dynamic batcher: flush at this many requests")
+    p.add_argument("--max-wait-ms", type=float, default=2.0,
+                   help="dynamic batcher: flush after this wait window")
+    p.add_argument("--workers", type=int, default=1,
+                   help="server worker threads (one engine clone each)")
+    p.add_argument("--worker-backend", default="thread",
+                   choices=["thread", "process"],
+                   help="'thread' keeps workers in-process (GIL-bound); "
+                        "'process' gives each worker a child process "
+                        "with its own engine and shared-memory tensor "
+                        "transport")
+    p.add_argument("--concurrency", type=int, default=8,
+                   help="client threads submitting the load")
 
     p = sub.add_parser(
         "stream",
@@ -232,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="engine pool: dynamic batcher flush size")
     p.add_argument("--workers", type=int, default=1,
                    help="engine pool worker threads")
-    p.add_argument("--queue-depth", type=int, default=8,
-                   help="per-stream frame queue bound (drop-oldest)")
     p.add_argument("--fps", type=float, default=0.0,
                    help="pace each camera at this frame rate "
                         "(0 = as fast as possible)")
@@ -498,7 +479,7 @@ def _serve_load(session, frames, args) -> int:
     print(f"  ok {ok}  shed {stats['shed']}  timeouts {stats['timeouts']}  "
           f"errors {stats['errors']}")
     print(f"  batches {stats['batches']}  "
-          f"mean batch {session.server.stats.mean_batch_size():.2f}  "
+          f"mean batch {stats['mean_batch_size']:.2f}  "
           f"(flush at {args.batch_size} or {args.max_wait_ms} ms)")
     lat = [r.latency_ms for r in results if r.ok]
     if lat:
@@ -536,39 +517,29 @@ def _cmd_infer(args) -> int:
                 else (48, 96))
     ds = make_dacsdc(args.images, image_hw=image_hw, seed=args.seed)
 
-    quant_bits = None
+    backend = "engine" if args.engine == "compiled" else "eager"
+    quant_bits = (8, 8)
     if args.quant_bits:
         from .nn.engine import QuantConfig
 
         parsed = QuantConfig.parse(args.quant_bits)
-        quant_bits = (parsed.w_bits, parsed.fm_bits)
-    if quant_bits is not None:
-        backend = "quant"
-    else:
-        backend = "engine" if args.engine == "compiled" else "eager"
-    config = SessionConfig(
-        backend=backend,
-        quant_bits=quant_bits if quant_bits is not None else (8, 8),
-        tiles=tiles,
-        tile_overlap=args.tile_overlap,
-    )
+        backend, quant_bits = "quant", (parsed.w_bits, parsed.fm_bits)
+    config = SessionConfig(backend=backend, quant_bits=quant_bits,
+                           tiles=tiles, tile_overlap=args.tile_overlap)
+    serving = args.command == "serve"
     serve_cfg = ServeConfig(
-        queue_depth=args.queue_depth,
         max_batch_size=args.batch_size,
         max_wait_ms=args.max_wait_ms,
-        deadline_ms=args.deadline_ms,
         num_workers=args.workers,
         worker_backend=args.worker_backend,
-        max_retries=args.retries,
-        breaker_threshold=args.breaker_threshold,
-    )
+    ) if serving else None
     mean = np.float32(0.5)
     frames = [ds.images[i] for i in range(len(ds.images))]
 
     # Calibration batch for the quant backend: the same preprocessing
     # the session will see at run time.
     calibration = (np.stack([f - mean for f in frames[:8]])
-                   if quant_bits is not None else None)
+                   if backend == "quant" else None)
 
     from contextlib import nullcontext
 
@@ -597,7 +568,7 @@ def _cmd_infer(args) -> int:
               f"loaded in {load_ms:.1f} ms")
         session.run(frames[0] - mean)  # warm up buffers / BLAS
         try:
-            if args.serve:
+            if serving:
                 _serve_load(session, [f - mean for f in frames], args)
             else:
                 outs = []
@@ -641,7 +612,7 @@ def _cmd_stream(args) -> int:
     from .core import SkyNetBackbone
     from .detection import Detector
     from .resilience import faults
-    from .runtime import ServeConfig, Session, SessionConfig, StreamConfig
+    from .runtime import ServeConfig, Session, SessionConfig
     from .serve import JsonlSink, SyntheticSource
     from .utils import format_table
 
@@ -659,7 +630,6 @@ def _cmd_stream(args) -> int:
     sink = JsonlSink(args.events) if args.events else None
     serve_cfg = ServeConfig(max_batch_size=args.batch_size,
                             num_workers=args.workers)
-    stream_cfg = StreamConfig(queue_depth=args.queue_depth)
     plan = None
     if args.chaos:
         plan = faults.FaultPlan([
@@ -673,8 +643,7 @@ def _cmd_stream(args) -> int:
                          serve=serve_cfg) as session:
         t0 = time.perf_counter()
         with (faults.inject(plan) if plan else nullcontext()):
-            manager = session.open_streams(sources, sink=sink,
-                                           config=stream_cfg)
+            manager = session.open_streams(sources, sink=sink)
             done = manager.join(timeout=max(60.0, args.frames * 2.0))
         wall = time.perf_counter() - t0
         health = manager.health()

@@ -29,7 +29,6 @@ retrain the module, recompile the engine.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 
@@ -484,21 +483,12 @@ class CompiledNet:
         return profile_net(self, x, reps=reps, warmup=warmup)
 
     # ------------------------------------------------------------------ #
-    def clone_for_thread(self) -> "CompiledNet":
-        """A clone sharing this plan's kernels but owning a fresh arena.
-
-        The kernels and their weights are immutable at run time, so they
-        are safe to share; the :class:`BufferArena` is not — two threads
-        running the same plan concurrently would overwrite each other's
-        scratch buffers mid-forward.  Give each worker thread its own
-        clone and the plan becomes freely parallelizable (this is what
-        :class:`repro.serve.InferenceServer` does per worker).
-        """
-        return copy.copy(self)  # __setstate__ gives it a fresh arena
-
     def __getstate__(self) -> dict:
         # Copies and pickles are fresh clones: the plan without the
         # arena's scratch buffers (~40x the plan's bytes once warmed).
+        # Kernels and weights are immutable at run time and shared; an
+        # arena is per thread, so ``copy.copy(net)`` is the clone each
+        # serving thread runs.
         return dict(self.__dict__, arena=None)
 
     def __setstate__(self, state: dict) -> None:

@@ -18,8 +18,9 @@ tolerance`` on noisy CI runners; the CI job runs the gate non-blocking
 on its single shared core and documents why).
 
 ``repro bench --check`` is the CLI; ``--inject-regression 0.5`` scales
-the fresh measurements down to prove the gate trips (the CI job and the
-test suite both use it).
+the fresh measurements down to prove the gate trips.  The test suite
+checks that self-test through ``run_gate(inject_regression=...)``; the
+CI job runs the gate without it.
 """
 
 from __future__ import annotations

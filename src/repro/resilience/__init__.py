@@ -10,8 +10,8 @@ package makes survival testable:
   checkpointing, and the trainers fire NaN/inf corruption, worker
   crashes, stalls, torn checkpoint writes, and allocation failures on
   demand — and cost one global read when no plan is armed.
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, exponential
-  backoff with seeded jitter.
+* :mod:`~repro.resilience.retry` — ``retry_delay_ms``, the server's
+  exponential backoff with seeded jitter.
 * :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker`, tripping
   a failing compiled backend over to the eager fallback and
   half-opening to probe recovery.
@@ -46,7 +46,6 @@ from .faults import (
     inject,
     trigger,
 )
-from .retry import RetryPolicy
 from .supervise import CRASH_PAUSE_S, run_supervised
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "RestoredState",
-    "RetryPolicy",
     "WorkerCrash",
     "active_plan",
     "apply_array_fault",

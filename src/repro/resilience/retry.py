@@ -1,54 +1,35 @@
-"""Retry policy: exponential backoff with bounded, seeded jitter.
+"""Retry backoff: exponential, capped, with bounded seeded jitter.
 
 A transient fault (a worker hiccup, an injected crash) should cost one
 short pause, not a failed request; a *persistent* fault should not see
 every retrier hammer the same instant.  Exponential backoff handles the
-first, jitter the second.  Delays are drawn from a caller-supplied
+first, jitter the second.  Jitter is drawn from a caller-supplied
 generator so tests and benchmarks stay deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["RetryPolicy"]
+__all__ = ["retry_delay_ms"]
+
+#: Backoff before the first retry; it doubles per attempt ...
+BACKOFF_MS = 5.0
+#: ... up to this cap.
+MAX_BACKOFF_MS = 1000.0
+#: Each delay is scaled by a uniform factor in ``[1 - JITTER, 1 + JITTER]``.
+JITTER = 0.5
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times to retry and how long to wait between attempts.
-
-    The delay before retry ``k`` (0-based) is
-    ``backoff_ms * multiplier**k``, capped at ``max_backoff_ms``, then
-    scaled by a uniform jitter in ``[1 - jitter, 1 + jitter]``.
-    """
-
-    max_retries: int = 1
-    backoff_ms: float = 5.0
-    multiplier: float = 2.0
-    jitter: float = 0.5
-    max_backoff_ms: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_ms < 0 or self.max_backoff_ms < 0:
-            raise ValueError("backoff bounds must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-
-    def delay_ms(
-        self, attempt: int, rng: np.random.Generator | None = None
-    ) -> float:
-        """Backoff before retry ``attempt`` (0-based), jittered."""
-        if attempt < 0:
-            raise ValueError("attempt must be >= 0")
-        base = min(self.backoff_ms * self.multiplier ** attempt,
-                   self.max_backoff_ms)
-        if self.jitter and rng is not None:
-            base *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return max(0.0, base)
+def retry_delay_ms(
+    attempt: int, rng: np.random.Generator | None = None
+) -> float:
+    """Backoff before retry ``attempt`` (0-based):
+    ``BACKOFF_MS * 2**attempt`` capped at ``MAX_BACKOFF_MS``, jittered
+    when ``rng`` is given."""
+    if attempt < 0:
+        raise ValueError("attempt must be >= 0")
+    delay = min(BACKOFF_MS * 2.0 ** attempt, MAX_BACKOFF_MS)
+    if rng is not None:
+        delay *= 1.0 + JITTER * (2.0 * rng.random() - 1.0)
+    return delay

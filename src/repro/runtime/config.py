@@ -4,13 +4,15 @@ One hashable, validated value object per concern.
 :class:`SessionConfig` says *how a forward runs* (which backend, its
 quantization scheme, tiled inference); :class:`ServeConfig` says *how a
 server schedules requests* (queue bound, batching window, deadlines,
-workers).  Both are frozen so they can key session caches and be shared
-freely across threads.
+workers); :class:`StreamConfig` says *how a stream manager queues frames
+and browns out*.  All are frozen so they can key session caches and be
+shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["BACKENDS", "ServeConfig", "SessionConfig", "StreamConfig"]
 
@@ -129,15 +131,12 @@ class ServeConfig:
         shared-memory tensor transport, at the cost of per-worker
         startup and memory (see :mod:`repro.serve.procpool`).
     max_retries:
-        Re-run a failed batch this many times (exponential backoff with
-        jitter between attempts) before bisecting or erroring.  ``0``
-        restores fail-fast behaviour.
-    retry_backoff_ms:
-        Base backoff before the first retry; doubles per attempt.
-    bisect_failed_batches:
-        After retries are exhausted, split a multi-request batch in half
-        and re-run each side, so one poison request no longer errors its
-        batchmates.
+        Re-run a failed batch this many times (5 ms backoff doubling per
+        attempt, with jitter; :func:`repro.resilience.retry.
+        retry_delay_ms`) before erroring.  A multi-request batch whose
+        retries are exhausted is then split in half and each side re-run,
+        so one poison request errors alone.  ``0`` restores fail-fast
+        behaviour.
     breaker_threshold:
         Consecutive primary-runner failures that trip the circuit
         breaker onto the fallback runner (``0`` disables; only active
@@ -158,8 +157,6 @@ class ServeConfig:
     num_workers: int = 1
     worker_backend: str = "thread"
     max_retries: int = 1
-    retry_backoff_ms: float = 5.0
-    bisect_failed_batches: bool = True
     breaker_threshold: int = 5
     breaker_cooldown_ms: float = 250.0
     reject_nonfinite: bool = False
@@ -182,8 +179,6 @@ class ServeConfig:
             )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff_ms < 0:
-            raise ValueError("retry_backoff_ms must be >= 0")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0 (0 disables)")
         if self.breaker_cooldown_ms <= 0:
@@ -194,6 +189,11 @@ class ServeConfig:
 class StreamConfig:
     """Per-stream policy of a :class:`~repro.serve.StreamManager`.
 
+    Frame deadlines come from the engine pool's
+    :attr:`ServeConfig.deadline_ms`; a stream worker gives up on a
+    submitted frame after 30 s (``repro.serve.stream.RESULT_TIMEOUT_S``)
+    and accounts it ``dropped_rejected``.
+
     Parameters
     ----------
     queue_depth:
@@ -201,64 +201,44 @@ class StreamConfig:
         *oldest* frame (drop-oldest backpressure) — the producer is
         never blocked, and the evicted frame is accounted
         ``dropped_backpressure``.
-    deadline_ms:
-        Per-frame deadline passed to the engine pool's ``submit``
-        (``None`` = the pool's default).
-    result_timeout_s:
-        How long a stream worker waits on a submitted frame's future
-        before accounting it ``dropped_rejected`` and moving on.
-    track_iou:
-        IoU gate for the sticky per-stream tracker: a detection within
-        this IoU of the current track continues it, anything else
-        starts a new track id.
-    track_smooth:
-        EMA weight of the *old* box when a track continues
-        (``0`` = take each detection verbatim).
     brownout:
         Run the hysteretic overload controller (see
         :class:`~repro.serve.BrownoutController`).
-    pressure_high / pressure_low:
-        Queue-fullness thresholds: ``escalate_ticks`` consecutive
-        supervisor samples at/above ``pressure_high`` climb one
-        brownout rung; ``recover_ticks`` at/below ``pressure_low``
-        descend one.  The dead band between them holds the rung.
-    brownout_stride:
-        Frame stride at the deepest rung: process every
-        ``brownout_stride``-th frame, drop the rest by policy.
+    pressure_high:
+        Queue-fullness threshold: ``escalate_ticks`` consecutive
+        supervisor samples at/above it climb one brownout rung;
+        ``recover_ticks`` at/below :attr:`pressure_low` descend one.
+        The dead band between the two holds the rung.
     supervisor_interval_ms:
         Supervisor tick (brownout sampling + per-stream gauges).
+
+    The class constants below are not settable per instance.
     """
 
+    #: Queue fullness at/below which the brownout ladder recovers.
+    pressure_low: ClassVar[float] = 0.25
+    #: Frame stride at the deepest brownout rung: every 2nd frame runs,
+    #: the rest are dropped by policy.
+    brownout_stride: ClassVar[int] = 2
+    #: The per-stream tracker's IoU gate and EMA weight: the defaults
+    #: of :class:`repro.tracking.TrackState`, which every stream uses.
+    track_iou: ClassVar[float] = 0.3
+    track_smooth: ClassVar[float] = 0.6
+
     queue_depth: int = 8
-    deadline_ms: float | None = None
-    result_timeout_s: float = 30.0
-    track_iou: float = 0.3
-    track_smooth: float = 0.6
     brownout: bool = True
     pressure_high: float = 0.75
-    pressure_low: float = 0.25
     escalate_ticks: int = 3
     recover_ticks: int = 5
-    brownout_stride: int = 2
     supervisor_interval_ms: float = 10.0
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive (or None)")
-        if self.result_timeout_s <= 0:
-            raise ValueError("result_timeout_s must be positive")
-        if not 0.0 < self.track_iou < 1.0:
-            raise ValueError("track_iou must be in (0, 1)")
-        if not 0.0 <= self.track_smooth < 1.0:
-            raise ValueError("track_smooth must be in [0, 1)")
-        if not 0.0 <= self.pressure_low < self.pressure_high <= 1.0:
+        if not self.pressure_low < self.pressure_high <= 1.0:
             raise ValueError(
-                "need 0 <= pressure_low < pressure_high <= 1")
+                f"need {self.pressure_low} < pressure_high <= 1")
         if self.escalate_ticks < 1 or self.recover_ticks < 1:
             raise ValueError("escalate/recover ticks must be >= 1")
-        if self.brownout_stride < 2:
-            raise ValueError("brownout_stride must be >= 2")
         if self.supervisor_interval_ms <= 0:
             raise ValueError("supervisor_interval_ms must be positive")

@@ -36,7 +36,6 @@ from .stream import (
     StreamManager,
     StreamStats,
     SyntheticSource,
-    TrackState,
 )
 
 __all__ = [
@@ -64,3 +63,14 @@ __all__ = [
     "TrackState",
     "WorkerSpec",
 ]
+
+
+def __getattr__(name: str):
+    # The per-stream tracker lives in repro.tracking.  It is resolved on
+    # first use, so importing the serving layer (as every process-pool
+    # child does) does not import the tracking package.
+    if name == "TrackState":
+        from ..tracking.track_state import TrackState
+
+        return TrackState
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,8 @@ must survive, and ``repro.resilience`` injects the faults that prove
 it):
 
 * a failed batch is **retried** with exponential backoff + jitter
-  (``max_retries``), so a transient fault costs a pause, not a 500;
+  (``max_retries``; :func:`~repro.resilience.retry.retry_delay_ms`), so
+  a transient fault costs a pause, not a 500;
 * a batch that keeps failing is **bisected**: split in half and re-run,
   so one poison request errors alone instead of failing its batchmates;
 * a :class:`~repro.resilience.CircuitBreaker` counts consecutive
@@ -38,13 +39,14 @@ it):
 * :meth:`InferenceServer.health` reports readiness (worker liveness,
   queue, breaker state) for the CLI and load balancers.
 
-Each worker owns its runners (for compiled plans: a
-:meth:`~repro.nn.engine.CompiledNet.clone_for_thread` clone), so buffer
-arenas are never shared across threads.  Everything is observable
-through :mod:`repro.obs`: ``serve/queue_depth`` gauge,
-``serve/batch_size`` histogram, ``serve/shed`` / ``serve/timeout`` /
-``serve/completed`` / ``serve/retries`` / ``serve/bisect`` /
-``serve/worker_respawn`` / ``serve/breaker_*`` counters, a
+Each worker owns its runners (for compiled plans: a ``copy.copy`` of
+the :class:`~repro.nn.engine.CompiledNet`, which shares the plan and
+gets a fresh arena), so buffer arenas are never shared across threads.
+Everything is observable through :mod:`repro.obs`:
+``serve/queue_depth`` gauge, ``serve/batch_size`` histogram,
+``serve/shed`` / ``serve/timeout`` / ``serve/completed`` /
+``serve/retries`` / ``serve/bisect`` / ``serve/worker_respawn`` /
+``serve/breaker_*`` counters, a
 ``serve/queue_wait`` span per dequeued request, a ``serve/batch`` span
 per forward, and a ``serve/worker_respawn`` instant event per crash
 recovery.  Every request is minted a
@@ -69,7 +71,7 @@ from .. import obs
 from ..nn.engine.threads import keep_default_threads
 from ..resilience import faults
 from ..resilience.breaker import OPEN, CircuitBreaker
-from ..resilience.retry import RetryPolicy
+from ..resilience.retry import retry_delay_ms
 from ..resilience.supervise import run_supervised
 from ..runtime.config import ServeConfig
 from .result import (
@@ -100,10 +102,6 @@ class ServerStats(Counters):
         "retries", "bisections", "respawns", "requeued", "fallback_batches",
     )
 
-    def mean_batch_size(self) -> float:
-        with self._lock:
-            return self.batched_requests / self.batches if self.batches else 0.0
-
     def snapshot(self) -> dict:
         """Every counter, consistent, plus ``mean_batch_size`` and a
         monotonic stamp (``ts_monotonic``) so scrape consumers can order
@@ -133,18 +131,6 @@ class _Request:
     @property
     def request_id(self) -> str | None:
         return None if self.ctx is None else self.ctx.request_id
-
-
-class _WorkerRunners:
-    """Per-worker-thread runner pair, created lazily.  A worker builds
-    a fresh pair each time its loop (re)starts, so it never reuses a
-    runner that a crash left mid-forward."""
-
-    __slots__ = ("primary", "fallback")
-
-    def __init__(self) -> None:
-        self.primary = None
-        self.fallback = None
 
 
 class InferenceServer:
@@ -191,10 +177,6 @@ class InferenceServer:
                 cooldown_s=self.config.breaker_cooldown_ms / 1e3,
                 name=name,
             )
-        self._retry = RetryPolicy(
-            max_retries=self.config.max_retries,
-            backoff_ms=self.config.retry_backoff_ms,
-        )
         self._queue: queue.Queue[_Request] = queue.Queue(
             maxsize=self.config.queue_depth
         )
@@ -356,7 +338,9 @@ class InferenceServer:
         after a crash, :meth:`_recover` requeues the batch and the loop
         starts over with fresh runners."""
         keep_default_threads()  # it serves every batch size
-        runners = _WorkerRunners()
+        # This loop's runners, keyed by "is fallback" and built lazily:
+        # a restarted loop never reuses one a crash left mid-forward.
+        runners: dict[bool, object] = {}
         rng = np.random.default_rng(1000 + index)  # retry jitter
         while not self._stopping.is_set():
             try:
@@ -434,7 +418,7 @@ class InferenceServer:
         return batch
 
     def _run_batch(
-        self, runners: _WorkerRunners, batch: list[_Request], worker: int,
+        self, runners: dict, batch: list[_Request], worker: int,
         rng: np.random.Generator,
     ) -> None:
         now = time.perf_counter()
@@ -468,17 +452,15 @@ class InferenceServer:
             return
         self._execute(runners, live, worker, rng)
 
-    def _get_runner(self, runners: _WorkerRunners, fallback: bool):
-        if fallback:
-            if runners.fallback is None:
-                runners.fallback = self._fallback_factory()
-            return runners.fallback
-        if runners.primary is None:
-            runners.primary = self._runner_factory()
-        return runners.primary
+    def _get_runner(self, runners: dict, fallback: bool):
+        if fallback not in runners:
+            factory = (self._fallback_factory if fallback
+                       else self._runner_factory)
+            runners[fallback] = factory()
+        return runners[fallback]
 
     def _execute(
-        self, runners: _WorkerRunners, live: list[_Request], worker: int,
+        self, runners: dict, live: list[_Request], worker: int,
         rng: np.random.Generator,
     ) -> None:
         """Run ``live`` with the full recovery ladder: retry with
@@ -519,12 +501,11 @@ class InferenceServer:
                 if not on_fallback and self.breaker is not None:
                     self.breaker.record_failure()
                 if attempt < self.config.max_retries:
-                    delay = self._retry.delay_ms(attempt, rng)
+                    delay = retry_delay_ms(attempt, rng)
                     attempt += 1
                     self.stats.add("retries")
                     obs.inc("serve/retries")
-                    if delay:
-                        time.sleep(delay / 1e3)
+                    time.sleep(delay / 1e3)
                     continue
                 break
             if not on_fallback and self.breaker is not None:
@@ -538,7 +519,7 @@ class InferenceServer:
         # Retries exhausted.  A multi-request batch may be failing
         # because of one poison request: split and re-run each half so
         # the healthy batchmates still get answers.
-        if len(live) > 1 and self.config.bisect_failed_batches:
+        if len(live) > 1:
             self.stats.add("bisections")
             obs.inc("serve/bisect")
             mid = len(live) // 2

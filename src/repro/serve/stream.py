@@ -33,8 +33,9 @@ contract made explicit and testable:
   under :func:`~repro.resilience.run_supervised`: a crashed worker
   requeues its in-hand frame and re-enters its loop in the same
   thread, a crashed producer resumes the same frame iterator.  The
-  stream's sticky tracker state (:class:`TrackState`) lives on the
-  :class:`Stream`, so a recovered worker keeps the same track ids.
+  stream's sticky tracker state (:class:`~repro.tracking.TrackState`)
+  lives on the :class:`Stream`, so a recovered worker keeps the same
+  track ids.
 * **Events go somewhere pluggable.**  Each processed frame publishes a
   detection/track event through an :class:`EventSink` — a JSONL file
   (:class:`JsonlSink`) or an in-process callback bus
@@ -77,8 +78,11 @@ __all__ = [
     "StreamManager",
     "StreamStats",
     "SyntheticSource",
-    "TrackState",
 ]
+
+#: How long a stream worker waits on a submitted frame's future before
+#: accounting it ``dropped_rejected`` and moving on.
+RESULT_TIMEOUT_S = 30.0
 
 
 # --------------------------------------------------------------------- #
@@ -247,12 +251,6 @@ class EventSink:
     def close(self) -> None:  # pragma: no cover - default no-op
         pass
 
-    def __enter__(self) -> "EventSink":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
 
 class NullSink(EventSink):
     """Discard every event (load tests that only care about frames)."""
@@ -287,17 +285,10 @@ class CallbackSink(EventSink):
     """In-process pub/sub bus — the callback stand-in for socket.io."""
 
     def __init__(self, *callbacks) -> None:
-        self._lock = threading.Lock()
-        self._callbacks = list(callbacks)
-
-    def subscribe(self, callback) -> None:
-        with self._lock:
-            self._callbacks.append(callback)
+        self._callbacks = callbacks
 
     def publish(self, event: dict) -> None:
-        with self._lock:
-            callbacks = tuple(self._callbacks)
-        for callback in callbacks:
+        for callback in self._callbacks:
             callback(event)
 
 
@@ -314,13 +305,11 @@ class SyntheticSource:
     """
 
     def __init__(self, frames: int = 64, image_hw: tuple[int, int] = (32, 64),
-                 seed: int = 0, interval_ms: float = 0.0,
-                 clutter: int = 1) -> None:
+                 seed: int = 0, interval_ms: float = 0.0) -> None:
         self.frames = frames
         self.image_hw = tuple(image_hw)
         self.seed = seed
         self.interval_ms = interval_ms
-        self.clutter = clutter
 
     def __len__(self) -> int:
         return self.frames
@@ -329,7 +318,7 @@ class SyntheticSource:
         from ..datasets.renderer import SceneRenderer
 
         rng = np.random.default_rng(self.seed)
-        renderer = SceneRenderer(self.image_hw, clutter=self.clutter)
+        renderer = SceneRenderer(self.image_hw, clutter=1)
         spec = renderer.sample_object(rng)
         vel = rng.uniform(0.005, 0.02, size=2) * rng.choice([-1.0, 1.0], 2)
         for _ in range(self.frames):
@@ -349,56 +338,18 @@ class SyntheticSource:
 
 
 # --------------------------------------------------------------------- #
-# sticky per-stream tracker state
-# --------------------------------------------------------------------- #
-class TrackState:
-    """Session-affine single-object track state for one stream.
-
-    Lives on the :class:`Stream` object, so track ids stay stable
-    across worker crashes.  Association is IoU-gated: a new
-    detection within ``iou_threshold`` of the current (EMA-smoothed)
-    box continues the track; anything else starts a fresh track id.
-    """
-
-    def __init__(self, iou_threshold: float = 0.3,
-                 smooth: float = 0.6) -> None:
-        self.iou_threshold = iou_threshold
-        self.smooth = smooth
-        self.track_id = 0
-        self.box: np.ndarray | None = None
-        self.age = 0        # frames since this track started
-        self.updates = 0    # lifetime updates across all tracks
-
-    def update(self, box: np.ndarray) -> tuple[str, np.ndarray]:
-        """Fold one cxcywh detection in; returns (event kind, box)."""
-        from ..detection.boxes import box_iou, cxcywh_to_xyxy
-
-        box = np.asarray(box, dtype=np.float64).reshape(-1)[:4]
-        self.updates += 1
-        if self.box is not None:
-            iou = float(box_iou(cxcywh_to_xyxy(self.box),
-                                cxcywh_to_xyxy(box)))
-            if iou >= self.iou_threshold:
-                self.box = self.smooth * self.box + (1 - self.smooth) * box
-                self.age += 1
-                return "track_update", self.box
-        self.track_id += 1
-        self.box = box.copy()
-        self.age = 0
-        return "track_new", self.box
-
-
-# --------------------------------------------------------------------- #
 # overload brownout
 # --------------------------------------------------------------------- #
 class BrownoutController:
     """Hysteretic overload ladder shared by every stream of a manager.
 
     Pressure (queue fullness, in [0, 1]) is sampled once per
-    supervisor tick.  ``escalate_ticks`` consecutive samples at or
-    above ``high`` climb one rung; ``recover_ticks`` consecutive
-    samples at or below ``low`` descend one — the dead band between
-    the thresholds holds the current rung, so the ladder cannot
+    supervisor tick.  With ``config`` a
+    :class:`~repro.runtime.StreamConfig`, ``config.escalate_ticks``
+    consecutive samples at or above ``config.pressure_high`` climb one
+    rung; ``config.recover_ticks`` consecutive samples at or below
+    ``StreamConfig.pressure_low`` (0.25) descend one — the dead band
+    between the thresholds holds the current rung, so the ladder cannot
     oscillate on a noisy boundary.  Rungs and their per-rung cost:
 
     ====  ==============================  =============================
@@ -412,7 +363,8 @@ class BrownoutController:
           onto the eager fallback         (quant/fp32 -> eager), kept
           (re-tripped every tick)         open only while at rung >= 2
     3     + frame-drop stride             input coverage: only every
-          (process every Nth frame)       ``stride``-th frame runs
+          (``brownout_stride``: process   2nd frame runs
+          every 2nd frame)
     ====  ==============================  =============================
 
     Recovery is rung by rung with the same hysteresis; below rung 2
@@ -422,20 +374,8 @@ class BrownoutController:
 
     MAX_LEVEL = 3
 
-    def __init__(self, high: float = 0.75, low: float = 0.25,
-                 escalate_ticks: int = 3, recover_ticks: int = 5,
-                 stride: int = 2, server=None, name: str = "stream") -> None:
-        if not 0.0 <= low < high <= 1.0:
-            raise ValueError("need 0 <= low < high <= 1")
-        if escalate_ticks < 1 or recover_ticks < 1:
-            raise ValueError("escalate/recover ticks must be >= 1")
-        if stride < 2:
-            raise ValueError("stride must be >= 2")
-        self.high = high
-        self.low = low
-        self.escalate_ticks = escalate_ticks
-        self.recover_ticks = recover_ticks
-        self.brownout_stride = stride
+    def __init__(self, config, server=None, name: str = "stream") -> None:
+        self.config = config
         self.name = name
         self.level = 0
         self.max_level_seen = 0
@@ -447,22 +387,23 @@ class BrownoutController:
     @property
     def stride(self) -> int:
         """Frame stride workers honour right now (1 = every frame)."""
-        return self.brownout_stride if self.level >= 3 else 1
+        return self.config.brownout_stride if self.level >= 3 else 1
 
     def observe(self, pressure: float) -> int:
         """Fold one pressure sample in; returns the (new) rung."""
+        config = self.config
         with self._lock:
-            if pressure >= self.high:
+            if pressure >= config.pressure_high:
                 self._hot += 1
                 self._cool = 0
-                if (self._hot >= self.escalate_ticks
+                if (self._hot >= config.escalate_ticks
                         and self.level < self.MAX_LEVEL):
                     self._hot = 0
                     self._set_level(self.level + 1, pressure)
-            elif pressure <= self.low:
+            elif pressure <= config.pressure_low:
                 self._cool += 1
                 self._hot = 0
-                if self._cool >= self.recover_ticks and self.level > 0:
+                if self._cool >= config.recover_ticks and self.level > 0:
                     self._cool = 0
                     self._set_level(self.level - 1, pressure)
             else:  # dead band: hold the rung, reset both streaks
@@ -511,14 +452,14 @@ class Stream:
     """
 
     def __init__(self, stream_id: str, source, sink: EventSink,
-                 queue_depth: int, iou_threshold: float,
-                 smooth: float) -> None:
+                 queue_depth: int) -> None:
+        from ..tracking.track_state import TrackState
+
         self.stream_id = stream_id
-        self.source = source
         self.sink = sink
         self.stats = StreamStats()
         self.queue = FrameQueue(queue_depth, self.stats, stream_id)
-        self.tracker = TrackState(iou_threshold, smooth)
+        self.tracker = TrackState()
         self.source_done = threading.Event()
         self.seq = 0
         #: The frame the worker is currently holding; only the worker
@@ -581,18 +522,11 @@ class StreamManager:
             raise ValueError("need exactly one id per source")
         sinks = self._resolve_sinks(sink, len(sources))
         self.streams = [
-            Stream(sid, src, snk, self.config.queue_depth,
-                   self.config.track_iou, self.config.track_smooth)
+            Stream(sid, src, snk, self.config.queue_depth)
             for sid, src, snk in zip(ids, sources, sinks)
         ]
         self.controller = BrownoutController(
-            high=self.config.pressure_high,
-            low=self.config.pressure_low,
-            escalate_ticks=self.config.escalate_ticks,
-            recover_ticks=self.config.recover_ticks,
-            stride=self.config.brownout_stride,
-            server=self._server if self.config.brownout else None,
-            name=name,
+            self.config, server=self._server, name=name,
         ) if self.config.brownout else None
         self._stopping = threading.Event()
         self._started = False
@@ -612,7 +546,7 @@ class StreamManager:
         if isinstance(engine, InferenceServer):
             return engine.submit, engine
         if callable(engine):
-            def submit(image, deadline_ms=None):
+            def submit(image):
                 future: Future = Future()
                 try:
                     out = engine(image)
@@ -805,7 +739,6 @@ class StreamManager:
 
     def _worker_loop(self, stream: Stream) -> None:
         """The consumer side: queue -> engine -> tracker -> sink."""
-        timeout = self.config.result_timeout_s
         while not self._stopping.is_set():
             frame = stream.queue.get(timeout=0.02)
             if frame is None:
@@ -828,9 +761,8 @@ class StreamManager:
                 stream.inhand = None
                 continue
             try:
-                result = self._submit(
-                    frame.image, deadline_ms=self.config.deadline_ms
-                ).result(timeout=timeout)
+                result = self._submit(frame.image).result(
+                    timeout=RESULT_TIMEOUT_S)
             except Exception:
                 # The engine pool broke its own "always resolve"
                 # contract (or timed out); the frame is still accounted.

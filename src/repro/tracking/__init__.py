@@ -1,4 +1,5 @@
-"""Object tracking: Siamese trackers and GOT-10K evaluation (Section 7)."""
+"""Object tracking: Siamese trackers, GOT-10K evaluation (Section 7), and
+the sticky per-stream :class:`TrackState`."""
 
 from .anchors import RpnAnchors
 from .evaluator import TrackerSpeedModel, evaluate_tracker, run_tracker
@@ -26,6 +27,7 @@ from .siamese import (
 )
 from .siammask import MASK_SIZE, SiamMask, SiamMaskTracker, mask_to_box
 from .siamrpn import EXEMPLAR_SIZE, SEARCH_SIZE, SiamRPN, SiamRPNTracker
+from .track_state import TrackState
 from .trainer import PairBatch, SiameseTrainer, TrackTrainConfig, sample_pairs
 
 __all__ = [
@@ -59,6 +61,7 @@ __all__ = [
     "SiamRPNTracker",
     "EXEMPLAR_SIZE",
     "SEARCH_SIZE",
+    "TrackState",
     "PairBatch",
     "SiameseTrainer",
     "TrackTrainConfig",

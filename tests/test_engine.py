@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -200,11 +202,12 @@ class TestArena:
         finally:
             obs.disable()
 
-    def test_clone_for_thread_shares_plan_not_arena(self, rng):
+    def test_thread_copy_shares_plan_not_arena(self, rng):
+        """``copy.copy`` is the per-thread clone serving makes."""
         bb = SkyNetBackbone("A", width_mult=0.25, rng=rng)
         bb.eval()
         net = compile_net(bb)
-        clone = net.clone_for_thread()
+        clone = copy.copy(net)
         assert clone.steps is net.steps  # kernels/plan shared
         assert clone.arena is not net.arena  # buffers are not
         x = rng.normal(0, 1, (1, 3, 16, 32)).astype(np.float32)
@@ -226,7 +229,7 @@ class TestArena:
         outputs = [None] * len(inputs)
 
         def worker(start: int) -> None:
-            clone = net.clone_for_thread()
+            clone = copy.copy(net)
             for i in range(start, len(inputs), 2):
                 outputs[i] = clone(inputs[i])
 

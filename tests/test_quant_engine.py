@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -143,11 +145,11 @@ class TestQuantEquivalence:
         assert err(16, 16) < err(4, 4)
         assert err(16, 16) < 1e-2
 
-    def test_clone_for_thread_exact(self, rng):
+    def test_thread_copy_exact(self, rng):
         bb = _backbone(rng)
         x = _images(rng, 2)
         net = compile_net(bb, quant=QuantConfig(8, 8), calibration=x)
-        clone = net.clone_for_thread()
+        clone = copy.copy(net)
         assert clone.arena is not net.arena
         assert clone.quant is net.quant
         np.testing.assert_array_equal(clone(x), net(x))

@@ -33,10 +33,10 @@ from repro.resilience import (
     CircuitBreaker,
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
     faults,
     run_supervised,
 )
+from repro.resilience.retry import retry_delay_ms
 from repro.runtime import ServeConfig, Session
 from repro.serve import InferenceServer
 from repro.utils.atomic import atomic_write_bytes, crc32_bytes, crc32_file
@@ -147,27 +147,26 @@ class TestAtomic:
         assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
 
 
-class TestRetryPolicy:
+class TestRetryDelay:
     def test_exponential_growth_and_cap(self):
-        pol = RetryPolicy(backoff_ms=10.0, multiplier=2.0, jitter=0.0,
-                          max_backoff_ms=50.0)
-        assert [pol.delay_ms(k) for k in range(4)] == [10.0, 20.0, 40.0, 50.0]
+        assert [retry_delay_ms(k) for k in range(10)] == [
+            5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0, 1000.0, 1000.0]
 
     def test_jitter_bounds_and_determinism(self):
-        pol = RetryPolicy(backoff_ms=100.0, jitter=0.5)
         rng = np.random.default_rng(0)
-        delays = [pol.delay_ms(0, rng) for _ in range(100)]
-        assert all(50.0 <= d <= 150.0 for d in delays)
+        delays = [retry_delay_ms(0, rng) for _ in range(100)]
+        assert all(2.5 <= d <= 7.5 for d in delays)
+        assert len(set(delays)) > 1
         rng2 = np.random.default_rng(0)
-        assert delays == [pol.delay_ms(0, rng2) for _ in range(100)]
+        assert delays == [retry_delay_ms(0, rng2) for _ in range(100)]
+        capped = [retry_delay_ms(20, rng) for _ in range(100)]
+        assert all(500.0 <= d <= 1500.0 for d in capped)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
+            retry_delay_ms(-1)
         with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
+            ServeConfig(max_retries=-1)
 
 
 class TestCircuitBreaker:
@@ -561,8 +560,7 @@ def _echo_factory():
 
 class TestServingRecovery:
     def test_retry_recovers_transient_crash(self, rng):
-        cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0, max_retries=2,
-                          retry_backoff_ms=0.1)
+        cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0, max_retries=2)
         plan = FaultPlan([FaultSpec("serve.runner", "crash", times=1)])
         with obs.recording() as rec:
             with InferenceServer(_echo_factory, cfg) as server:
@@ -606,8 +604,7 @@ class TestServingRecovery:
             return runner
 
         cfg = ServeConfig(max_batch_size=4, max_wait_ms=100.0,
-                          max_retries=0, bisect_failed_batches=True,
-                          num_workers=1)
+                          max_retries=0, num_workers=1)
         images = _images(rng, 4)
         poison = np.full((1, 3, 16, 32), 999.0, dtype=np.float32)
         with obs.recording() as rec:
@@ -637,8 +634,7 @@ class TestServingRecovery:
             return runner
 
         cfg = ServeConfig(max_batch_size=1, max_wait_ms=0.0, max_retries=0,
-                          bisect_failed_batches=False, breaker_threshold=2,
-                          breaker_cooldown_ms=30.0)
+                          breaker_threshold=2, breaker_cooldown_ms=30.0)
         with obs.recording() as rec:
             with InferenceServer(primary_factory, cfg,
                                  fallback_factory=_echo_factory) as server:
@@ -750,8 +746,7 @@ class TestServingRecovery:
         det = _tiny_detector(rng)
         session = Session.load(det, serve=ServeConfig(
             max_batch_size=1, max_wait_ms=0.0, max_retries=1,
-            bisect_failed_batches=False, breaker_threshold=1,
-            breaker_cooldown_ms=10_000.0,
+            breaker_threshold=1, breaker_cooldown_ms=10_000.0,
         ))
         assert session.health()["status"] == "idle"
         if session.backend != "engine":

@@ -498,22 +498,25 @@ class TestThreadSafety:
 # CLI surface
 # --------------------------------------------------------------------- #
 class TestCli:
-    def test_infer_and_serve_share_options(self):
+    def test_scheduling_flags_belong_to_serve(self, capsys):
+        """`serve` parses the server's scheduling flags; `infer` runs
+        `Session.run`, rejects them and has no `--serve` switch."""
         from repro.cli import build_parser
 
         parser = build_parser()
-        infer = parser.parse_args(["infer", "--batch-size", "4",
-                                   "--max-wait-ms", "1.5", "--serve"])
-        serve = parser.parse_args(["serve", "--batch-size", "4",
-                                   "--max-wait-ms", "1.5"])
-        assert infer.serve and serve.serve
-        assert infer.batch_size == serve.batch_size == 4
-        assert infer.max_wait_ms == serve.max_wait_ms == 1.5
-        assert infer.retries == serve.retries == 1
-        assert serve.breaker_threshold == 5
-        assert infer.worker_backend == serve.worker_backend == "thread"
-        proc = parser.parse_args(["serve", "--worker-backend", "process"])
-        assert proc.worker_backend == "process"
+        serve = parser.parse_args([
+            "serve", "--batch-size", "4", "--max-wait-ms", "1.5",
+            "--workers", "2", "--worker-backend", "process",
+            "--concurrency", "3"])
+        assert serve.batch_size == 4 and serve.max_wait_ms == 1.5
+        assert serve.workers == 2 and serve.worker_backend == "process"
+        assert serve.concurrency == 3
+        assert parser.parse_args(["serve"]).worker_backend == "thread"
+        for argv in (["infer", "--serve"], ["infer", "--batch-size", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_smoke_via_cli(self, capsys):
         from repro.cli import main

@@ -64,15 +64,32 @@ class TestStreamConfig:
         with pytest.raises(Exception):
             cfg.queue_depth = 2  # frozen
 
+    def test_constants_are_not_fields(self):
+        """The tracker gate and brownout constants are readable on the
+        config but not settable; the tracker every stream builds uses
+        the same values."""
+        from repro.tracking import TrackState as TrackingTrackState
+
+        cfg = StreamConfig()
+        assert (cfg.track_iou, cfg.track_smooth) == (0.3, 0.6)
+        assert (cfg.pressure_low, cfg.brownout_stride) == (0.25, 2)
+        assert TrackState is TrackingTrackState
+        tracker = TrackState()
+        assert tracker.iou_threshold == cfg.track_iou
+        assert tracker.smooth == cfg.track_smooth
+        for name in ("track_iou", "track_smooth", "pressure_low",
+                     "brownout_stride"):
+            with pytest.raises(TypeError):
+                StreamConfig(**{name: 0.5})
+
     @pytest.mark.parametrize("kwargs", [
         {"queue_depth": 0},
-        {"result_timeout_s": 0.0},
-        {"track_iou": 1.5},
-        {"track_smooth": 1.0},
-        {"pressure_high": 0.2, "pressure_low": 0.5},
+        {"pressure_high": 0.2},  # below pressure_low
         {"escalate_ticks": 0},
-        {"brownout_stride": 1},
         {"supervisor_interval_ms": 0.0},
+        {"pressure_high": 0.25},  # no dead band above pressure_low
+        {"pressure_high": 1.5},
+        {"recover_ticks": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -247,8 +264,7 @@ class TestSinks:
 
     def test_callback_sink_fans_out(self):
         got_a, got_b = [], []
-        sink = CallbackSink(got_a.append)
-        sink.subscribe(got_b.append)
+        sink = CallbackSink(got_a.append, got_b.append)
         sink.publish({"seq": 1})
         assert got_a == got_b == [{"seq": 1}]
 
@@ -278,8 +294,9 @@ class _FakeServer:
 
 class TestBrownoutController:
     def _controller(self, server=None):
-        return BrownoutController(high=0.75, low=0.25, escalate_ticks=2,
-                                  recover_ticks=2, stride=3, server=server)
+        return BrownoutController(
+            StreamConfig(pressure_high=0.75, escalate_ticks=2,
+                         recover_ticks=2), server=server)
 
     def test_full_ladder_up_and_down(self):
         server = _FakeServer()
@@ -287,7 +304,7 @@ class TestBrownoutController:
         # Two hot ticks per rung: 0 -> 1 -> 2 -> 3 (and saturates).
         levels = [ctl.observe(1.0) for _ in range(8)]
         assert levels == [0, 1, 1, 2, 2, 3, 3, 3]
-        assert ctl.stride == 3  # rung 3: process every 3rd frame
+        assert ctl.stride == 2  # rung 3: process every 2nd frame
         assert server.caps[0] == 4  # rung 1 halved the batch
         assert server.breaker.trips >= 3  # rung >= 2 re-trips every tick
         # Two cool ticks per rung back down to 0.
@@ -316,14 +333,6 @@ class TestBrownoutController:
         # Pressure hovering in the dead band never changes the rung.
         for _ in range(20):
             assert ctl.observe(0.5) == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BrownoutController(high=0.2, low=0.5)
-        with pytest.raises(ValueError):
-            BrownoutController(stride=1)
-        with pytest.raises(ValueError):
-            BrownoutController(escalate_ticks=0)
 
 
 # --------------------------------------------------------------------- #
@@ -643,8 +652,7 @@ class TestChaosAcceptance:
             for i in range(8)
         ]
         stream_cfg = StreamConfig(queue_depth=4, pressure_high=0.6,
-                                  pressure_low=0.2, escalate_ticks=2,
-                                  recover_ticks=2, brownout_stride=2,
+                                  escalate_ticks=2, recover_ticks=2,
                                   supervisor_interval_ms=5.0)
         server = InferenceServer(runner_factory, config,
                                  fallback_factory=runner_factory)
@@ -714,13 +722,26 @@ class TestChaosAcceptance:
 # CLI
 # --------------------------------------------------------------------- #
 class TestCli:
-    def test_stream_smoke_with_chaos(self, capsys):
+    def test_stream_smoke_with_chaos(self, capsys, tmp_path):
         from repro.cli import main
 
+        events = tmp_path / "events.jsonl"
         rc = main(["stream", "--streams", "2", "--frames", "12",
-                   "--width", "0.125", "--fps", "60", "--chaos"])
+                   "--width", "0.125", "--fps", "60", "--chaos",
+                   "--events", str(events)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "accounting exact" in out
         assert "worker crashes" in out
         assert "stream health ok" in out
+        # Every event line is JSON with its stream and sequence number,
+        # and each stream's sequence numbers strictly increase.
+        last: dict = {}
+        lines = events.read_text().splitlines()
+        assert lines
+        for line in lines:
+            event = json.loads(line)
+            stream, seq = event["stream"], event["seq"]
+            assert seq > last.get(stream, 0), (stream, seq)
+            last[stream] = seq
+        assert sorted(last) == ["s0", "s1"]
