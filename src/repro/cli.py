@@ -451,9 +451,26 @@ def _cmd_search(args) -> int:
 
 def _serve_load(session, frames, args) -> int:
     """Push ``frames`` through the dynamic-batching server from
-    ``args.concurrency`` client threads and report scheduling stats."""
+    ``args.concurrency`` client threads and report scheduling stats.
+
+    An untimed warm-up wave of ``workers x batch_size`` requests runs
+    first, so every server worker has built its runner (for the process
+    backend: spawned its child) before the clock starts; the printed
+    counters are those of the timed load alone."""
     import threading
     import time
+
+    from .serve import ServerStats
+
+    warm_up = [session.submit(frames[i % len(frames)])
+               for i in range(args.workers * args.batch_size)]
+    for future in warm_up:
+        future.result(timeout=120.0)
+    before = session.server.stats.snapshot()
+    pool = session.health().get("procpool")
+    if pool is not None:
+        print(f"  pool: {pool['spawned']} children spawned before the "
+              "timed load")
 
     futures = [None] * len(frames)
 
@@ -471,7 +488,10 @@ def _serve_load(session, frames, args) -> int:
     results = [f.result(timeout=30.0) for f in futures]
     wall = time.perf_counter() - t0
 
-    stats = session.server.stats.snapshot()
+    after = session.server.stats.snapshot()
+    stats = {k: after[k] - before[k] for k in ServerStats.FIELDS}
+    mean_batch = (stats["batched_requests"] / stats["batches"]
+                  if stats["batches"] else 0.0)
     ok = sum(1 for r in results if r.ok)
     print(f"served {len(results)} requests in {wall * 1e3:.1f} ms "
           f"({len(results) / wall:.1f} req/s, "
@@ -479,7 +499,7 @@ def _serve_load(session, frames, args) -> int:
     print(f"  ok {ok}  shed {stats['shed']}  timeouts {stats['timeouts']}  "
           f"errors {stats['errors']}")
     print(f"  batches {stats['batches']}  "
-          f"mean batch {stats['mean_batch_size']:.2f}  "
+          f"mean batch {mean_batch:.2f}  "
           f"(flush at {args.batch_size} or {args.max_wait_ms} ms)")
     lat = [r.latency_ms for r in results if r.ok]
     if lat:

@@ -29,7 +29,6 @@ from .context import (
 )
 from .export import (
     MetricsHTTPServer,
-    MetricsSnapshotter,
     chrome_trace_events,
     export_chrome_trace,
     prometheus_text,
@@ -94,7 +93,6 @@ __all__ = [
     "chrome_trace_events",
     "export_chrome_trace",
     "prometheus_text",
-    "MetricsSnapshotter",
     "MetricsHTTPServer",
     "KernelProfile",
     "StepProfile",

@@ -1,6 +1,6 @@
-"""Telemetry exporters: Chrome trace, Prometheus text, JSONL snapshots.
+"""Telemetry exporters: Chrome trace and Prometheus text.
 
-Three ways out of the in-process :class:`~repro.obs.Recorder`, each
+Two ways out of the in-process :class:`~repro.obs.Recorder`, each
 aimed at a standard consumer:
 
 * :func:`export_chrome_trace` writes the finished spans as a Chrome
@@ -11,8 +11,6 @@ aimed at a standard consumer:
   Prometheus text exposition format (version 0.0.4): counters as
   ``_total``, histograms as quantile-labelled summaries with exact
   ``_count``/``_sum``.
-* :class:`MetricsSnapshotter` appends periodic JSONL metric snapshots
-  with size-based rotation, for post-hoc analysis of a long serve.
 
 :class:`MetricsHTTPServer` ties the first two to a port: a stdlib HTTP
 thread serving ``GET /metrics`` (Prometheus text) and ``GET /health``
@@ -22,17 +20,14 @@ thread serving ``GET /metrics`` (Prometheus text) and ``GET /health``
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 __all__ = [
     "chrome_trace_events",
     "export_chrome_trace",
     "prometheus_text",
-    "MetricsSnapshotter",
     "MetricsHTTPServer",
 ]
 
@@ -161,107 +156,6 @@ def prometheus_text(records: list[dict]) -> str:
             lines.append(f"{name}_count {_prom_value(rec.get('count', 0))}")
             lines.append(f"{name}_sum {_prom_value(rec.get('sum', 0.0))}")
     return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------- #
-# periodic JSONL snapshots with rotation
-# --------------------------------------------------------------------- #
-class MetricsSnapshotter:
-    """Append metric snapshots to a JSONL file on a fixed period.
-
-    Each line is ``{"ts_unix": ..., "metrics": [records...]}``.  When
-    the file exceeds ``max_bytes`` it rotates (``path`` ->
-    ``path.1`` -> ... -> ``path.<max_files>``, oldest dropped), so an
-    unattended serve cannot fill the disk.
-
-    Parameters
-    ----------
-    metrics_fn:
-        Zero-argument callable returning metric records — typically
-        ``recorder.metrics.records``.
-    path:
-        Snapshot file; parents must exist.
-    interval_s:
-        Seconds between snapshots.
-    max_bytes / max_files:
-        Rotation policy.
-    """
-
-    def __init__(self, metrics_fn, path: str, interval_s: float = 5.0,
-                 max_bytes: int = 4 << 20, max_files: int = 3) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if max_bytes < 1 or max_files < 1:
-            raise ValueError("max_bytes and max_files must be >= 1")
-        self._metrics_fn = metrics_fn
-        self.path = path
-        self.interval_s = interval_s
-        self.max_bytes = max_bytes
-        self.max_files = max_files
-        self.snapshots = 0
-        self.rotations = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    # -- core -------------------------------------------------------- #
-    def snapshot_once(self) -> None:
-        """Take one snapshot now (also called by the background loop)."""
-        line = json.dumps(
-            {"ts_unix": time.time(), "metrics": self._metrics_fn()},
-            default=str,
-        )
-        self._maybe_rotate(len(line) + 1)
-        with open(self.path, "a") as fh:
-            fh.write(line + "\n")
-        self.snapshots += 1
-
-    def _maybe_rotate(self, incoming: int) -> None:
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return
-        if size + incoming <= self.max_bytes:
-            return
-        oldest = f"{self.path}.{self.max_files}"
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for i in range(self.max_files - 1, 0, -1):
-            src = f"{self.path}.{i}"
-            if os.path.exists(src):
-                os.replace(src, f"{self.path}.{i + 1}")
-        os.replace(self.path, f"{self.path}.1")
-        self.rotations += 1
-
-    # -- lifecycle ---------------------------------------------------- #
-    def start(self) -> "MetricsSnapshotter":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, daemon=True, name="obs-snapshotter"
-        )
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.snapshot_once()
-
-    def stop(self, final_snapshot: bool = True) -> None:
-        """Stop the loop; by default writes one last snapshot so the
-        file always ends with the final counter values."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        if final_snapshot:
-            self.snapshot_once()
-
-    def __enter__(self) -> "MetricsSnapshotter":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
 
 
 # --------------------------------------------------------------------- #

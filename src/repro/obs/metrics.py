@@ -25,7 +25,11 @@ _EPOCH = time.perf_counter()
 
 
 class Counter:
-    """Monotonic event count (e.g. ``pso/candidates_evaluated``)."""
+    """Monotonic event count (e.g. ``pso/candidates_evaluated``).
+
+    Bumped from many threads at once (every serving worker publishes
+    its outcomes here), so the read-modify-write is locked.
+    """
 
     kind = "counter"
 
@@ -33,12 +37,14 @@ class Counter:
         self.name = name
         self.value = 0.0
         self._epoch = _EPOCH if epoch is None else epoch
+        self._lock = threading.Lock()
         self.updated_ms: float | None = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a gauge")
-        self.value += amount
+        with self._lock:
+            self.value += amount
         self.updated_ms = (time.perf_counter() - self._epoch) * 1e3
 
     def record(self) -> dict:

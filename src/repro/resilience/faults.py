@@ -18,7 +18,8 @@ site                      kinds
                           (sleep ``delay_s``), ``nan``/``inf``
                           (corrupt the batch output)
 ``serve.worker``          ``crash`` (raise in the worker loop itself,
-                          exercising in-place recovery + requeue)
+                          exercising in-place recovery + requeue),
+                          ``stall`` (hold the batch before its run)
 ``serve.procworker``      ``crash`` (SIGKILL the process-pool child
                           from the parent hot path, exercising the
                           ProcWorkerDied retry + respawn ladder),
@@ -43,6 +44,11 @@ site                      kinds
                           exercising the anomaly guard rollback)
 ========================  ==========================================
 
+Most sites call :func:`hit`, which raises on ``crash`` and sleeps on
+``stall`` in one place; ``serve.procworker``, ``arena.alloc``,
+``checkpoint.write`` and ``train.batch`` handle what :func:`trigger`
+returns themselves.
+
 Every injected fault bumps ``resilience/injected/<kind>`` and
 ``resilience/injected@<site>`` counters in :mod:`repro.obs`, so a test
 can assert both that the fault fired *and* that the matching recovery
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -69,6 +76,7 @@ __all__ = [
     "active_plan",
     "apply_array_fault",
     "corrupt_file",
+    "hit",
     "inject",
     "trigger",
 ]
@@ -216,6 +224,24 @@ def trigger(site: str) -> FaultSpec | None:
     if plan is None:
         return None
     return plan.trigger(site)
+
+
+def hit(site: str, crash: type[InjectedFault] = InjectedFault,
+        detail: str = "") -> FaultSpec | None:
+    """:func:`trigger` ``site`` and answer the generic kinds: raise
+    ``crash`` on a ``crash`` fault, sleep ``delay_s`` on a ``stall``.
+    Returns any other firing spec (e.g. ``nan``) for the site to apply,
+    else ``None``."""
+    spec = trigger(site)
+    if spec is None:
+        return None
+    if spec.kind == "crash":
+        raise crash(f"injected crash at {site}"
+                    + (f" ({detail})" if detail else ""))
+    if spec.kind == "stall":
+        time.sleep(spec.delay_s)
+        return None
+    return spec
 
 
 def apply_array_fault(x: np.ndarray, spec: FaultSpec) -> np.ndarray:

@@ -6,7 +6,9 @@ Every submitted request resolves its future with a :class:`ServeResult`
 onto the HTTP codes an RPC front-end would emit: a shed request is a
 503 (the bounded queue is the overload breaker), an expired deadline is
 a 504, a worker crash is a 500.  :class:`Counters` is the lock-protected
-accounting that servers and streams keep of those outcomes.
+accounting that servers and streams keep of those outcomes, and the one
+place each outcome is named: every bump also feeds the :mod:`repro.obs`
+counter ``<PREFIX>/<field>``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .. import obs
 
 __all__ = [
     "Counters",
@@ -89,6 +93,11 @@ class ServeResult:
 class Counters:
     """Thread-safe integer counters named by the subclass's ``FIELDS``.
 
+    Every bump is also published as the :mod:`repro.obs` counter
+    ``<PREFIX>/<field>`` (a no-op when nothing is recording), so the
+    stats snapshot, Prometheus and the JSONL trace count one outcome
+    under one name.
+
     Counters that move together must be written through one
     :meth:`add_many` call: separate :meth:`add` calls would let a
     concurrent :meth:`snapshot` observe a *torn* state (a request
@@ -96,22 +105,29 @@ class Counters:
     neither processed nor dropped).
     """
 
+    PREFIX = ""
     FIELDS: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._names = {f: f"{self.PREFIX}/{f}" for f in self.FIELDS}
         for field in self.FIELDS:
             setattr(self, field, 0)
 
     def add(self, field: str, amount: int = 1) -> None:
         with self._lock:
             setattr(self, field, getattr(self, field) + amount)
+        if amount:
+            obs.inc(self._names[field], amount)
 
     def add_many(self, **fields: int) -> None:
         """Bump several counters atomically (one lock acquisition)."""
         with self._lock:
             for field, amount in fields.items():
                 setattr(self, field, getattr(self, field) + amount)
+        for field, amount in fields.items():
+            if amount:
+                obs.inc(self._names[field], amount)
 
     def snapshot(self) -> dict:
         """A consistent point-in-time copy of every counter."""

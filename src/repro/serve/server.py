@@ -43,9 +43,10 @@ Each worker owns its runners (for compiled plans: a ``copy.copy`` of
 the :class:`~repro.nn.engine.CompiledNet`, which shares the plan and
 gets a fresh arena), so buffer arenas are never shared across threads.
 Everything is observable through :mod:`repro.obs`:
-``serve/queue_depth`` gauge, ``serve/batch_size`` histogram,
-``serve/shed`` / ``serve/timeout`` / ``serve/completed`` /
-``serve/retries`` / ``serve/bisect`` / ``serve/worker_respawn`` /
+``serve/queue_depth`` gauge, ``serve/batch_size`` histogram, one
+``serve/<field>`` counter per :class:`ServerStats` field
+(``serve/submitted``, ``serve/completed``, ``serve/timeouts``,
+``serve/bisections``, ``serve/respawns``, ...) plus the
 ``serve/breaker_*`` counters, a
 ``serve/queue_wait`` span per dequeued request, a ``serve/batch`` span
 per forward, and a ``serve/worker_respawn`` instant event per crash
@@ -93,9 +94,10 @@ class ServerStats(Counters):
     A resolved batch bumps ``completed``, ``batches`` and
     ``batched_requests`` in one :meth:`add_many` call, so a scrape
     during a worker restart never reports an impossible mean batch
-    size.
+    size.  Every field is also the ``serve/<field>`` obs counter.
     """
 
+    PREFIX = "serve"
     FIELDS = (
         "submitted", "completed", "shed", "timeouts", "errors", "batches",
         "batched_requests",  # completed + errored, for batch sizing
@@ -239,12 +241,10 @@ class InferenceServer:
             self._queue.put_nowait(request)
         except queue.Full:
             self.stats.add("shed")
-            obs.inc("serve/shed")
             future.set_result(
                 ServeResult(STATUS_SHED, request_id=ctx.request_id)
             )
             return future
-        obs.inc("serve/requests")
         obs.set_gauge("serve/queue_depth", self._queue.qsize())
         return future
 
@@ -349,12 +349,8 @@ class InferenceServer:
                 continue
             batch = self._fill_batch(first, index)
             self._inflight[index] = batch
-            spec = faults.trigger("serve.worker")
-            if spec is not None and spec.kind == "crash":
-                # Crash holding the batch: _recover requeues it.
-                raise faults.WorkerCrash(
-                    f"injected worker crash (worker {index})"
-                )
+            # A crash here holds the batch: _recover requeues it.
+            faults.hit("serve.worker", faults.WorkerCrash, f"worker {index}")
             self._run_batch(runners, batch, index, rng)
             self._inflight[index] = None
 
@@ -371,15 +367,11 @@ class InferenceServer:
                 requeued += 1
             except queue.Full:
                 self.stats.add("shed")
-                obs.inc("serve/shed")
                 _resolve(
                     request.future,
                     ServeResult(STATUS_SHED, request_id=request.request_id),
                 )
         self.stats.add_many(respawns=1, requeued=requeued)
-        if requeued:
-            obs.inc("serve/requeued", requeued)
-        obs.inc("serve/worker_respawn")
         obs.event("serve/worker_respawn", server=self.name, worker=index,
                   requeued=requeued, error=type(exc).__name__)
 
@@ -436,7 +428,6 @@ class InferenceServer:
                     )
             if request.deadline_at is not None and now > request.deadline_at:
                 self.stats.add("timeouts")
-                obs.inc("serve/timeout")
                 _resolve(
                     request.future,
                     ServeResult(
@@ -476,11 +467,7 @@ class InferenceServer:
                            and not self.breaker.allow_primary())
             try:
                 runner = self._get_runner(runners, on_fallback)
-                spec = faults.trigger("serve.runner")
-                if spec is not None and spec.kind == "crash":
-                    raise faults.InjectedFault("injected runner crash")
-                if spec is not None and spec.kind == "stall":
-                    time.sleep(spec.delay_s)
+                spec = faults.hit("serve.runner")
                 batch_ctx = obs.merged_context(
                     [r.ctx for r in live],
                     backend="fallback" if on_fallback else "primary",
@@ -504,7 +491,6 @@ class InferenceServer:
                     delay = retry_delay_ms(attempt, rng)
                     attempt += 1
                     self.stats.add("retries")
-                    obs.inc("serve/retries")
                     time.sleep(delay / 1e3)
                     continue
                 break
@@ -512,7 +498,6 @@ class InferenceServer:
                 self.breaker.record_success()
             if on_fallback:
                 self.stats.add("fallback_batches")
-                obs.inc("serve/fallback_batches")
             self._resolve_ok(live, out)
             return
 
@@ -521,13 +506,11 @@ class InferenceServer:
         # the healthy batchmates still get answers.
         if len(live) > 1:
             self.stats.add("bisections")
-            obs.inc("serve/bisect")
             mid = len(live) // 2
             self._execute(runners, live[:mid], worker, rng)
             self._execute(runners, live[mid:], worker, rng)
             return
         self.stats.add("errors", len(live))
-        obs.inc("serve/errors", len(live))
         done = time.perf_counter()
         for request in live:
             _resolve(
@@ -547,7 +530,6 @@ class InferenceServer:
         self.stats.add_many(
             completed=len(live), batches=1, batched_requests=len(live),
         )
-        obs.inc("serve/completed", len(live))
         obs.observe("serve/batch_size", len(live))
         for i, request in enumerate(live):
             _resolve(

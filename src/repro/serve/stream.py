@@ -47,7 +47,8 @@ Fault sites ``stream.source`` / ``stream.queue`` / ``stream.worker`` /
 deterministically testable.  Observability: per-stream
 ``stream/<id>/depth`` and ``stream/<id>/drop_ratio`` gauges, the
 ``stream/e2e_ms`` latency histogram, the ``stream/brownout_level``
-gauge, and counters for every drop class and restart.
+gauge, and one ``stream/<field>`` counter per :class:`StreamStats`
+count (every drop class, restart and requeue), summed over streams.
 """
 
 from __future__ import annotations
@@ -108,8 +109,11 @@ class StreamStats(Counters):
     Producer and worker write through one lock, and multi-counter
     updates go through :meth:`add_many`, so a concurrent snapshot can
     never observe a frame that is neither processed nor dropped.
+    Every field but ``put_block_ns_max`` (a maximum, not a count) is
+    also the ``stream/<field>`` obs counter, summed over streams.
     """
 
+    PREFIX = "stream"
     FIELDS = (
         "produced", "accepted", "processed", "requeued", "sink_events",
         "sink_errors", "worker_restarts", "producer_restarts",
@@ -180,28 +184,17 @@ class FrameQueue:
 
     def put(self, frame: _Frame) -> None:
         """Accept ``frame``, evicting the oldest if at capacity."""
-        spec = faults.trigger("stream.queue")
-        if spec is not None and spec.kind == "crash":
-            raise faults.InjectedFault(
-                f"injected queue fault ({self.stream_id})"
-            )
-        if spec is not None and spec.kind == "stall":
-            time.sleep(spec.delay_s)
+        faults.hit("stream.queue", detail=self.stream_id)
         t0 = time.perf_counter_ns()
         with self._not_empty:
             evicted = None
             if len(self._items) >= self.capacity:
                 evicted = self._items.popleft()
             self._items.append(frame)
-            if evicted is None:
-                self.stats.add_many(produced=1, accepted=1)
-            else:
-                self.stats.add_many(produced=1, accepted=1,
-                                    dropped_backpressure=1)
+            self.stats.add_many(produced=1, accepted=1,
+                                dropped_backpressure=int(evicted is not None))
             self._not_empty.notify()
         self.stats.observe_put_block(time.perf_counter_ns() - t0)
-        if evicted is not None:
-            obs.inc("stream/dropped_backpressure")
 
     def requeue(self, frame: _Frame) -> None:
         """Put a crashed worker's in-hand frame back at the head.
@@ -632,7 +625,6 @@ class StreamManager:
                 stream.inhand = None
             if leftovers:
                 stream.stats.add("dropped_shutdown", len(leftovers))
-                obs.inc("stream/dropped_shutdown", len(leftovers))
             stream.sink.close()
 
     def __enter__(self) -> "StreamManager":
@@ -719,13 +711,7 @@ class StreamManager:
     def _producer_loop(self, stream: Stream) -> None:
         """The camera side: pull frames, never wait for anyone."""
         while not self._stopping.is_set():
-            spec = faults.trigger("stream.source")
-            if spec is not None and spec.kind == "crash":
-                raise faults.InjectedFault(
-                    f"injected source crash ({stream.stream_id})"
-                )
-            if spec is not None and spec.kind == "stall":
-                time.sleep(spec.delay_s)
+            faults.hit("stream.source", detail=stream.stream_id)
             try:
                 image = next(stream._frames)
             except StopIteration:
@@ -744,20 +730,13 @@ class StreamManager:
             if frame is None:
                 continue
             stream.inhand = frame
-            spec = faults.trigger("stream.worker")
-            if spec is not None and spec.kind == "crash":
-                # Crash holding the frame: _worker_crashed requeues it,
-                # so accounting must still balance.
-                raise faults.WorkerCrash(
-                    f"injected stream-worker crash ({stream.stream_id})"
-                )
-            if spec is not None and spec.kind == "stall":
-                time.sleep(spec.delay_s)
+            # A crash here holds the frame: _worker_crashed requeues
+            # it, so accounting must still balance.
+            faults.hit("stream.worker", faults.WorkerCrash, stream.stream_id)
             stride = (1 if self.controller is None
                       else self.controller.stride)
             if stride > 1 and frame.seq % stride:
                 stream.stats.add("dropped_stride")
-                obs.inc("stream/dropped_stride")
                 stream.inhand = None
                 continue
             try:
@@ -767,16 +746,13 @@ class StreamManager:
                 # The engine pool broke its own "always resolve"
                 # contract (or timed out); the frame is still accounted.
                 stream.stats.add("dropped_rejected")
-                obs.inc("stream/dropped_rejected")
                 stream.inhand = None
                 continue
             if result.ok:
                 self._deliver(stream, frame, result)
                 stream.stats.add("processed")
-                obs.inc("stream/processed")
             else:
                 stream.stats.add("dropped_rejected")
-                obs.inc("stream/dropped_rejected")
             stream.inhand = None
 
     def _deliver(self, stream: Stream, frame: _Frame, result) -> None:
@@ -798,21 +774,13 @@ class StreamManager:
                          track_age=stream.tracker.age,
                          box=[round(float(v), 5) for v in box])
         try:
-            spec = faults.trigger("stream.sink")
-            if spec is not None and spec.kind == "crash":
-                raise faults.InjectedFault(
-                    f"injected sink crash ({stream.stream_id})"
-                )
-            if spec is not None and spec.kind == "stall":
-                time.sleep(spec.delay_s)
+            faults.hit("stream.sink", detail=stream.stream_id)
             stream.sink.publish(event)
         except Exception:
             # A broken consumer costs the event, never the frame.
             stream.stats.add("sink_errors")
-            obs.inc("stream/sink_errors")
         else:
             stream.stats.add("sink_events")
-            obs.inc("stream/sink_events")
 
     def _worker_crashed(self, stream: Stream, exc: Exception) -> None:
         """Requeue the frame a crashed worker held, so it is processed
@@ -821,7 +789,6 @@ class StreamManager:
         if frame is not None:
             stream.queue.requeue(frame)
         stream.stats.add("worker_restarts")
-        obs.inc("stream/worker_restarts")
         obs.event("stream/worker_restart", stream=stream.stream_id,
                   requeued=int(frame is not None),
                   track_id=stream.tracker.track_id,
@@ -830,7 +797,6 @@ class StreamManager:
     def _producer_crashed(self, stream: Stream, exc: Exception) -> None:
         """Count the crash; the producer resumes the same iterator."""
         stream.stats.add("producer_restarts")
-        obs.inc("stream/producer_restarts")
         obs.event("stream/producer_restart", stream=stream.stream_id,
                   error=type(exc).__name__)
 

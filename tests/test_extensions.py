@@ -263,9 +263,15 @@ class TestConvTranspose:
 
 class TestCli:
     def test_profile(self, capsys):
-        assert cli_main(["profile", "skynet", "--width", "0.5"]) == 0
+        assert cli_main(["profile", "skynet", "--width", "0.5",
+                         "--verbose"]) == 0
         out = capsys.readouterr().out
         assert "params" in out and "TX2" in out
+        assert "pwconv" in out  # --verbose prints every layer
+        assert cli_main(["profile", "skynet", "--engine", "--batch", "2",
+                         "--width", "0.125", "--height", "32",
+                         "--input-width", "64", "--reps", "1"]) == 0
+        assert "input (2, 3, 32, 64)" in capsys.readouterr().out
 
     def test_score(self, capsys):
         assert cli_main(["score", "--track", "fpga"]) == 0
@@ -280,19 +286,37 @@ class TestCli:
         assert len(load_detection_dataset(out)) == 4
 
     def test_train_then_evaluate(self, tmp_path, capsys):
+        from repro.obs import load_trace
+
         ckpt = str(tmp_path / "m.npz")
-        assert cli_main([
-            "train", "--epochs", "1", "--images", "32",
-            "--width", "0.125", "--out", ckpt,
-        ]) == 0
+        ckpt_dir = str(tmp_path / "ckpts")
+        train = ["train", "--images", "32", "--width", "0.125",
+                 "--config", "B", "--activation", "relu", "--seed", "3",
+                 "--out", ckpt]
+        assert cli_main([*train, "--resume"]) == 2  # needs --checkpoint-dir
+        trace = str(tmp_path / "train.jsonl")
+        assert cli_main([*train, "--epochs", "1", "--checkpoint-dir",
+                         ckpt_dir, "--trace", trace]) == 0
         assert os.path.exists(ckpt) and os.path.exists(ckpt + ".json")
-        assert cli_main(["evaluate", ckpt, "--images", "8"]) == 0
+        with open(ckpt + ".json") as fh:
+            meta = json.load(fh)
+        assert (meta["config"], meta["activation"]) == ("B", "relu")
+        assert os.path.exists(os.path.join(ckpt_dir, "manifest.json"))
+        assert any(r.get("name") == "train/fit" for r in load_trace(trace))
+        # --resume restarts from the epoch-0 checkpoint, and says so.
+        assert cli_main([*train, "--epochs", "2", "--checkpoint-dir",
+                         ckpt_dir, "--resume", "--trace", trace]) == 0
+        assert any(r.get("name") == "train/resumed" for r in load_trace(trace))
+        assert cli_main(["evaluate", ckpt, "--images", "8",
+                         "--seed", "5"]) == 0
+        assert cli_main(["evaluate", ckpt, "--images", "8", "--seed", "5",
+                         "--quantize", "8,8"]) == 0
         out = capsys.readouterr().out
-        assert "IoU" in out
+        assert "IoU (fp32)" in out and "IoU (W8/FM8)" in out
 
     def test_search(self, capsys):
         assert cli_main(["search", "--images", "32", "--particles", "2",
-                         "--iterations", "1"]) == 0
+                         "--iterations", "1", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "winner" in out
 

@@ -193,7 +193,8 @@ class TestCliProcessBackend:
     def test_serve_smoke_via_cli(self, capsys):
         """`repro serve --workers 2 --worker-backend process` end to
         end; "health ok" implies live children (a dead pool trips the
-        breaker and degrades health)."""
+        breaker and degrades health).  Both children are spawned by
+        the untimed warm-up, so the timed load never waits on one."""
         from repro.cli import main
 
         rc = main(["serve", "--images", "8", "--batch-size", "2",
@@ -203,6 +204,7 @@ class TestCliProcessBackend:
         out = capsys.readouterr().out
         assert rc == 0
         assert "served 8 requests" in out
+        assert "2 children spawned before the timed load" in out
         assert "shed 0" in out
         assert "health ok" in out
 

@@ -588,7 +588,7 @@ class TestServingRecovery:
                     np.testing.assert_array_equal(r.value, images[i])
                 assert server.stats.respawns >= 1
                 assert server.health()["status"] == "ok"
-            assert rec.metrics.counter("serve/worker_respawn").value >= 1
+            assert rec.metrics.counter("serve/respawns").value >= 1
             assert rec.metrics.counter("serve/requeued").value >= 1
         assert plan.fired() == 1
 
@@ -617,7 +617,7 @@ class TestServingRecovery:
                 assert statuses[3] == "error"
                 assert "poison" in results[3].error
                 assert server.stats.bisections >= 1
-            assert rec.metrics.counter("serve/bisect").value >= 1
+            assert rec.metrics.counter("serve/bisections").value >= 1
 
     def test_breaker_fails_over_then_recovers(self, rng):
         """K consecutive primary failures trip the breaker onto the

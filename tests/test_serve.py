@@ -168,7 +168,7 @@ class TestBatching:
                 statuses = [f.result(timeout=5.0).status for f in rest]
         assert statuses == [STATUS_TIMEOUT] * 3
         assert server.stats.snapshot()["timeouts"] == 3
-        assert rec.metrics.counter("serve/timeout").value == 3
+        assert rec.metrics.counter("serve/timeouts").value == 3
 
     def test_full_queue_sheds_immediately(self):
         """Overflow submissions resolve 503 without blocking the caller."""

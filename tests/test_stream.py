@@ -725,15 +725,24 @@ class TestCli:
     def test_stream_smoke_with_chaos(self, capsys, tmp_path):
         from repro.cli import main
 
+        from repro.obs import load_trace
+
         events = tmp_path / "events.jsonl"
+        trace = str(tmp_path / "stream.jsonl")
         rc = main(["stream", "--streams", "2", "--frames", "12",
                    "--width", "0.125", "--fps", "60", "--chaos",
-                   "--events", str(events)])
+                   "--events", str(events), "--config", "C",
+                   "--batch-size", "4", "--workers", "2", "--seed", "1",
+                   "--trace", trace])
         out = capsys.readouterr().out
         assert rc == 0
         assert "accounting exact" in out
         assert "worker crashes" in out
         assert "stream health ok" in out
+        # The trace counts the streams' frames under the stats' names.
+        accepted = [r["value"] for r in load_trace(trace)
+                    if r.get("name") == "stream/accepted"]
+        assert accepted == [24]
         # Every event line is JSON with its stream and sequence number,
         # and each stream's sequence numbers strictly increase.
         last: dict = {}

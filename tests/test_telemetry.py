@@ -6,7 +6,9 @@ trace propagation through the serve worker pool)."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -25,14 +27,19 @@ from repro.obs.bench import (
 from repro.obs.context import RequestContext, merged_context, use_context
 from repro.obs.export import (
     MetricsHTTPServer,
-    MetricsSnapshotter,
     chrome_trace_events,
     prometheus_text,
 )
 from repro.obs.metrics import Histogram
 from repro.resilience import FaultPlan, FaultSpec, faults
-from repro.runtime import ServeConfig, Session, SessionConfig
-from repro.serve import InferenceServer, ServerStats
+from repro.runtime import ServeConfig, Session, SessionConfig, StreamConfig
+from repro.serve import (
+    InferenceServer,
+    ServerStats,
+    StreamManager,
+    StreamStats,
+    SyntheticSource,
+)
 
 
 def _images(rng, n: int) -> np.ndarray:
@@ -204,6 +211,130 @@ class TestServerStatsConsistency:
 
 
 # --------------------------------------------------------------------- #
+# one vocabulary: every Counters field is its own obs counter
+# --------------------------------------------------------------------- #
+class TestCountersPublishObsCounters:
+    """Stats snapshots (health, CLI, perfbench) and obs counters
+    (Prometheus, JSONL) count each serving outcome once, under one
+    name: ``<PREFIX>/<field>``."""
+
+    def test_server_outcomes_match_obs_counters(self, rng):
+        gate, entered = threading.Event(), threading.Event()
+
+        def factory():
+            def runner(x):
+                entered.set()
+                assert gate.wait(5.0)
+                if np.any(x > 100.0):
+                    raise RuntimeError("poison pill")
+                return x
+
+            return runner
+
+        cfg = ServeConfig(max_batch_size=4, max_wait_ms=1.0, queue_depth=4,
+                          num_workers=1, max_retries=1)
+        images = _images(rng, 4)
+        poison = np.full((1, 3, 16, 32), 999.0, dtype=np.float32)
+        with obs.recording() as rec:
+            with InferenceServer(factory, cfg) as server:
+                # A worker crash: the held request is requeued, then ok.
+                gate.set()
+                with faults.inject(FaultPlan(
+                        [FaultSpec("serve.worker", "crash")])):
+                    assert server.submit(images[:1]).result(5.0).ok
+                # Hold the worker in a forward while the queue fills:
+                # two requests will miss their deadline, a healthy one
+                # and a poison one share a batch, two more are shed.
+                gate.clear()
+                entered.clear()
+                blocker = server.submit(images[1:2])
+                assert entered.wait(5.0)
+                late = [server.submit(images[2:3], deadline_ms=1.0)
+                        for _ in range(2)]
+                mates = [server.submit(images[3:4]), server.submit(poison)]
+                shed = [server.submit(images[3:4]) for _ in range(2)]
+                time.sleep(0.01)
+                # Two runner crashes exhaust the batch's one retry, so
+                # it is bisected; the poison half then errors alone.
+                with faults.inject(FaultPlan(
+                        [FaultSpec("serve.runner", "crash", times=2)])):
+                    gate.set()
+                    statuses = [f.result(5.0).status
+                                for f in [blocker, *late, *mates, *shed]]
+                snap = server.stats.snapshot()
+        assert statuses == ["ok", "timeout", "timeout", "ok", "error",
+                            "shed", "shed"]
+        counts = {f: snap[f] for f in ServerStats.FIELDS}
+        assert counts == {
+            "submitted": 8, "completed": 3, "shed": 2, "timeouts": 2,
+            "errors": 1, "batches": 3, "batched_requests": 3,
+            "retries": 2, "bisections": 1, "respawns": 1, "requeued": 1,
+            "fallback_batches": 0,
+        }
+        assert counts == {
+            f: rec.metrics.counter(f"serve/{f}").value
+            for f in ServerStats.FIELDS
+        }
+
+    def test_concurrent_bumps_lose_no_obs_count(self):
+        """Eight threads, each bumping its own stats object, share one
+        obs counter: it must end at the sum (no lost update)."""
+        stats = [ServerStats() for _ in range(8)]
+
+        def hammer(s):
+            for _ in range(5000):
+                s.add("submitted")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.recording() as rec:
+                threads = [threading.Thread(target=hammer, args=(s,))
+                           for s in stats]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert rec.metrics.counter("serve/submitted").value == 8 * 5000
+
+    def test_stream_outcomes_match_obs_counters(self):
+        def slow_engine(x):
+            time.sleep(0.005)
+            return np.array([0.5, 0.5, 0.2, 0.1])
+
+        sources = [SyntheticSource(frames=20, image_hw=(16, 32), seed=i)
+                   for i in range(3)]
+        plan = FaultPlan([
+            FaultSpec("stream.worker", "crash", after=3, times=1),
+            FaultSpec("stream.sink", "crash", after=2, times=2),
+            FaultSpec("stream.source", "crash", after=4, times=1),
+        ])
+        with obs.recording() as rec:
+            manager = StreamManager(
+                slow_engine, sources,
+                config=StreamConfig(queue_depth=2, brownout=False),
+            )
+            with faults.inject(plan):
+                manager.start()
+                assert manager.join(timeout=30.0)
+            manager.stop()
+        fields = [f for f in StreamStats.FIELDS if f != "put_block_ns_max"]
+        totals = {f: sum(s.stats.snapshot()[f] for s in manager.streams)
+                  for f in fields}
+        assert totals["dropped_backpressure"] > 0
+        assert totals["worker_restarts"] == totals["requeued"] == 1
+        assert totals["sink_errors"] == 2
+        assert totals["producer_restarts"] == 1
+        assert totals == {
+            f: rec.metrics.counter(f"stream/{f}").value
+            for f in fields
+        }
+
+
+# --------------------------------------------------------------------- #
 # exporters
 # --------------------------------------------------------------------- #
 class TestChromeTrace:
@@ -267,38 +398,6 @@ class TestPrometheusText:
             obs.inc("weird/name-with.dots")
         text = prometheus_text(rec.metrics.records())
         assert "repro_weird_name_with_dots_total" in text
-
-
-class TestMetricsSnapshotter:
-    def test_snapshot_and_rotation(self, tmp_path):
-        path = str(tmp_path / "snaps.jsonl")
-        snapper = MetricsSnapshotter(
-            lambda: [{"type": "counter", "name": "c", "value": 1.0}],
-            path, interval_s=60.0, max_bytes=200, max_files=2,
-        )
-        for _ in range(12):
-            snapper.snapshot_once()
-        assert snapper.snapshots == 12
-        assert snapper.rotations >= 1
-        with open(path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                assert rec["metrics"][0]["name"] == "c"
-        assert (tmp_path / "snaps.jsonl.1").exists()
-        assert not (tmp_path / "snaps.jsonl.3").exists()
-
-    def test_background_loop_final_snapshot(self, tmp_path):
-        path = str(tmp_path / "bg.jsonl")
-        with MetricsSnapshotter(lambda: [], path, interval_s=60.0):
-            pass  # stop() writes the final snapshot
-        with open(path) as fh:
-            assert len(fh.readlines()) == 1
-
-    def test_validates_parameters(self, tmp_path):
-        with pytest.raises(ValueError):
-            MetricsSnapshotter(lambda: [], "x", interval_s=0.0)
-        with pytest.raises(ValueError):
-            MetricsSnapshotter(lambda: [], "x", max_files=0)
 
 
 class TestMetricsHTTPServer:
@@ -543,8 +642,10 @@ class TestPerfGate:
             verdicts = json.load(fh)["verdicts"]
         assert any(v["metric"] == "engine/A/speedup" and not v["skipped"]
                    for v in verdicts)
-        assert run_gate(str(tmp_path), reps=1,
-                        inject_regression=0.001) == 1
+        from repro.cli import main
+
+        assert main(["bench", "--check", "--root", str(tmp_path),
+                     "--reps", "1", "--inject-regression", "0.001"]) == 1
 
     def test_run_gate_fails_on_quant_mismatch(self, tmp_path, monkeypatch):
         """A w8/f8 plan that drifts from its fake-quant reference by one
