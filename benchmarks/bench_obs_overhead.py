@@ -7,7 +7,7 @@ verifies the no-op fast path costs <1% of a real training run and <2%
 of the served request path:
 
 1. micro-time the disabled helpers (`span` / `inc` / `observe`) and the
-   per-request context mint (`RequestContext.new`),
+   per-request id mint (`new_request_id`),
 2. count how many helper calls one `fit` actually makes (by running
    once with a recorder enabled),
 3. bound the disabled-path overhead as calls x per-call cost and
@@ -105,20 +105,18 @@ def _serve_load(session, images, n_requests: int) -> float:
 def measure_serve_overhead() -> dict:
     """Telemetry cost on the served request path, off and on.
 
-    The *disabled* bound is analytic — per-request fixed cost (context
+    The *disabled* bound is analytic — per-request fixed cost (request id
     mint + the handful of no-op helper calls submit/batch make) over the
     measured per-request service time — because a throughput A/B at
     this scale is dominated by scheduler noise.  The *enabled* cost is
     the measured throughput ratio, best-of-reps both arms.
     """
-    from repro.obs.context import RequestContext
-
     obs.disable()
 
     n = 100_000
     ctx_ns = timeit.timeit(
-        "RequestContext.new('bench')",
-        globals={"RequestContext": RequestContext}, number=n,
+        "new_request_id('bench')",
+        globals={"new_request_id": obs.new_request_id}, number=n,
     ) / n * 1e9
     helper_ns = timeit.timeit(
         "inc('c'); set_gauge('g', 1.0); observe('h', 1.0)",
@@ -176,7 +174,7 @@ def test_disabled_serve_path_under_two_percent(benchmark):
         f"({SERVE_REQUESTS} requests, best of {SERVE_REPS})",
         ["quantity", "value"],
         [
-            ["RequestContext.new", f"{stats['ctx_ns']:.0f} ns"],
+            ["new_request_id", f"{stats['ctx_ns']:.0f} ns"],
             ["disabled helper trio", f"{stats['helper_ns']:.0f} ns"],
             ["serve rps (telemetry off)", f"{stats['rps_disabled']:.1f}"],
             ["serve rps (telemetry on)", f"{stats['rps_enabled']:.1f}"],

@@ -40,14 +40,22 @@ def simulate_fp16(x: np.ndarray) -> np.ndarray:
 
 @contextmanager
 def fp16_inference(model: Module) -> Iterator[Module]:
-    """Run inference with fp16 weights and feature maps (restoring after)."""
+    """Run inference with fp16 weights and feature maps (restoring after).
+
+    The feature-map hook lives on the eager activation layers, so
+    inference is pinned to the eager backend for the duration, as in
+    :func:`~repro.hardware.quantization.feature_map_quantization`.
+    """
+    from ...runtime import eager_inference
+
     backups = []
     for _, p in model.named_parameters():
         backups.append((p, p.data))
         p.data = simulate_fp16(p.data)
     set_fm_hook(simulate_fp16)
     try:
-        yield model
+        with eager_inference():
+            yield model
     finally:
         set_fm_hook(None)
         for p, original in backups:

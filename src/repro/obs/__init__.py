@@ -20,9 +20,7 @@ so instrumented hot loops pay effectively nothing.  Enable with
 """
 
 from .context import (
-    RequestContext,
     current_context,
-    merged_context,
     new_request_id,
     request_scope,
     use_context,
@@ -84,11 +82,9 @@ __all__ = [
     "observe",
     "load_trace",
     "render_trace",
-    "RequestContext",
     "current_context",
     "use_context",
     "request_scope",
-    "merged_context",
     "new_request_id",
     "chrome_trace_events",
     "export_chrome_trace",

@@ -1,26 +1,22 @@
-"""Request-scoped tracing context.
+"""Request-scoped tracing: a request's identity is its id string.
 
 Serving telemetry is only useful when a measurement can be *attributed*:
 "this kernel ran 4.1 ms" means little, "this kernel ran 4.1 ms inside
-request ``skynet-000017`` which missed its deadline" is actionable.  A
-:class:`RequestContext` carries that attribution — a request id, the
-trace id that groups everything done on the request's behalf (retries,
-requeues after a worker respawn, fallback reruns), the backend it was
-admitted on, and its deadline.
+request ``skynet-000017`` which missed its deadline" is actionable.
+The attribution is the request id (:func:`new_request_id`).
 
-Propagation is ambient: :func:`use_context` pushes a context onto a
-per-thread stack and every span opened by :class:`repro.obs.Tracer`
-while it is active is stamped with the ids (see
-:meth:`~repro.obs.trace.Tracer.span`).  The stack is thread-local, so a
-server worker executing request A cannot leak A's ids into a neighbour
-thread running request B; handing a context *across* threads (submit
+Propagation is ambient: :func:`use_context` makes an id the current one
+for the block, and every span opened by :class:`repro.obs.Tracer`
+while it is active is stamped with it (see
+:meth:`~repro.obs.trace.Tracer.span`).  The slot is thread-local, so a
+server worker executing request A cannot leak A's id into a neighbour
+thread running request B; handing an id *across* threads (submit
 thread -> worker thread) is explicit — the server carries it on the
 queued request and re-enters it around the batch forward.
 
 A batch coalesces several requests into one forward, so the spans under
-it belong to *all* of them: :func:`merged_context` joins the member ids
-into one comma-separated attribution (``req-3,req-4``), which keeps the
-single-id fast path allocation-free.
+it belong to *all* of them: the server enters the member ids joined
+with commas (``req-3,req-4``).
 """
 
 from __future__ import annotations
@@ -28,13 +24,10 @@ from __future__ import annotations
 import itertools
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 __all__ = [
-    "RequestContext",
     "current_context",
     "use_context",
-    "merged_context",
     "new_request_id",
     "request_scope",
 ]
@@ -48,111 +41,42 @@ def new_request_id(prefix: str = "req") -> str:
     return f"{prefix}-{next(_SEQ):06d}"
 
 
-@dataclass(frozen=True)
-class RequestContext:
-    """Who a measurement belongs to.
-
-    Parameters
-    ----------
-    request_id:
-        Unique id of this request (``new_request_id``).
-    trace_id:
-        Groups every span done on the request's behalf across retries,
-        worker respawns, and fallback reruns; equals ``request_id``
-        unless several requests were merged into one batch context.
-    backend:
-        The session backend serving the request (``engine`` / ``quant``
-        / ``eager``), ``""`` when unknown at admission time.
-    deadline_ms:
-        The request's deadline budget, ``None`` when unbounded.
-    """
-
-    request_id: str
-    trace_id: str
-    backend: str = ""
-    deadline_ms: float | None = None
-
-    @classmethod
-    def new(cls, prefix: str = "req", backend: str = "",
-            deadline_ms: float | None = None) -> "RequestContext":
-        rid = new_request_id(prefix)
-        return cls(request_id=rid, trace_id=rid, backend=backend,
-                   deadline_ms=deadline_ms)
-
-
-def _stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = _LOCAL.stack = []
-    return stack
-
-
-def current_context() -> RequestContext | None:
-    """The innermost active context on this thread, or ``None``."""
-    stack = getattr(_LOCAL, "stack", None)
-    return stack[-1] if stack else None
+def current_context() -> str | None:
+    """The request id active on this thread, or ``None``."""
+    return getattr(_LOCAL, "request_id", None)
 
 
 @contextmanager
-def use_context(ctx: RequestContext | None):
-    """Make ``ctx`` the ambient context for the block (``None`` = no-op).
+def use_context(request_id: str | None):
+    """Make ``request_id`` the ambient id for the block (``None`` =
+    no-op).
 
-    Nestable; the previous context is restored on exit even when the
-    block raises.
+    Nestable; the previous id is restored on exit even when the block
+    raises.
     """
-    if ctx is None:
+    if request_id is None:
         yield None
         return
-    stack = _stack()
-    stack.append(ctx)
+    previous = current_context()
+    _LOCAL.request_id = request_id
     try:
-        yield ctx
+        yield request_id
     finally:
-        if stack and stack[-1] is ctx:
-            stack.pop()
-        else:  # tolerate out-of-order exits rather than corrupt the stack
-            try:
-                stack.remove(ctx)
-            except ValueError:
-                pass
+        _LOCAL.request_id = previous
 
 
 @contextmanager
-def request_scope(prefix: str = "req", backend: str = "",
-                  deadline_ms: float | None = None):
-    """Ensure *some* context is active: reuse the ambient one, or open a
-    fresh request for the block.
+def request_scope(prefix: str = "req"):
+    """Ensure *some* request id is active: reuse the ambient one, or
+    open a fresh request for the block.
 
     This is what :meth:`Session.run <repro.runtime.Session.run>` calls —
     a bare ``run`` becomes its own request, while a ``run`` issued under
     a server batch keeps the batch's attribution.
     """
-    ctx = current_context()
-    if ctx is not None:
-        yield ctx
+    request_id = current_context()
+    if request_id is not None:
+        yield request_id
         return
-    with use_context(RequestContext.new(prefix, backend, deadline_ms)) as ctx:
-        yield ctx
-
-
-def merged_context(
-    contexts: list[RequestContext | None], backend: str = ""
-) -> RequestContext | None:
-    """One context attributing work done for several requests at once
-    (a coalesced batch).  ``request_id``/``trace_id`` join the member
-    ids with commas; ``None`` members are skipped, and an all-``None``
-    batch yields ``None``."""
-    live = [c for c in contexts if c is not None]
-    if not live:
-        return None
-    if len(live) == 1:
-        ctx = live[0]
-        if backend and backend != ctx.backend:
-            return RequestContext(ctx.request_id, ctx.trace_id, backend,
-                                  ctx.deadline_ms)
-        return ctx
-    return RequestContext(
-        request_id=",".join(c.request_id for c in live),
-        trace_id=",".join(c.trace_id for c in live),
-        backend=backend or live[0].backend,
-    )
+    with use_context(new_request_id(prefix)) as request_id:
+        yield request_id

@@ -41,7 +41,7 @@ def chrome_trace_events(records: list[dict],
 
     Spans become complete (``"X"``) events on the lane of the thread
     that ran them; instant events become thread-scoped ``"i"`` markers.
-    Request/trace ids ride along in ``args`` so a lane can be filtered
+    The request id rides along in ``args`` so a lane can be filtered
     down to one request.  Timestamps are microseconds, as the format
     requires.
     """
@@ -66,8 +66,6 @@ def chrome_trace_events(records: list[dict],
         args = dict(rec.get("attrs", {}))
         if rec.get("request") is not None:
             args["request"] = rec["request"]
-        if rec.get("trace") is not None:
-            args["trace"] = rec["trace"]
         if kind == "span":
             events.append({
                 "name": rec["name"],

@@ -33,9 +33,9 @@ __all__ = [
 class Span:
     """One timed region.  ``start_ms`` is an offset from the tracer epoch.
 
-    ``request_id``/``trace_id`` attribute the span to the serving
-    request active when it was opened (see :mod:`repro.obs.context`);
-    both stay ``None`` outside a request scope.
+    ``request_id`` attributes the span to the serving request active
+    when it was opened (see :mod:`repro.obs.context`); it stays
+    ``None`` outside a request scope.
     """
 
     name: str
@@ -46,7 +46,6 @@ class Span:
     thread: int = 0
     attrs: dict = field(default_factory=dict)
     request_id: str | None = None
-    trace_id: str | None = None
 
     def set(self, **attrs) -> "Span":
         """Attach extra attributes mid-span (e.g. a result computed late)."""
@@ -121,7 +120,6 @@ class Tracer:
                 ...
                 sp.set(best_fitness=0.71)
         """
-        ctx = current_context()
         sp = Span(
             name=name,
             span_id=next(self._ids),
@@ -129,8 +127,7 @@ class Tracer:
             start_ms=0.0,
             thread=threading.get_ident(),
             attrs=dict(attrs),
-            request_id=None if ctx is None else ctx.request_id,
-            trace_id=None if ctx is None else ctx.trace_id,
+            request_id=current_context(),
         )
         return _ActiveSpan(self, sp)
 
@@ -144,9 +141,8 @@ class Tracer:
         request's queue wait starts in ``submit`` and ends when a worker
         dequeues it — no context manager can wrap the region; the worker
         reconstructs it from the timestamps it already has.  The span is
-        parentless and attributed to the ambient request context.
+        parentless and attributed to the ambient request id.
         """
-        ctx = current_context()
         sp = Span(
             name=name,
             span_id=next(self._ids),
@@ -155,8 +151,7 @@ class Tracer:
             duration_ms=max(0.0, (end_s - start_s) * 1e3),
             thread=threading.get_ident(),
             attrs=dict(attrs),
-            request_id=None if ctx is None else ctx.request_id,
-            trace_id=None if ctx is None else ctx.trace_id,
+            request_id=current_context(),
         )
         with self._lock:
             self._finished.append(sp)
@@ -167,13 +162,12 @@ class Tracer:
         trips, worker crash recoveries, state transitions.  Exported as its
         own ``"event"`` record kind and as an instant marker in the
         Chrome trace."""
-        ctx = current_context()
         rec = event_record(
             name=name,
             ts_ms=(time.perf_counter() - self._epoch) * 1e3,
             thread=threading.get_ident(),
             attrs=dict(attrs),
-            request_id=None if ctx is None else ctx.request_id,
+            request_id=current_context(),
         )
         with self._lock:
             self._events.append(rec)
@@ -217,7 +211,6 @@ def span_record(span: Span) -> dict:
     }
     if span.request_id is not None:
         rec["request"] = span.request_id
-        rec["trace"] = span.trace_id
     return rec
 
 

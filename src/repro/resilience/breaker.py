@@ -123,26 +123,6 @@ class CircuitBreaker:
                 obs.event("serve/breaker_open", breaker=self.name,
                           failures=self._failures)
 
-    def trip(self, reason: str = "forced") -> None:
-        """Force the breaker open *now*, e.g. an overload brownout
-        pushing traffic onto the cheaper fallback.
-
-        Restarts the cooldown from the current clock on every call, so
-        a controller that keeps re-tripping holds the breaker open; once
-        it stops, recovery happens through the normal half-open probe.
-        Counts as one trip (``opened_count``) only on the closed/half-
-        open -> open transition.
-        """
-        with self._lock:
-            self._opened_at = self._clock()
-            self._probing = False
-            if self._state != OPEN:
-                self._state = OPEN
-                self.opened_count += 1
-                obs.inc("serve/breaker_open")
-                obs.event("serve/breaker_open", breaker=self.name,
-                          forced=True, reason=reason)
-
     def snapshot(self) -> dict:
         """State summary for :meth:`InferenceServer.health`."""
         with self._lock:

@@ -295,8 +295,8 @@ class Session:
             x = x[None]
         # A bare run() becomes its own request; a run issued under a
         # server batch keeps the batch's attribution (request_scope
-        # reuses any ambient context).
-        with obs.request_scope(prefix="run", backend=self.backend), \
+        # reuses any ambient request id).
+        with obs.request_scope(prefix="run"), \
                 obs.span("runtime/run", session=self.name,
                          backend=self.backend, batch=x.shape[0]):
             out = self._runner(self._forward)(x)

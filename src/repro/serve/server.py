@@ -50,10 +50,10 @@ Everything is observable through :mod:`repro.obs`:
 ``serve/breaker_*`` counters, a
 ``serve/queue_wait`` span per dequeued request, a ``serve/batch`` span
 per forward, and a ``serve/worker_respawn`` instant event per crash
-recovery.  Every request is minted a
-:class:`~repro.obs.RequestContext` in :meth:`InferenceServer.submit`;
-the context rides the queue and is re-entered around the batch forward,
-so queue-wait, batch, and engine kernel spans all carry the request id
+recovery.  Every request is minted an id
+(:func:`~repro.obs.new_request_id`) in :meth:`InferenceServer.submit`;
+the id rides the queue and is re-entered around the batch forward, so
+queue-wait, batch, and engine kernel spans all carry the request id
 (comma-joined for coalesced batches) and results expose it as
 ``ServeResult.request_id``.
 """
@@ -91,8 +91,8 @@ __all__ = ["InferenceServer", "ServerStats"]
 class ServerStats(Counters):
     """Thread-safe request accounting for one server.
 
-    A resolved batch bumps ``completed``, ``batches`` and
-    ``batched_requests`` in one :meth:`add_many` call, so a scrape
+    A resolved batch bumps ``completed`` (or ``errors``), ``batches``
+    and ``batched_requests`` in one :meth:`add_many` call, so a scrape
     during a worker restart never reports an impossible mean batch
     size.  Every field is also the ``serve/<field>`` obs counter.
     """
@@ -118,21 +118,18 @@ class ServerStats(Counters):
 
 
 class _Request:
-    __slots__ = ("image", "future", "submitted_at", "deadline_at", "ctx")
+    __slots__ = ("image", "future", "submitted_at", "deadline_at",
+                 "request_id")
 
     def __init__(self, image, future, submitted_at, deadline_at,
-                 ctx=None) -> None:
+                 request_id) -> None:
         self.image = image
         self.future = future
         self.submitted_at = submitted_at
         self.deadline_at = deadline_at
-        # RequestContext minted in submit(); rides the queue so worker
-        # threads can attribute their spans to this request.
-        self.ctx = ctx
-
-    @property
-    def request_id(self) -> str | None:
-        return None if self.ctx is None else self.ctx.request_id
+        # Minted in submit(); rides the queue so worker threads can
+        # attribute their spans to this request.
+        self.request_id = request_id
 
 
 class InferenceServer:
@@ -227,22 +224,20 @@ class InferenceServer:
         self.stats.add("submitted")
         if deadline_ms is None:
             deadline_ms = self.config.deadline_ms
-        ctx = obs.RequestContext.new(
-            prefix=self.name, deadline_ms=deadline_ms
-        )
+        request_id = obs.new_request_id(self.name)
         if self._stopping.is_set():
             future.set_result(
-                ServeResult(STATUS_SHUTDOWN, request_id=ctx.request_id)
+                ServeResult(STATUS_SHUTDOWN, request_id=request_id)
             )
             return future
         deadline_at = None if deadline_ms is None else now + deadline_ms / 1e3
-        request = _Request(image, future, now, deadline_at, ctx)
+        request = _Request(image, future, now, deadline_at, request_id)
         try:
             self._queue.put_nowait(request)
         except queue.Full:
             self.stats.add("shed")
             future.set_result(
-                ServeResult(STATUS_SHED, request_id=ctx.request_id)
+                ServeResult(STATUS_SHED, request_id=request_id)
             )
             return future
         obs.set_gauge("serve/queue_depth", self._queue.qsize())
@@ -421,7 +416,7 @@ class InferenceServer:
                 # The queue wait started on the submit thread and ended
                 # here; reconstruct it from the timestamps, attributed
                 # to the request that waited.
-                with obs.use_context(request.ctx):
+                with obs.use_context(request.request_id):
                     obs.record_span(
                         "serve/queue_wait", request.submitted_at, now,
                         server=self.name, worker=worker,
@@ -460,6 +455,7 @@ class InferenceServer:
         alone."""
         x = (live[0].image if len(live) == 1
              else np.concatenate([r.image for r in live], axis=0))
+        batch_id = ",".join(r.request_id for r in live)
         attempt = 0
         last_error = "unknown error"
         while True:
@@ -468,11 +464,7 @@ class InferenceServer:
             try:
                 runner = self._get_runner(runners, on_fallback)
                 spec = faults.hit("serve.runner")
-                batch_ctx = obs.merged_context(
-                    [r.ctx for r in live],
-                    backend="fallback" if on_fallback else "primary",
-                )
-                with obs.use_context(batch_ctx), obs.span(
+                with obs.use_context(batch_id), obs.span(
                     "serve/batch", server=self.name, worker=worker,
                     batch=len(live),
                     backend="fallback" if on_fallback else "primary",
@@ -510,7 +502,8 @@ class InferenceServer:
             self._execute(runners, live[:mid], worker, rng)
             self._execute(runners, live[mid:], worker, rng)
             return
-        self.stats.add("errors", len(live))
+        self.stats.add_many(errors=len(live), batches=1,
+                            batched_requests=len(live))
         done = time.perf_counter()
         for request in live:
             _resolve(

@@ -22,13 +22,12 @@ contract made explicit and testable:
   *dropped by policy*, never silently lost — including the frame a
   crashed worker held (the worker requeues it as it recovers).
 * **Overload browns out, then recovers.**  A hysteretic
-  :class:`BrownoutController` climbs a degradation ladder under
-  sustained queue pressure — shrink the dynamic batch
-  (:meth:`InferenceServer.set_batch_cap`), force the engine's circuit
-  breaker onto the eager fallback (quant/fp32 -> eager, the existing
-  :class:`~repro.resilience.CircuitBreaker`), then raise the
-  frame-drop stride — and steps back down rung by rung once pressure
-  stays low, the breaker re-closing through its own half-open probe.
+  :class:`BrownoutController` climbs a two-rung degradation ladder
+  under sustained queue pressure — shrink the dynamic batch
+  (:meth:`InferenceServer.set_batch_cap`), then raise the frame-drop
+  stride — and steps back down rung by rung once pressure stays low.
+  It never touches the circuit breaker: the eager fallback costs
+  several times the compiled plan, so it is no relief under load.
 * **Stream threads recover in place.**  Producers and workers run
   under :func:`~repro.resilience.run_supervised`: a crashed worker
   requeues its in-hand frame and re-enters its loop in the same
@@ -352,20 +351,17 @@ class BrownoutController:
     1     halve the dynamic batch         throughput (smaller batches),
           (:meth:`InferenceServer.\\      lower per-batch latency and
           set_batch_cap`)                 arena footprint
-    2     + trip the circuit breaker      accuracy/speed of the engine
-          onto the eager fallback         (quant/fp32 -> eager), kept
-          (re-tripped every tick)         open only while at rung >= 2
-    3     + frame-drop stride             input coverage: only every
+    2     + frame-drop stride             input coverage: only every
           (``brownout_stride``: process   2nd frame runs
           every 2nd frame)
     ====  ==============================  =============================
 
-    Recovery is rung by rung with the same hysteresis; below rung 2
-    the breaker stops being re-tripped and re-closes through its own
-    half-open probe once the cooldown elapses.
+    Recovery is rung by rung with the same hysteresis.  The circuit
+    breaker is not a rung: its eager fallback is slower than the
+    compiled plan and, on a quant session, changes the outputs.
     """
 
-    MAX_LEVEL = 3
+    MAX_LEVEL = 2
 
     def __init__(self, config, server=None, name: str = "stream") -> None:
         self.config = config
@@ -380,7 +376,7 @@ class BrownoutController:
     @property
     def stride(self) -> int:
         """Frame stride workers honour right now (1 = every frame)."""
-        return self.config.brownout_stride if self.level >= 3 else 1
+        return self.config.brownout_stride if self.level >= 2 else 1
 
     def observe(self, pressure: float) -> int:
         """Fold one pressure sample in; returns the (new) rung."""
@@ -402,11 +398,6 @@ class BrownoutController:
             else:  # dead band: hold the rung, reset both streaks
                 self._hot = 0
                 self._cool = 0
-            # Rung 2 is a *held* state, not an edge: the breaker
-            # half-opens after its cooldown, so keep re-tripping it
-            # every tick while browned out past rung 1.
-            if self.level >= 2:
-                self._trip_breaker()
             level = self.level
         obs.set_gauge("stream/brownout_level", level)
         return level
@@ -425,11 +416,6 @@ class BrownoutController:
             cap = (max(1, server.config.max_batch_size // 2)
                    if level >= 1 else None)
             server.set_batch_cap(cap)
-
-    def _trip_breaker(self) -> None:
-        server = self._server
-        if server is not None and server.breaker is not None:
-            server.breaker.trip(reason="brownout")
 
 
 # --------------------------------------------------------------------- #

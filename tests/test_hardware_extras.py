@@ -122,6 +122,27 @@ class TestTensorRT:
             half = det.predict(x)
         np.testing.assert_allclose(half, clean, atol=0.02)
 
+    @pytest.mark.parametrize("train_mode", [False, True])
+    def test_fp16_inference_pins_the_eager_backend(self, train_mode):
+        """The compiled engine skips the feature-map hook (and a cached
+        session holds fp32 weights), so inside the context ``predict``
+        must run the eager fp16 simulation; afterwards, fp32 again."""
+        from repro.runtime import SessionConfig
+
+        det = Detector(SkyNetBackbone("A", width_mult=0.25,
+                                      rng=np.random.default_rng(3)))
+        det.train(train_mode)
+        x = np.random.default_rng(4).uniform(
+            size=(4, 3, 16, 32)).astype(np.float32)
+        clean = det.predict(x)  # eval mode: caches an engine session
+        with fp16_inference(det):
+            half = det.predict(x)
+            eager = det.predict(x, SessionConfig(backend="eager"))
+        np.testing.assert_array_equal(half, eager)
+        assert np.abs(half - clean).max() > 0.0
+        np.testing.assert_array_equal(det.predict(x), clean)
+        assert det.training == train_mode
+
 
 class TestGroupedConv:
     def test_shapes(self, rng):

@@ -225,13 +225,25 @@ class TestProcessBackendServing:
                 assert all(r.status == STATUS_OK for r in results)
                 stats = session.server.stats.snapshot()
                 health = session.health()
-                return [r.value for r in results], stats, health
+                return results, stats, health
 
-        thread_out, _, _ = _serve("thread")
-        proc_out, stats, health = _serve("process")
+        thread_results, _, _ = _serve("thread")
+        with obs.recording() as rec:
+            proc_results, stats, health = _serve("process")
+        thread_out = [r.value for r in thread_results]
+        proc_out = [r.value for r in proc_results]
         # The child processes actually served — not the eager fallback.
         assert stats["fallback_batches"] == 0
         assert health["procpool"]["spawned"] >= 1
+        # The spans a child sends back carry the ids of the batch they
+        # ran, and every result belongs to one of those batches.
+        spans = rec.tracer.spans
+        batch_ids = {s.request_id for s in spans if s.name == "serve/batch"}
+        proc_runs = [s for s in spans if s.name == "serve/proc_run"]
+        assert proc_runs
+        assert all(s.request_id in batch_ids for s in proc_runs)
+        members = {rid for bid in batch_ids for rid in bid.split(",")}
+        assert all(r.request_id in members for r in proc_results)
         for got, via_thread, ref in zip(proc_out, thread_out, want):
             np.testing.assert_allclose(got, ref, atol=1e-6)
             np.testing.assert_allclose(got, via_thread, atol=1e-6)

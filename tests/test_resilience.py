@@ -220,26 +220,6 @@ class TestCircuitBreaker:
         assert snap["threshold"] == 2
         assert snap["cooldown_s"] == 0.5
 
-    def test_forced_trip_holds_open_then_recovers_via_probe(self):
-        """trip() opens the breaker without any failures (the brownout
-        ladder's rung 2); re-tripping restarts the cooldown; once the
-        tripping stops, the normal half-open probe re-closes it."""
-        clock = [0.0]
-        br = CircuitBreaker(threshold=3, cooldown_s=1.0,
-                            clock=lambda: clock[0])
-        br.trip(reason="brownout")
-        assert br.state == OPEN and not br.allow_primary()
-        assert br.opened_count == 1
-        clock[0] = 0.8
-        br.trip(reason="brownout")  # held open: cooldown restarts...
-        assert br.opened_count == 1  # ...but it is not a second trip
-        clock[0] = 1.5  # 0.7s since the re-trip: still cooling
-        assert not br.allow_primary()
-        clock[0] = 2.0  # cooldown elapsed, half-open probe
-        assert br.allow_primary()
-        br.record_success()
-        assert br.state == CLOSED and br.allow_primary()
-
 
 # --------------------------------------------------------------------- #
 # durable checkpoints

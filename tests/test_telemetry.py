@@ -1,4 +1,4 @@
-"""Tests for the serving-telemetry layer: request contexts, exporters,
+"""Tests for the serving-telemetry layer: request ids, exporters,
 the kernel profiler, the perf-regression gate, and the satellites
 (bounded histograms, torn-counter-free stats, interleaved export,
 trace propagation through the serve worker pool)."""
@@ -24,7 +24,7 @@ from repro.obs.bench import (
     load_baselines,
     run_gate,
 )
-from repro.obs.context import RequestContext, merged_context, use_context
+from repro.obs.context import new_request_id, use_context
 from repro.obs.export import (
     MetricsHTTPServer,
     chrome_trace_events,
@@ -51,55 +51,52 @@ def _echo_factory():
 
 
 # --------------------------------------------------------------------- #
-# request context
+# request ids
 # --------------------------------------------------------------------- #
 class TestRequestContext:
     def test_new_ids_are_unique_and_prefixed(self):
-        a = RequestContext.new(prefix="srv")
-        b = RequestContext.new(prefix="srv")
-        assert a.request_id != b.request_id
-        assert a.request_id.startswith("srv-")
-        assert a.trace_id == a.request_id
+        a = new_request_id(prefix="srv")
+        b = new_request_id(prefix="srv")
+        assert a != b
+        assert a.startswith("srv-") and b.startswith("srv-")
 
     def test_use_context_nests_and_restores(self):
-        outer = RequestContext.new()
-        inner = RequestContext.new()
+        outer = new_request_id()
+        inner = new_request_id()
         assert obs.current_context() is None
         with use_context(outer):
-            assert obs.current_context() is outer
+            assert obs.current_context() == outer
             with use_context(inner):
-                assert obs.current_context() is inner
-            assert obs.current_context() is outer
+                assert obs.current_context() == inner
+            assert obs.current_context() == outer
+            with pytest.raises(RuntimeError):
+                with use_context(inner):
+                    raise RuntimeError("boom")
+            assert obs.current_context() == outer
         assert obs.current_context() is None
 
     def test_use_context_none_is_noop(self):
         with use_context(None):
             assert obs.current_context() is None
+        outer = new_request_id()
+        with use_context(outer):
+            with use_context(None):
+                assert obs.current_context() == outer
 
     def test_request_scope_reuses_ambient(self):
-        ctx = RequestContext.new()
-        with use_context(ctx):
+        rid = new_request_id()
+        with use_context(rid):
             with obs.request_scope(prefix="run") as inner:
-                assert inner is ctx
+                assert inner == rid
         with obs.request_scope(prefix="run") as fresh:
-            assert fresh.request_id.startswith("run-")
-
-    def test_merged_context_joins_ids(self):
-        a = RequestContext.new(prefix="m")
-        b = RequestContext.new(prefix="m")
-        merged = merged_context([a, None, b], backend="primary")
-        assert merged.request_id == f"{a.request_id},{b.request_id}"
-        assert merged.backend == "primary"
-        assert merged_context([None, None]) is None
-        # Single live member: pass through (with backend override only).
-        assert merged_context([a, None]) is a
-        assert merged_context([a], backend="x").backend == "x"
-        assert merged_context([a], backend="x").request_id == a.request_id
+            assert fresh.startswith("run-")
+            assert obs.current_context() == fresh
+        assert obs.current_context() is None
 
     def test_context_is_thread_local(self):
-        ctx = RequestContext.new()
+        rid = new_request_id()
         seen = []
-        with use_context(ctx):
+        with use_context(rid):
             t = threading.Thread(
                 target=lambda: seen.append(obs.current_context())
             )
@@ -108,9 +105,9 @@ class TestRequestContext:
         assert seen == [None]
 
     def test_spans_and_events_stamped(self):
-        ctx = RequestContext.new(prefix="stamp")
+        rid = new_request_id(prefix="stamp")
         with obs.recording() as rec:
-            with use_context(ctx):
+            with use_context(rid):
                 with obs.span("inside"):
                     pass
                 obs.event("boom", detail=1)
@@ -118,11 +115,15 @@ class TestRequestContext:
             with obs.span("outside"):
                 pass
         spans = {s.name: s for s in rec.tracer.spans}
-        assert spans["inside"].request_id == ctx.request_id
-        assert spans["waited"].request_id == ctx.request_id
+        assert spans["inside"].request_id == rid
+        assert spans["waited"].request_id == rid
         assert spans["outside"].request_id is None
         (event,) = rec.tracer.events
-        assert event["request"] == ctx.request_id
+        assert event["request"] == rid
+        records = rec.tracer.records()
+        assert all("trace" not in r for r in records)
+        inside = next(r for r in records if r.get("name") == "inside")
+        assert inside["request"] == rid
 
 
 # --------------------------------------------------------------------- #
@@ -265,9 +266,12 @@ class TestCountersPublishObsCounters:
         assert statuses == ["ok", "timeout", "timeout", "ok", "error",
                             "shed", "shed"]
         counts = {f: snap[f] for f in ServerStats.FIELDS}
+        # An errored batch is a batch too: batch sizing covers both.
+        assert counts["batched_requests"] == (counts["completed"]
+                                              + counts["errors"])
         assert counts == {
             "submitted": 8, "completed": 3, "shed": 2, "timeouts": 2,
-            "errors": 1, "batches": 3, "batched_requests": 3,
+            "errors": 1, "batches": 4, "batched_requests": 4,
             "retries": 2, "bisections": 1, "respawns": 1, "requeued": 1,
             "fallback_batches": 0,
         }
@@ -703,15 +707,15 @@ class TestServeTracePropagation:
         spans = rec.tracer.spans
         waits = [s for s in spans if s.name == "serve/queue_wait"]
         assert sorted(s.request_id for s in waits) == sorted(ids)
-        batches = [s for s in spans if s.name == "serve/batch"]
-        assert batches
-        batch_ids = ",".join(s.request_id for s in batches)
-        for rid in ids:  # every request attributed to some batch
-            assert rid in batch_ids
+        batch_ids = [s.request_id for s in spans if s.name == "serve/batch"]
+        assert batch_ids
+        # Every request is attributed to exactly one batch: the batch
+        # id is its members' ids joined with commas.
+        members = [rid for bid in batch_ids for rid in bid.split(",")]
+        assert sorted(members) == sorted(ids)
         kernels = [s for s in spans if s.name == "engine/kernel"]
         assert kernels
-        assert all(s.request_id and s.request_id in batch_ids
-                   for s in kernels)
+        assert all(s.request_id in batch_ids for s in kernels)
 
     def test_ids_survive_watchdog_respawn(self, rng):
         """A request requeued by a crashed worker keeps its identity:
