@@ -1,12 +1,11 @@
 """Thread-backend serving of mixed batch sizes: two source trees, paired.
 
-The engine runs a batch-1 forward on one OpenBLAS thread and a batch > 1
-forward on the default count (``repro.nn.engine.threads``).  Threads
-that serve mixed batch sizes keep the default at every batch, because
-switching there stalled batch-2 forwards: the process-pool child and
-the workers of the thread backend (``ServeConfig()``'s default, one
-worker thread in the serving process).  This script runs the thread
-backend on two source trees, alternating, so a stall or a latency
+The engine pins OpenBLAS to one thread and runs a batch > 1 forward as
+one sample slice per core (``repro.nn.engine.threads``); an earlier
+rule switched the BLAS thread count per batch, and that stalled
+batch-2 forwards at ~0.5 s.  This script runs the thread backend
+(``ServeConfig()``'s default, one worker thread in the serving
+process) on two source trees, alternating, so a stall or a latency
 change between two thread rules shows as a paired difference:
 
 * ``int8_2cam`` — perfbench's ``multicam_int8`` open loop (two cameras

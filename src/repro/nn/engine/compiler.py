@@ -29,7 +29,9 @@ retrain the module, recompile the engine.
 
 from __future__ import annotations
 
+import copy
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +46,8 @@ from ..layers.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..layers.reorg import Reorg, UpsampleNearest
 from ..module import Module, Sequential
 from .arena import BufferArena
-from .threads import forward_threads
 from . import kernels as K
+from . import threads
 
 __all__ = ["CompileError", "CompiledNet", "compile_net"]
 
@@ -437,28 +439,52 @@ class CompiledNet:
         self.arena = arena if arena is not None else BufferArena()
         self.quant = quant  # QuantConfig when integer-domain, else None
         self.quant_stats = quant_stats
+        self._clones: list[CompiledNet] = []  # _split's, never self
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.dtype != np.float32:
-            x = x.astype(np.float32)
+        x = np.asarray(x, dtype=np.float32)
+        k = max(1, min(len(x), threads.cores()))
+        with obs.span("engine/forward", engine=self.name, batch=len(x),
+                      slices=k):
+            if k > 1:
+                return self._split(x, k)
+            # Copy out of the arena so the caller can hold the result
+            # across frames without the next call overwriting it.
+            return np.array(self._forward(x), copy=True)
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
+        """Run the plan on this net's arena; returns an arena view."""
         regs: list[np.ndarray | None] = [None] * self.n_regs
         regs[0] = x
         arena = self.arena
-        with forward_threads(x.shape[0]) as blas_threads:
-            if obs.enabled():
-                with obs.span("engine/forward", engine=self.name,
-                              batch=x.shape[0], blas_threads=blas_threads):
-                    for kern, ins, out in self.steps:
-                        with obs.span("engine/kernel", kernel=kern.label):
-                            regs[out] = kern.run([regs[i] for i in ins],
-                                                 arena)
-            else:
-                for kern, ins, out in self.steps:
-                    regs[out] = kern.run([regs[i] for i in ins], arena)
-        # Copy out of the arena so the caller can hold the result across
-        # frames without the next call overwriting it.
-        return np.array(regs[self.out_reg], copy=True)
+        for kern, ins, out in self.steps:
+            with obs.span("engine/kernel", kernel=kern.label):
+                regs[out] = kern.run([regs[i] for i in ins], arena)
+        return regs[self.out_reg]
+
+    def _split(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Run ``k`` contiguous sample slices at once: the first here,
+        the others on :data:`~repro.nn.engine.threads.slice_pool`, each
+        on a cached clone with its own arena.  A sample's result does
+        not depend on its batch, so this equals the unsplit forward bit
+        for bit."""
+        while len(self._clones) < k - 1:
+            self._clones.append(copy.copy(self))
+        bounds = [i * len(x) // k for i in range(k + 1)]
+        request = obs.current_context()
+        futures = [threads.slice_pool.submit(clone._slice, x[lo:hi], request)
+                   for clone, lo, hi in zip(self._clones, bounds[1:-1],
+                                            bounds[2:])]
+        try:
+            first = self._forward(x[:bounds[1]])
+        finally:
+            # No slice may still write into an arena once this returns.
+            wait(futures)
+        return np.concatenate([first, *(f.result() for f in futures)])
+
+    def _slice(self, x: np.ndarray, request: str | None) -> np.ndarray:
+        with obs.use_context(request):
+            return self._forward(x)
 
     def warmup(self, shape: tuple[int, ...], dtype=np.float32) -> int:
         """Dry-run a zeros batch so the first real request allocates nothing.
@@ -485,14 +511,14 @@ class CompiledNet:
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         # Copies and pickles are fresh clones: the plan without the
-        # arena's scratch buffers (~40x the plan's bytes once warmed).
-        # Kernels and weights are immutable at run time and shared; an
-        # arena is per thread, so ``copy.copy(net)`` is the clone each
-        # serving thread runs.
-        return dict(self.__dict__, arena=None)
+        # arena's scratch buffers (~40x the plan's bytes once warmed)
+        # and without slice clones.  Kernels and weights are immutable
+        # at run time and shared; an arena is per thread, so
+        # ``copy.copy(net)`` is the clone each serving thread runs.
+        return dict(self.__dict__, arena=None, _clones=None)
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, arena=BufferArena())
+        self.__dict__.update(state, arena=BufferArena(), _clones=[])
 
     def __len__(self) -> int:
         return len(self.steps)

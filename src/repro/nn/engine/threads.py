@@ -1,24 +1,24 @@
-"""OpenBLAS's thread count, owned by the engine.
+"""One OpenBLAS thread per forward; batches split across the cores.
 
-Each :class:`~repro.nn.engine.CompiledNet` forward sets the
-process-wide count (:func:`forward_threads`): one thread at batch 1,
-OpenBLAS's default at batch > 1, and one thread while forwards overlap
-in this process, where the other workers supply the parallelism.  A
-server worker thread or process-pool child, serving mixed batch sizes,
-keeps the default at every batch (:func:`keep_default_threads`):
-switching there sometimes stalled a forward ~0.5 s (EXPERIMENTS.md,
-"BLAS threads per batch").  Without NumPy's ``scipy_openblas_*64_``
-symbols every function here is a no-op.
+OpenBLAS's second thread spins through every non-GEMM pass of a
+forward (depthwise taps, im2col, epilogues), doubling CPU for a
+7-13 % wall gain, and switching its count per batch stalled forwards
+for ~0.5 s (EXPERIMENTS.md, "BLAS threads per batch").  So the count
+is pinned to one thread when this module is imported and never
+changes.  Parallelism comes from the samples instead:
+:class:`~repro.nn.engine.CompiledNet` runs a batch > 1 as
+``min(batch, cores())`` sample slices, the caller running the first
+and :data:`slice_pool` the rest.  Without NumPy's
+``scipy_openblas_*64_`` symbols the pin is a no-op.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
-from contextlib import contextmanager
+import os
+from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["blas_info", "forward_threads", "get_threads",
-           "keep_default_threads", "set_threads"]
+__all__ = ["blas_info", "cores", "get_threads", "slice_pool"]
 
 
 def _lookup():
@@ -39,25 +39,8 @@ def _lookup():
 
 
 _lib = _lookup()
-#: OpenBLAS's own count at import, before the engine set anything.
-DEFAULT = None if _lib is None else _lib.scipy_openblas_get_num_threads64_()
-_current = DEFAULT
-_thread = threading.local()  # .single: a lone batch-1 forward's count
-_lock = threading.RLock()  # forward_threads calls set_threads under it
-_in_flight: list[int | None] = []  # the count each running forward wants
-
-
-def set_threads(n: int | None) -> int | None:
-    """Set the count, calling the library only on a change; returns the
-    count in force."""
-    global _current
-    if _lib is None:
-        return None
-    with _lock:
-        if n != _current:
-            _lib.scipy_openblas_set_num_threads64_(n)
-            _current = n
-    return n
+if _lib is not None:
+    _lib.scipy_openblas_set_num_threads64_(1)
 
 
 def get_threads() -> int | None:
@@ -66,33 +49,29 @@ def get_threads() -> int | None:
 
 
 def blas_info() -> dict:
-    """The BLAS library and its current thread count, for health dumps."""
+    """The BLAS library and its thread count, for health dumps."""
     library = None if _lib is None else _lib.scipy_openblas_get_config64_()
     return {"library": library and library.decode(), "threads": get_threads()}
 
 
-def keep_default_threads() -> None:
-    """Run the calling thread's later lone forwards on the default."""
-    _thread.single = DEFAULT
-
-
-def _apply() -> int | None:
-    return set_threads(_in_flight[0] if len(_in_flight) == 1 else 1)
-
-
-@contextmanager
-def forward_threads(batch: int):
-    """Run one forward of ``batch`` samples under the rule; yields the
-    count set as it enters.  A forward that another one overlaps later
-    runs on at one thread from then on."""
-    want = DEFAULT if batch > 1 else getattr(_thread, "single", 1)
-    with _lock:
-        _in_flight.append(want)
-        n = _apply()
+def cores() -> int:
+    """The cores this process may run on: the most slices a batch
+    splits into."""
     try:
-        yield n
-    finally:
-        with _lock:
-            _in_flight.remove(want)
-            if _in_flight:
-                _apply()
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _new_pool() -> None:
+    global slice_pool
+    slice_pool = ThreadPoolExecutor(max(1, cores() - 1),
+                                    thread_name_prefix="repro-slice")
+
+
+#: Runs every slice of a forward but the first.  Its threads start on
+#: first use, at most ``cores() - 1``; overlapping forwards share them.
+slice_pool: ThreadPoolExecutor
+_new_pool()
+# A forked child inherits the pool but none of its threads.
+os.register_at_fork(after_in_child=_new_pool)

@@ -18,9 +18,9 @@ and buffer arena:
   batches are never pickled on the hot path; the child runs directly on
   the shared-memory view (the protocol is synchronous per worker, so the
   parent never overwrites an in-flight request).
-* **OpenBLAS's default thread count at every batch**: switching per
-  batch stalled a child's batch-2 forwards, and one thread throughout
-  raised latency (EXPERIMENTS.md, "BLAS threads per batch").
+* **One OpenBLAS thread; batches split across the cores**: a child's
+  batch > 1 forwards run one sample slice per core, as in the serving
+  process (:mod:`repro.nn.engine.threads`).
 * **Crash = retry, not loss.**  A killed worker process surfaces as a
   :class:`ProcWorkerDied` from the runner in the server thread that
   drives it; the server's retry ladder re-runs the batch, and the
@@ -82,8 +82,7 @@ class WorkerSpec:
     """The runner a child process serves, resolved in the parent
     (:meth:`Session.worker_spec <repro.runtime.Session.worker_spec>`),
     and the backend name the child reports back when ready.  The child
-    warms ``warmup_shape`` and runs OpenBLAS's default thread count at
-    every batch."""
+    warms ``warmup_shape`` before it serves."""
 
     runner: Callable[[np.ndarray], np.ndarray]
     backend: str
@@ -156,10 +155,7 @@ class _Block:
 def _child_main(conn, spec_blob: bytes) -> None:
     """Worker-process entry: load and warm the shipped runner (or send
     the parent the cause of failing to), then answer run requests."""
-    from ..nn.engine.threads import keep_default_threads
-
     t_imports = time.perf_counter()
-    keep_default_threads()
     out_block = _Block()
     in_shm: shared_memory.SharedMemory | None = None
     in_name = None

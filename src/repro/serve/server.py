@@ -69,7 +69,6 @@ from concurrent.futures import Future, InvalidStateError
 import numpy as np
 
 from .. import obs
-from ..nn.engine.threads import keep_default_threads
 from ..resilience import faults
 from ..resilience.breaker import OPEN, CircuitBreaker
 from ..resilience.retry import retry_delay_ms
@@ -332,7 +331,6 @@ class InferenceServer:
         """One worker's serve loop, run under :func:`run_supervised`:
         after a crash, :meth:`_recover` requeues the batch and the loop
         starts over with fresh runners."""
-        keep_default_threads()  # it serves every batch size
         # This loop's runners, keyed by "is fallback" and built lazily:
         # a restarted loop never reuses one a crash left mid-forward.
         runners: dict[bool, object] = {}
@@ -504,6 +502,7 @@ class InferenceServer:
             return
         self.stats.add_many(errors=len(live), batches=1,
                             batched_requests=len(live))
+        obs.observe("serve/batch_size", len(live))
         done = time.perf_counter()
         for request in live:
             _resolve(

@@ -1,13 +1,21 @@
-"""Tests for the engine-owned OpenBLAS thread count (repro.nn.engine.threads).
+"""Tests for one BLAS thread per forward and the sample split
+(repro.nn.engine.threads, CompiledNet.__call__).
 
-One thread at batch 1, OpenBLAS's default at batch > 1, one thread
-while forwards overlap, the default at every batch in serving threads;
-the count never changes a result.
+OpenBLAS runs one thread; a batch > 1 forward runs as ``min(batch,
+cores)`` contiguous sample slices at once, each on its own arena.  The
+split never changes a result, leaves no reference cycle, travels in no
+copy or pickle, and reports a slice's failure only once every slice is
+done.
 """
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +23,7 @@ import pytest
 from repro import obs
 from repro.core import SkyNetBackbone
 from repro.detection import Detector, YoloHead
-from repro.nn.engine import QuantConfig, compile_net, threads
+from repro.nn.engine import CompiledNet, QuantConfig, compile_net, threads
 from repro.runtime import ServeConfig, Session, SessionConfig
 from repro.serve import STATUS_OK
 
@@ -43,82 +51,17 @@ def _backbone(rng) -> SkyNetBackbone:
     return bb
 
 
-@needs_openblas
+def _spans(rec, name: str) -> list[dict]:
+    return [r for r in rec.records()
+            if r.get("type") == "span" and r["name"] == name]
+
+
+def _force_cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(threads, "cores", lambda: n)
+
+
 class TestBatchRule:
-    def test_batch_one_runs_one_thread_tiles_run_default(self, rng):
-        det = _detector(rng)
-        with Session.load(det) as session:
-            session.run(_images(rng, 1))
-            assert threads.get_threads() == 1
-        tiled = Session.load(det, SessionConfig(tiles=(2, 2),
-                                                tile_max_detections=8))
-        with obs.recording() as rec:
-            tiled.run(_images(rng, 1, hw=(48, 96)))
-        forwards = [r["attrs"] for r in rec.records()
-                    if r.get("type") == "span"
-                    and r["name"] == "engine/forward"]
-        assert forwards == [{"engine": forwards[0]["engine"], "batch": 4,
-                             "blas_threads": threads.DEFAULT}]
-        assert threads.get_threads() == threads.DEFAULT
-
-    def test_overlapping_forwards_run_one_thread(self, monkeypatch):
-        monkeypatch.setattr(threads, "DEFAULT", 2)
-        with threads.forward_threads(4) as outer:
-            assert outer == threads.get_threads() == 2
-            with threads.forward_threads(4) as inner:
-                assert inner == threads.get_threads() == 1
-            # the remaining forward gets its own count back
-            assert threads.get_threads() == 2
-
-    def test_setter_calls_library_only_on_change(self, monkeypatch):
-        calls = []
-        lib = threads._lib
-
-        class Counting:
-            def __getattr__(self, name):
-                return getattr(lib, name)
-
-            def scipy_openblas_set_num_threads64_(self, n):
-                calls.append(n)
-                lib.scipy_openblas_set_num_threads64_(n)
-
-        threads.set_threads(1)
-        monkeypatch.setattr(threads, "_lib", Counting())
-        for n in (1, 1, 2, 2, 1):
-            assert threads.set_threads(n) == n
-        threads.set_threads(1)
-        assert calls == [2, 1]
-
-    def test_keep_default_applies_to_the_calling_thread_only(self):
-        seen = []
-
-        def serving_thread() -> None:
-            # as a server worker thread or a process-pool child does
-            threads.keep_default_threads()
-            with threads.forward_threads(1) as n:
-                seen.append((n, threads.get_threads()))
-
-        t = threading.Thread(target=serving_thread)
-        t.start()
-        t.join()
-        assert seen == [(threads.DEFAULT, threads.DEFAULT)]
-        with threads.forward_threads(1) as n:
-            assert n == threads.get_threads() == 1
-
-    def test_server_worker_keeps_default_while_run_follows_batch(self,
-                                                                 rng):
-        """A batch-1 request through the thread server runs at the
-        default; ``Session.run`` of the same session at one thread."""
-        with Session.load(_detector(rng)) as session:
-            with obs.recording() as rec:
-                served = session.submit(_images(rng, 1)[0]).result(30.0)
-                session.run(_images(rng, 1))
-        assert served.status == STATUS_OK
-        counts = [(r["attrs"]["batch"], r["attrs"]["blas_threads"])
-                  for r in rec.records() if r.get("type") == "span"
-                  and r["name"] == "engine/forward"]
-        assert counts == [(1, threads.DEFAULT), (1, 1)]
-
+    @needs_openblas
     def test_health_reports_library_and_count(self, rng):
         with Session.load(_detector(rng)) as session:
             session.run(_images(rng, 1))
@@ -126,17 +69,119 @@ class TestBatchRule:
         assert info["library"].startswith("OpenBLAS")
         assert info["threads"] == 1
 
+    def test_one_forward_span_per_call_counts_its_slices(self, rng,
+                                                         monkeypatch):
+        """Batch 1 runs unsplit; the 2x2 tiles of a frame run as one
+        batch-4 forward in ``cores`` slices, and every kernel span of
+        every slice carries the caller's request id."""
+        _force_cores(monkeypatch, 3)
+        det = _detector(rng)
+        with Session.load(det) as session, obs.recording() as rec:
+            session.run(_images(rng, 1))
+        assert [f["attrs"]["slices"] for f in
+                _spans(rec, "engine/forward")] == [1]
+        steps = len(_spans(rec, "engine/kernel"))
+        tiled = SessionConfig(tiles=(2, 2), tile_max_detections=8)
+        with Session.load(det, tiled) as session, obs.recording() as rec:
+            with obs.use_context("req-tiles"):
+                session.run(_images(rng, 1, hw=(48, 96)))
+        (forward,) = _spans(rec, "engine/forward")
+        assert forward["attrs"] == {"engine": forward["attrs"]["engine"],
+                                    "batch": 4, "slices": 3}
+        kernels = _spans(rec, "engine/kernel")
+        assert len(kernels) == 3 * steps
+        assert {k["request"] for k in kernels} == {"req-tiles"}
+        assert len({k["thread"] for k in kernels}) > 1
+        if threads.get_threads() is not None:
+            assert threads.get_threads() == 1
+
+
+class TestSliceSplit:
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("quant", [None, QuantConfig(8, 8)],
+                             ids=["fp32", "w8f8"])
+    def test_batch_n_equals_n_batch_one_forwards(self, rng, monkeypatch,
+                                                 cores, quant):
+        x = _images(rng, 5, hw=(32, 64))
+        net = (compile_net(_backbone(rng)) if quant is None else
+               compile_net(_backbone(rng), quant=quant, calibration=x))
+        _force_cores(monkeypatch, cores)
+        singles = [net(x[i:i + 1]) for i in range(len(x))]
+        for n in range(2, len(x) + 1):
+            np.testing.assert_array_equal(net(x[:n]),
+                                          np.concatenate(singles[:n]))
+        assert len(net._clones) == cores - 1
+
+    def test_sliced_plan_dies_without_the_cycle_collector(self, rng,
+                                                          monkeypatch):
+        _force_cores(monkeypatch, 3)
+        net = compile_net(_backbone(rng))
+        net(_images(rng, 4, hw=(32, 64)))
+        plan, clones = weakref.ref(net), [weakref.ref(c)
+                                          for c in net._clones]
+        gc.disable()
+        try:
+            del net
+            assert plan() is None
+            # A pool thread drops its task a moment after the result.
+            deadline = time.monotonic() + 5.0
+            while any(c() for c in clones) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert all(c() is None for c in clones)
+        finally:
+            gc.enable()
+
+    def test_copies_and_pickles_carry_no_clones(self, rng, monkeypatch):
+        _force_cores(monkeypatch, 2)
+        net = compile_net(_backbone(rng))
+        x = _images(rng, 2, hw=(32, 64))
+        unsplit = pickle.dumps(net)
+        want = net(x)
+        assert len(net._clones) == 1
+        assert len(pickle.dumps(net)) == len(unsplit)
+        for fresh in (copy.copy(net), pickle.loads(pickle.dumps(net))):
+            assert fresh._clones == []
+            assert fresh.arena.nbytes() == 0
+            np.testing.assert_array_equal(fresh(x), want)
+            assert len(fresh._clones) == 1
+        assert len(net._clones) == 1
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["caller", "pool"])
+    def test_slice_failure_reaches_caller_after_every_slice(
+            self, rng, monkeypatch, bad):
+        """The slice holding sample ``bad`` fails at once; the other
+        slices are slow.  The caller sees the failure only after they
+        have finished writing."""
+        _force_cores(monkeypatch, 3)
+        net = compile_net(_backbone(rng))
+        finished = []
+
+        def forward(self, x):
+            if x[0, 0, 0, 0] == bad:
+                raise RuntimeError(f"slice at sample {bad}")
+            time.sleep(0.1)
+            finished.append(int(x[0, 0, 0, 0]))
+            return x
+
+        monkeypatch.setattr(CompiledNet, "_forward", forward)
+        x = np.zeros((3, 3, 8, 8), np.float32)
+        x[:, 0, 0, 0] = np.arange(3)
+        with pytest.raises(RuntimeError, match=f"sample {bad}"):
+            net(x)
+        assert sorted(finished) == [i for i in range(3) if i != bad]
+
 
 @needs_openblas
 class TestCountDoesNotChangeResults:
+    """The slice count: one slice against the host's own core count."""
+
     def test_fp32_plan_agrees_at_one_and_default(self, rng, monkeypatch):
         net = compile_net(_backbone(rng))
         x = _images(rng, 2, hw=(64, 128))
         at_default = net(x)
-        monkeypatch.setattr(threads, "DEFAULT", 1)
-        at_one = net(x)
+        _force_cores(monkeypatch, 1)
+        np.testing.assert_array_equal(net(x), at_default)
         assert threads.get_threads() == 1
-        np.testing.assert_allclose(at_one, at_default, atol=1e-6)
 
     def test_w8f8_plan_bit_exact_at_both_counts(self, rng, monkeypatch):
         x = _images(rng, 2, hw=(64, 128))
@@ -144,24 +189,16 @@ class TestCountDoesNotChangeResults:
                           calibration=x)
         ref = net.quant_stats["reference_output"]
         np.testing.assert_array_equal(net(x), ref)
-        monkeypatch.setattr(threads, "DEFAULT", 1)
+        _force_cores(monkeypatch, 1)
         np.testing.assert_array_equal(net(x), ref)
 
 
 class TestConcurrentForwards:
     def test_thread_server_mixed_batches_match_run(self, rng, monkeypatch):
-        """Two server workers serve a burst of 16 and lone requests at once:
-        outputs equal ``Session.run``, and while forwards overlap the
-        count is one thread."""
-        applied = []
-        real_apply = threads._apply
-
-        def recording_apply():
-            n = real_apply()
-            applied.append((len(threads._in_flight), n))
-            return n
-
-        monkeypatch.setattr(threads, "_apply", recording_apply)
+        """Two server workers serve a burst of 16 and lone requests at
+        once, their batch-4 forwards split in two: outputs equal
+        ``Session.run``."""
+        _force_cores(monkeypatch, 2)
         det = _detector(rng)
         x = _images(rng, 24, hw=(64, 128))
         serve = ServeConfig(max_batch_size=4, max_wait_ms=5.0,
@@ -189,76 +226,27 @@ class TestConcurrentForwards:
         assert all(r.status == STATUS_OK for r in results)
         for i, r in enumerate(results):
             np.testing.assert_allclose(r.value, expected[i], atol=1e-6)
-        batches = {r["attrs"]["batch"] for r in rec.records()
-                   if r.get("type") == "span"
-                   and r["name"] == "engine/forward"}
-        assert {1, 4} <= batches
-        if threads.get_threads() is not None:
-            assert all(n == 1 for flying, n in applied if flying > 1)
-
-
-    def test_stress_rule_holds_and_state_stays_consistent(self,
-                                                          monkeypatch):
-        """More threads than cores enter and leave forwards at batch 1
-        and 4 with a tiny switch interval: every count set while
-        forwards overlap is 1, a lone forward gets its own count, and
-        the cached count matches the library afterwards."""
-        import sys
-
-        monkeypatch.setattr(threads, "DEFAULT", 2)
-        applied = []
-        real_apply = threads._apply
-
-        def recording_apply():
-            n = real_apply()
-            applied.append((list(threads._in_flight), n))
-            return n
-
-        monkeypatch.setattr(threads, "_apply", recording_apply)
-
-        def worker(seed: int) -> None:
-            batches = np.random.default_rng(seed).choice([1, 4], 300)
-            for batch in batches:
-                with threads.forward_threads(int(batch)):
-                    pass
-
-        workers = [threading.Thread(target=worker, args=(s,))
-                   for s in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join(timeout=30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in workers)
-        assert threads._in_flight == []
-        assert len(applied) >= 6 * 300
-        for flying, n in applied:
-            want = flying[0] if len(flying) == 1 else 1
-            assert n == (want if threads.get_threads() is not None else None)
-        assert threads.get_threads() == threads._current
+        forwards = {(f["attrs"]["batch"], f["attrs"]["slices"])
+                    for f in _spans(rec, "engine/forward")}
+        assert {(1, 1), (4, 2)} <= forwards
 
 
 class TestWithoutSymbol:
     def test_setter_is_a_noop(self, rng, monkeypatch):
+        """Without OpenBLAS's symbols nothing is pinned or reported, and
+        batches still split."""
         lib = threads._lib
-        if lib is not None:
-            threads.set_threads(1)
         monkeypatch.setattr(threads, "_lib", None)
-        assert threads.set_threads(2) is None
+        _force_cores(monkeypatch, 2)
         assert threads.get_threads() is None
         assert threads.blas_info() == {"library": None, "threads": None}
         net = compile_net(_backbone(rng))
         with obs.recording() as rec:
             net(_images(rng, 4, hw=(32, 64)))
-        (forward,) = [r for r in rec.records() if r.get("type") == "span"
-                      and r["name"] == "engine/forward"]
-        assert forward["attrs"]["blas_threads"] is None
+        (forward,) = _spans(rec, "engine/forward")
+        assert forward["attrs"]["slices"] == 2
         with Session.load(_detector(rng)) as session:
             assert session.health()["blas"] == {"library": None,
                                                 "threads": None}
-        if lib is not None:  # the library's count was never touched
+        if lib is not None:  # the pin at import is the only setting
             assert lib.scipy_openblas_get_num_threads64_() == 1

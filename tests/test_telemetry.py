@@ -279,6 +279,9 @@ class TestCountersPublishObsCounters:
             f: rec.metrics.counter(f"serve/{f}").value
             for f in ServerStats.FIELDS
         }
+        # Errored batches land in the batch-size histogram too.
+        sizes = rec.metrics.histogram("serve/batch_size")
+        assert sizes.count == counts["batches"]
 
     def test_concurrent_bumps_lose_no_obs_count(self):
         """Eight threads, each bumping its own stats object, share one
