@@ -11,8 +11,10 @@ This package provides the ahead-of-time alternative:
   chain (and a following max-pool) into one kernel, and emit a flat
   :class:`CompiledNet` plan.  fp32 and integer plans share that planner,
   its pass list and one kernel set; precision is each kernel's epilogue.
-* :class:`BufferArena` — shape-keyed buffer pool so im2col columns and
-  activation maps are reused across frames (static deployment shapes).
+* :class:`BufferArena` — slabs planned by liveness on the first forward
+  at each input shape, so im2col columns and activation maps share
+  memory with dead values and are reused across frames (static
+  deployment shapes).
 * :class:`QuantConfig` — integer-domain execution: pass
   ``compile_net(net, quant=QuantConfig(8, 8), calibration=batch)`` to
   calibrate power-of-two scales and run the same plan on int8/int16

@@ -1,43 +1,115 @@
-"""Shape-keyed buffer arena for the compiled inference engine.
+"""Liveness-planned buffer arena for the compiled inference engine.
 
 On the embedded deployments the input resolution is fixed (160x320 on
 both TX2 and Ultra96), so every intermediate array of the forward path —
-im2col column matrices, activation maps, padded inputs — has a static
-shape from frame to frame.  The arena exploits that: each kernel asks
-for its scratch/output buffers by a stable key and gets the *same*
-ndarray back on every call, so steady-state inference allocates nothing.
+im2col column matrices, activation maps, accumulators — has a static
+shape and a static lifetime from frame to frame.  SkyNet's Ultra96
+design runs the whole network through a small, fixed set of on-chip
+feature buffers and reuses each one as soon as its value is dead
+(paper §6.4); the arena does the same with host memory.
 
-Keys include the requested shape *and dtype*, so an engine serving two
-input geometries (e.g. a Siamese tracker's exemplar and search crops)
-keeps one buffer per geometry instead of thrashing a single slot, and
-the quantized backend's int8/int16/float buffers never alias the fp32
-ones.
+The first forward at an input shape *plans* it: every buffer a kernel
+asks for is bound to a shared slab that no live value occupies.  A
+step's output stays live until its last reader (the final output until
+the forward returns), a register that is a view of another keeps that
+register's slab live, and a step's scratch dies when the step ends.
+Buffers whose lifetimes do not overlap share a slab, which grows to the
+largest of them.  The binding is then frozen, so later forwards at that
+shape get the same arrays back and allocate nothing.  Every input shape
+has its own plan over the one set of slabs: an engine serving two
+geometries (a Siamese tracker's exemplar and search crops, or server
+batches of several sizes) holds the largest plan, not their sum.
+
+Buffers requested with ``zero=True`` (padded inputs whose border must
+stay zero) are private, so their border is zeroed once at allocation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ... import obs
 from ...resilience import faults
 
 __all__ = ["BufferArena"]
 
 
-class BufferArena:
-    """Pool of reusable ndarrays keyed by ``(owner, tag, shape, dtype)``.
+class _Liveness:
+    """The planning pass of one input shape: which slabs hold a live
+    value, so a new request can take one that does not."""
 
-    Buffers are created on first request (a *miss*) and returned
-    unchanged afterwards (a *hit*).  Contents are undefined on hits —
-    callers must fully overwrite what they read — except for buffers
-    requested with ``zero=True``, which are zero-filled once at
-    allocation (used for padded inputs whose border must stay zero).
+    def __init__(self, arena: "BufferArena", shape: tuple) -> None:
+        self.arena = arena
+        self.shape = shape
+        self.refs: dict[int, int] = {}  # slab -> live registers in it
+        self.scratch: set[int] = set()  # slabs bound during this step
+
+    def free(self) -> list[int]:
+        return [j for j in range(len(self.arena._slabs))
+                if j not in self.scratch and not self.refs.get(j)]
+
+    def _slab_of(self, a: np.ndarray) -> int | None:
+        base = a if a.base is None else a.base
+        for j, slab in enumerate(self.arena._slabs):
+            if slab is base:
+                return j
+        return None
+
+    def step_done(self, out: np.ndarray, dead: list[np.ndarray]) -> None:
+        """A step wrote ``out``; ``dead`` are the registers it read for
+        the last time.  Its scratch and the dead values' slabs free up."""
+        j = self._slab_of(out)
+        if j is not None:
+            self.refs[j] = self.refs.get(j, 0) + 1
+        for a in dead:
+            j = self._slab_of(a)
+            if j is not None:
+                self.refs[j] -= 1
+        self.scratch.clear()
+
+    def freeze(self) -> None:
+        """The pass completed: later forwards at this shape replay it."""
+        arena = self.arena
+        arena._plans[self.shape] = (arena._bind, arena._views)
+        arena._live = None
+
+
+class BufferArena:
+    """Reusable ndarrays carved from shared slabs, planned by liveness.
+
+    Kernels ask for a buffer by ``(owner, tag, shape, dtype)``.  The
+    first request at an input shape (a *miss*) binds it to a slab; later
+    requests (*hits*) return the same array.  Contents are undefined on
+    hits — callers must fully overwrite what they read — except for
+    ``zero=True`` buffers, which are zero-filled once at allocation.
+
+    A forward brackets its steps with :meth:`begin` and, on a planning
+    pass, reports each step to the returned recorder.  Requests outside
+    a forward never share a slab with each other; they stay valid until
+    the next forward on this arena.
     """
 
     def __init__(self) -> None:
-        self._buffers: dict[tuple, np.ndarray] = {}
+        self._slabs: list[np.ndarray] = []  # raw bytes, shared by plans
+        # input shape -> (key -> slab, key -> view)
+        self._plans: dict[tuple, tuple[dict, dict]] = {}
+        self._bind: dict[tuple, int] = {}
+        self._views: dict[tuple, np.ndarray] = {}
+        self._zeroed: dict[tuple, np.ndarray] = {}
+        self._live: _Liveness | None = None
         self.hits = 0
         self.misses = 0
+
+    def begin(self, shape: tuple) -> _Liveness | None:
+        """Start a forward at input ``shape``.  Returns the recorder to
+        report steps to when this pass plans the shape, else ``None``."""
+        plan = self._plans.get(shape)
+        if plan is not None:
+            self._bind, self._views = plan
+            self._live = None
+            return None
+        self._bind, self._views = {}, {}
+        self._live = _Liveness(self, shape)
+        return self._live
 
     def get(
         self,
@@ -47,38 +119,74 @@ class BufferArena:
         dtype=np.float32,
         zero: bool = False,
     ) -> np.ndarray:
-        """Return the pooled buffer for ``(owner, tag)`` at this shape."""
-        key = (owner, tag, shape, np.dtype(dtype))
-        buf = self._buffers.get(key)
-        if buf is None:
-            spec = faults.trigger("arena.alloc")
-            if spec is not None and spec.kind == "alloc":
-                raise MemoryError(
-                    f"injected allocation failure: {tag} {shape} "
-                    f"({int(np.prod(shape)) * np.dtype(dtype).itemsize} "
-                    f"bytes)"
-                )
-            buf = (np.zeros(shape, dtype) if zero
-                   else np.empty(shape, dtype))
-            self._buffers[key] = buf
-            self.misses += 1
-            if obs.enabled():
-                obs.set_gauge("engine/arena/pooled_bytes", self.nbytes())
-        else:
+        """Return the buffer bound to ``(owner, tag)`` at this shape."""
+        dtype = np.dtype(dtype)
+        key = (owner, tag, shape, dtype)
+        if zero:
+            buf = self._zeroed.get(key)
+            if buf is None:
+                self._fault(tag, shape, dtype)
+                buf = self._zeroed[key] = np.zeros(shape, dtype)
+                self.misses += 1
+            else:
+                self.hits += 1
+            return buf
+        buf = self._views.get(key)
+        if buf is not None:
             self.hits += 1
+            return buf
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        j = self._bind.get(key)
+        if j is None:
+            j = self._bind[key] = self._assign(tag, shape, dtype, nbytes)
+            self.misses += 1
+        else:  # a view dropped when its slab grew for another plan
+            self.hits += 1
+        if self._live is not None:
+            self._live.scratch.add(j)
+        buf = self._views[key] = (
+            self._slabs[j][:nbytes].view(dtype).reshape(shape))
         return buf
 
+    def _fault(self, tag: str, shape: tuple, dtype: np.dtype) -> None:
+        spec = faults.trigger("arena.alloc")
+        if spec is not None and spec.kind == "alloc":
+            raise MemoryError(
+                f"injected allocation failure: {tag} {shape} "
+                f"({int(np.prod(shape)) * dtype.itemsize} bytes)")
+
+    def _assign(self, tag: str, shape: tuple, dtype: np.dtype,
+                nbytes: int) -> int:
+        """A slab no live value holds: the smallest that fits, else the
+        largest grown to fit, else a new one.  Outside a planning pass
+        every slab counts as live."""
+        free = [] if self._live is None else self._live.free()
+        sizes = [self._slabs[j].nbytes for j in free]
+        fits = [(size, j) for size, j in zip(sizes, free) if size >= nbytes]
+        if fits:
+            return min(fits)[1]
+        self._fault(tag, shape, dtype)
+        slab = np.empty(nbytes, np.uint8)
+        if not free:
+            self._slabs.append(slab)
+            return len(self._slabs) - 1
+        j = max(zip(sizes, free))[1]
+        self._slabs[j] = slab
+        # Views into the old slab are stale: they rebuild from their
+        # binding on next use.
+        for bind, views in [*self._plans.values(), (self._bind, self._views)]:
+            for key in [k for k, s in bind.items() if s == j]:
+                views.pop(key, None)
+        return j
+
     def nbytes(self) -> int:
-        """Total bytes currently held by the pool."""
-        return sum(b.nbytes for b in self._buffers.values())
+        """Total bytes held: the slabs plus the zeroed buffers."""
+        return (sum(s.nbytes for s in self._slabs)
+                + sum(b.nbytes for b in self._zeroed.values()))
 
     def __len__(self) -> int:
-        return len(self._buffers)
+        return len(self._slabs) + len(self._zeroed)
 
     def clear(self) -> None:
-        """Drop every pooled buffer (and reset the hit/miss counters)."""
-        self._buffers.clear()
-        self.hits = 0
-        self.misses = 0
-        if obs.enabled():
-            obs.set_gauge("engine/arena/pooled_bytes", 0)
+        """Drop every slab and plan (and reset the hit/miss counters)."""
+        self.__init__()

@@ -417,7 +417,7 @@ class CompiledNet:
     """A flat, fused, allocation-free inference plan.
 
     Call it with an ``(N, C, H, W)`` ndarray to get the network output as
-    an ndarray.  All intermediate buffers live in a shape-keyed
+    an ndarray.  All intermediate buffers live in a liveness-planned
     :class:`BufferArena`, so after the first call at a given input shape
     the forward path performs no heap allocation beyond the output copy.
     """
@@ -428,7 +428,6 @@ class CompiledNet:
         n_regs: int,
         out_reg: int,
         name: str = "net",
-        arena: BufferArena | None = None,
         quant=None,
         quant_stats: dict | None = None,
     ) -> None:
@@ -436,10 +435,21 @@ class CompiledNet:
         self.n_regs = n_regs
         self.out_reg = out_reg
         self.name = name
-        self.arena = arena if arena is not None else BufferArena()
+        self.arena = BufferArena()
         self.quant = quant  # QuantConfig when integer-domain, else None
         self.quant_stats = quant_stats
         self._clones: list[CompiledNet] = []  # _split's, never self
+        # The registers each step reads for the last time; the input and
+        # the final output are never released.
+        last = {}
+        for i, (_, ins, out) in enumerate(steps):
+            last[out] = i
+            last.update((r, i) for r in ins)
+        last.pop(0, None)
+        last.pop(out_reg, None)
+        self._dies: list[list[int]] = [[] for _ in steps]
+        for r, i in last.items():
+            self._dies[i].append(r)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float32)
@@ -452,14 +462,28 @@ class CompiledNet:
             # across frames without the next call overwriting it.
             return np.array(self._forward(x), copy=True)
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the plan on this net's arena; returns an arena view."""
+    def _forward(self, x: np.ndarray, observe=None) -> np.ndarray:
+        """Run the plan on this net's arena; returns an arena view.
+
+        The first forward at an input shape plans the arena: it reports
+        each step's output and the registers that die with it.
+        ``observe(step, out, seconds)``, when given, sees every step's
+        output and kernel time (the profiler's hook).
+        """
         regs: list[np.ndarray | None] = [None] * self.n_regs
         regs[0] = x
         arena = self.arena
-        for kern, ins, out in self.steps:
+        live = arena.begin(x.shape)
+        for i, (kern, ins, out) in enumerate(self.steps):
             with obs.span("engine/kernel", kernel=kern.label):
-                regs[out] = kern.run([regs[i] for i in ins], arena)
+                t0 = time.perf_counter()
+                regs[out] = kern.run([regs[r] for r in ins], arena)
+                if observe is not None:
+                    observe(i, regs[out], time.perf_counter() - t0)
+            if live is not None:
+                live.step_done(regs[out], [regs[r] for r in self._dies[i]])
+        if live is not None:
+            live.freeze()
         return regs[self.out_reg]
 
     def _split(self, x: np.ndarray, k: int) -> np.ndarray:
@@ -489,15 +513,21 @@ class CompiledNet:
     def warmup(self, shape: tuple[int, ...], dtype=np.float32) -> int:
         """Dry-run a zeros batch so the first real request allocates nothing.
 
-        One pass at the steady-state ``(N, C, H, W)`` shape faults in and
-        pools every arena buffer the plan will ever need at that
-        geometry (and publishes ``engine/arena/pooled_bytes``).  Returns
-        the arena's pooled byte count.
+        One pass at the steady-state ``(N, C, H, W)`` shape plans every
+        arena the forward runs on — this net's and its slice clones' —
+        and publishes ``engine/arena/pooled_bytes``.  Returns
+        :meth:`nbytes`.
         """
         self(np.zeros(shape, dtype))
+        nbytes = self.nbytes()
         if obs.enabled():
-            obs.set_gauge("engine/arena/pooled_bytes", self.arena.nbytes())
-        return self.arena.nbytes()
+            obs.set_gauge("engine/arena/pooled_bytes", nbytes)
+        return nbytes
+
+    def nbytes(self) -> int:
+        """Bytes the plan's buffers hold: this net's arena plus its
+        slice clones' arenas."""
+        return sum(net.arena.nbytes() for net in [self, *self._clones])
 
     def profile(self, x: np.ndarray, reps: int = 10, warmup: int = 2):
         """Per-step timing of this plan (see
@@ -511,8 +541,8 @@ class CompiledNet:
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         # Copies and pickles are fresh clones: the plan without the
-        # arena's scratch buffers (~40x the plan's bytes once warmed)
-        # and without slice clones.  Kernels and weights are immutable
+        # arena's slabs (SkyNet-C at 160x320, batch 1: 15 MB of slabs
+        # against 1.8 MB of weights) and without slice clones.  Kernels and weights are immutable
         # at run time and shared; an arena is per thread, so
         # ``copy.copy(net)`` is the clone each serving thread runs.
         return dict(self.__dict__, arena=None, _clones=None)
@@ -533,14 +563,13 @@ class CompiledNet:
         return format_table(
             ["step", "kernel", "reads", "writes"], rows,
             title=f"CompiledNet({self.name}){quant}: {len(self.steps)} "
-                  f"kernels, arena {self.arena.nbytes() / 1e6:.2f} MB",
+                  f"kernels, arena {self.nbytes() / 1e6:.2f} MB",
         )
 
 
 def compile_net(
     module: Module,
     name: str | None = None,
-    arena: BufferArena | None = None,
     quant=None,
     calibration: np.ndarray | None = None,
 ) -> CompiledNet:
@@ -590,5 +619,5 @@ def compile_net(
                     obs.set_gauge(f"engine/{name}/quant/kernels_{dtype}",
                                   count)
         obs.set_gauge(f"engine/{name}/kernels", len(steps))
-    return CompiledNet(steps, n_regs, out_reg, name, arena, quant=quant,
+    return CompiledNet(steps, n_regs, out_reg, name, quant=quant,
                        quant_stats=stats)

@@ -3,7 +3,8 @@
 Each kernel is a plain-ndarray operation: no :class:`~repro.nn.tensor.Tensor`
 wrappers, no autograd closures, no graph bookkeeping.  Kernels draw every
 scratch and output array from a :class:`~repro.nn.engine.arena.BufferArena`
-keyed by their own identity, so repeated calls at a fixed input shape run
+by their own identity and a tag; the arena binds each request to a slab
+planned by liveness, so repeated calls at a fixed input shape run
 allocation-free.
 
 Precision is not a kernel family but a kernel's :class:`Epilogue`: the

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "unbroadcast", "as_tensor"]
+__all__ = ["Tensor", "no_grad", "unbroadcast", "as_tensor"]
 
 
 _GRAD_ENABLED = True
@@ -44,11 +44,6 @@ class no_grad:
     def __exit__(self, *exc: object) -> None:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
-
-
-def is_grad_enabled() -> bool:
-    """Return whether autograd graph construction is currently enabled."""
-    return _GRAD_ENABLED
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -12,15 +12,14 @@ percentages — and :func:`render_comparison` lines two profiles up so a
 speedup claim decomposes per kernel (``repro profile <net> --engine
 --quant-bits 8,8``).
 
-The profiler drives the plan's own step list with the plan's own arena,
-so what it times is exactly what :meth:`CompiledNet.__call__` runs —
-minus the per-step span bookkeeping, which stays out of the timed
-region.
+The profiler runs the plan's own forward loop on the plan's own
+planned arena, one unsplit forward per repetition, and times each
+kernel call inside it — the per-step span bookkeeping stays out of the
+timed region.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,7 +166,7 @@ def profile_net(net, x: np.ndarray, reps: int = 10,
                 warmup: int = 2) -> KernelProfile:
     """Time every step of a compiled plan over ``reps`` forwards.
 
-    ``warmup`` untimed forwards populate the arena and BLAS caches
+    ``warmup`` untimed forwards plan the arena and warm BLAS caches
     first.  Per step, ``best_ms`` (minimum over reps — the noise-robust
     statistic the benches use) and ``mean_ms`` are reported.
     """
@@ -183,28 +182,26 @@ def profile_net(net, x: np.ndarray, reps: int = 10,
     times = [[] for _ in steps]
     meta: list[tuple[str, int, int] | None] = [None] * len(steps)
 
-    for rep in range(warmup + reps):
-        regs: list[np.ndarray | None] = [None] * net.n_regs
-        regs[0] = x
-        timed = rep >= warmup
-        for i, (kern, ins, out_reg) in enumerate(steps):
-            inputs = [regs[r] for r in ins]
-            t0 = time.perf_counter()
-            out = kern.run(inputs, net.arena)
-            t1 = time.perf_counter()
-            regs[out_reg] = out
-            if timed:
-                times[i].append((t1 - t0) * 1e3)
-            if meta[i] is None:
-                meta[i] = (_step_dtype(kern, out),
-                           _step_flops(kern, out), int(out.nbytes))
+    def observe(i: int, out: np.ndarray, seconds: float) -> None:
+        times[i].append(seconds * 1e3)
+        if meta[i] is None:
+            kern = steps[i][0]
+            meta[i] = (_step_dtype(kern, out), _step_flops(kern, out),
+                       int(out.nbytes))
+
+    for _ in range(warmup):
+        net._forward(x, observe)
+    for durs in times:
+        durs.clear()
+    for _ in range(reps):
+        net._forward(x, observe)
 
     profile = KernelProfile(
         name=net.name,
         scheme="fp32" if net.quant is None else net.quant.label,
         input_shape=tuple(x.shape),
         reps=reps,
-        arena_bytes=int(net.arena.nbytes()),
+        arena_bytes=net.nbytes(),
     )
     for i, (kern, _, _) in enumerate(steps):
         dtype, flops, out_bytes = meta[i]

@@ -148,12 +148,13 @@ class Session:
         warmup:
             Steady-state input shape — ``(C, H, W)`` per image or a full
             ``(N, C, H, W)`` batch shape — to dry-run at load time.  One
-            zeros pass pools every arena buffer
+            zeros pass plans every arena at that shape
             (:meth:`CompiledNet.warmup <repro.nn.engine.CompiledNet.warmup>`),
             so the first real request pays no allocation spike; server
             worker runners (thread clones and worker processes alike)
-            warm the same shape.  The arena is keyed by exact shape, so
-            pass the batch shape the workers will actually see.
+            warm the same shape.  An arena plans each exact input shape
+            on its first pass, so pass the batch shape the workers will
+            actually see.
         """
         from ..nn.engine import CompiledNet, CompileError, QuantConfig
         from ..nn.module import Module
@@ -245,9 +246,9 @@ class Session:
                 )
             session._warmup_shape = shape
             session._runner(session._forward)(np.zeros(shape, np.float32))
-            arena = getattr(session._forward, "arena", None)
-            if arena is not None and obs.enabled():
-                obs.set_gauge("engine/arena/pooled_bytes", arena.nbytes())
+            if isinstance(session._forward, CompiledNet) and obs.enabled():
+                obs.set_gauge("engine/arena/pooled_bytes",
+                              session._forward.nbytes())
         obs.inc(f"runtime/sessions/{session.backend}")
         return session
 
@@ -311,7 +312,7 @@ class Session:
         and owns a fresh arena; an eager copy shares the model)."""
         runner = self._runner(copy.copy(self._forward))
         if self._warmup_shape is not None:
-            # Pool the fresh clone's arena before any real request
+            # Plan the fresh clone's arena before any real request
             # reaches it.
             runner(np.zeros(self._warmup_shape, np.float32))
         return runner

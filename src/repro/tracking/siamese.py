@@ -103,14 +103,14 @@ def xcorr_depthwise(x: Tensor, z: Tensor) -> Tensor:
     return out.reshape(n, c, hx - hz + 1, wx - wz + 1)
 
 
-def compile_extractor(model: Module, arena=None, quant=None, calibration=None):
+def compile_extractor(model: Module, quant=None, calibration=None):
     """Compile a Siamese model's feature extractor (backbone + adjust).
 
     Returns a :class:`repro.nn.engine.CompiledNet` equivalent to
     ``model.extract`` in eval mode.  Exemplar and search crops have
-    different static shapes, so the shape-keyed arena keeps separate
-    buffers for each and both paths stay allocation-free after the
-    first frame.
+    different static shapes, so the arena plans each shape once over
+    the same slabs and both paths stay allocation-free after the first
+    frame.
 
     ``quant``/``calibration`` select the integer-domain backend (see
     :func:`repro.nn.engine.compile_net`); calibrate on search-sized
@@ -125,7 +125,6 @@ def compile_extractor(model: Module, arena=None, quant=None, calibration=None):
     net = compile_net(
         Sequential(model.backbone, model.adjust),
         name=f"{type(model).__name__}.extract",
-        arena=arena,
         quant=quant,
         calibration=calibration,
     )

@@ -131,6 +131,26 @@ class TestSliceSplit:
         finally:
             gc.enable()
 
+    def test_warmup_reports_every_slice_arena(self, rng, monkeypatch):
+        """A split warm-up returns and publishes the plan's bytes: the
+        caller's arena plus its slice clone's, as Session.load and
+        summary() do."""
+        _force_cores(monkeypatch, 2)
+        net = compile_net(_backbone(rng))
+        with obs.recording() as rec:
+            nbytes = net.warmup((4, 3, 32, 64))
+            gauge = rec.metrics.gauge("engine/arena/pooled_bytes").value
+        (clone,) = net._clones
+        assert clone.arena.nbytes() > 0
+        assert nbytes == gauge == (net.arena.nbytes()
+                                   + clone.arena.nbytes())
+        assert f"arena {nbytes / 1e6:.2f} MB" in net.summary()
+        with obs.recording() as rec:
+            session = Session.load(net, warmup=(4, 3, 32, 64))
+            gauge = rec.metrics.gauge("engine/arena/pooled_bytes").value
+        assert gauge == nbytes
+        session.close()
+
     def test_copies_and_pickles_carry_no_clones(self, rng, monkeypatch):
         _force_cores(monkeypatch, 2)
         net = compile_net(_backbone(rng))

@@ -160,19 +160,23 @@ class TestArena:
         arena.clear()
         assert len(arena) == 0
 
-    def test_pooled_bytes_gauge(self):
+    def test_pooled_bytes_gauge(self, rng):
+        """The gauge reports a whole plan, published by its warm-up: a
+        miss in one arena does not overwrite it with that arena's
+        bytes."""
         from repro import obs
 
+        bb = SkyNetBackbone("A", width_mult=0.25, rng=rng)
+        bb.eval()
+        net = compile_net(bb)
         rec = obs.enable()
         try:
-            arena = BufferArena()
-            arena.get("k", "out", (8,), np.float32)
             gauge = rec.metrics.gauge("engine/arena/pooled_bytes")
-            assert gauge.value == 32
-            arena.get("k", "out", (16,), np.float32)
-            assert gauge.value == 96
-            arena.clear()
-            assert gauge.value == 0
+            nbytes = net.warmup((1, 3, 16, 32))
+            assert gauge.value == nbytes > 0
+            BufferArena().get("k", "out", (8,), np.float32)
+            copy.copy(net)(np.zeros((1, 3, 16, 32), np.float32))
+            assert gauge.value == nbytes
         finally:
             obs.disable()
 
@@ -182,11 +186,13 @@ class TestArena:
         net = compile_net(bb)
         nbytes = net.warmup((2, 3, 16, 32))
         assert nbytes > 0
-        assert nbytes == net.arena.nbytes()
-        misses = net.arena.misses
+        arenas = [n.arena for n in [net, *net._clones]]
+        assert nbytes == sum(a.nbytes() for a in arenas)
+        misses = [a.misses for a in arenas]
         x = rng.normal(0, 1, (2, 3, 16, 32)).astype(np.float32)
         net(x)
-        assert net.arena.misses == misses  # steady state: all hits
+        # steady state: all hits
+        assert [a.misses for a in arenas] == misses
 
     def test_warmup_publishes_pooled_bytes_gauge(self, rng):
         from repro import obs

@@ -326,9 +326,9 @@ class TestSession:
 
     def test_workers_warm_the_session_warmup_shape(self, rng):
         """Thread clones and pool children warm at the shape given to
-        ``Session.load``, not at ``max_batch_size``: the arena is keyed
-        by exact shape, so a batch-8 warm-up pools buffers that
-        batch-1 forwards never reuse."""
+        ``Session.load``, not at ``max_batch_size``: the arena plans each
+        exact input shape, so a batch-8 warm-up plans a shape that
+        batch-1 forwards never run."""
         session = Session.load(_tiny_detector(rng),
                                serve=ServeConfig(max_batch_size=8),
                                warmup=(3, 16, 32))
