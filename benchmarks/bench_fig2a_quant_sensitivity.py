@@ -20,6 +20,7 @@ import pytest
 from common import print_table
 
 from repro.datasets.renderer import NUM_MAIN_CATEGORIES, SceneRenderer
+from repro.hardware.descriptor import describe
 from repro.hardware.profiler import profile_network
 from repro.hardware.quantization import (
     feature_map_quantization,
@@ -113,7 +114,7 @@ def _param_policy(scheme: dict):
 @lru_cache(maxsize=None)
 def run_study():
     model, xva, yva = trained_classifier()
-    profile = profile_network(model.layer_descriptors())
+    profile = profile_network(describe(model, model.input_hw))
     base_acc = accuracy(model, xva, yva)
 
     param_rows = []

@@ -15,6 +15,7 @@ import pytest
 from common import print_table
 
 from repro.core import SkyNetBackbone
+from repro.hardware.descriptor import describe
 from repro.hardware.profiler import compare_networks
 from repro.tracking import TrackerSpeedModel
 from repro.zoo import resnet50
@@ -24,7 +25,7 @@ def run_headline():
     sky = SkyNetBackbone("C")
     r50 = resnet50(1.0)
     rows = compare_networks(
-        [sky.layer_descriptors((255, 255)), r50.layer_descriptors((255, 255))],
+        [describe(sky, (255, 255)), describe(r50, (255, 255))],
         baseline=0,
     )
     speed = TrackerSpeedModel()

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from common import IMAGE_HW, build_detector, print_table, train_detector
 
+from repro.hardware.descriptor import describe
 from repro.zoo import build_backbone
 
 BACKBONES = ("resnet18", "resnet34", "resnet50", "vgg16", "skynet")
@@ -39,15 +40,15 @@ SKYNET_EPOCHS = 60  # the reference budget; others get equal MACs
 
 def _epoch_budget(name: str, reference_macs: float) -> int:
     bb = build_backbone(name, width_mult=TRAIN_WIDTH)
-    macs = bb.layer_descriptors(IMAGE_HW).total_macs
+    macs = describe(bb, IMAGE_HW).total_macs
     return max(1, int(round(SKYNET_EPOCHS * reference_macs / macs)))
 
 
 @lru_cache(maxsize=None)
 def run_comparison():
-    reference_macs = build_backbone(
-        "skynet", width_mult=TRAIN_WIDTH
-    ).layer_descriptors(IMAGE_HW).total_macs
+    reference_macs = describe(
+        build_backbone("skynet", width_mult=TRAIN_WIDTH), IMAGE_HW
+    ).total_macs
     results = {}
     for name in BACKBONES:
         epochs = _epoch_budget(name, reference_macs)

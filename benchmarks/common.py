@@ -27,7 +27,7 @@ from repro.detection import (
     YoloHead,
 )
 from repro.detection.anchors import kmeans_anchors
-from repro.hardware.descriptor import LayerDesc, NetDescriptor
+from repro.hardware.descriptor import LayerDesc, NetDescriptor, describe
 from repro.utils import print_table  # noqa: F401  (re-export for benches)
 
 # ---- shared budgets ---------------------------------------------------- #
@@ -92,7 +92,7 @@ def trained_skynet():
 
 def contest_descriptor(backbone) -> NetDescriptor:
     """Backbone + head descriptor at deployment resolution."""
-    desc = backbone.layer_descriptors(CONTEST_HW)
+    desc = describe(backbone, CONTEST_HW)
     gh, gw = CONTEST_HW[0] // 8, CONTEST_HW[1] // 8
     desc.layers.append(
         LayerDesc("pwconv", backbone.out_channels, 10, gh, gw, name="head")

@@ -23,7 +23,7 @@ from repro.datasets import make_dacsdc_splits
 from repro.detection import DetectionTrainer, Detector, TrainConfig, YoloHead
 from repro.detection.anchors import kmeans_anchors
 from repro.detection.metrics import evaluate_detector
-from repro.hardware.descriptor import LayerDesc
+from repro.hardware.descriptor import LayerDesc, describe
 from repro.hardware.fpga import FpgaLatencyModel, plan_batch_tiling
 from repro.hardware.quantization import TABLE7_SCHEMES, quantized_inference
 from repro.hardware.spec import ULTRA96
@@ -60,7 +60,7 @@ def main() -> None:
 
     print("\nIP pool on Ultra96 (scheme 1: W11 / FM9):")
     full = SkyNetBackbone("C")
-    desc = full.layer_descriptors((160, 320))
+    desc = describe(full, (160, 320))
     desc.layers.append(LayerDesc("pwconv", full.out_channels, 10, 20, 40,
                                  name="head"))
     model = FpgaLatencyModel(ULTRA96, batch=4, w_bits=11, fm_bits=9)

@@ -24,7 +24,7 @@ from repro.core import SkyNetBackbone
 from repro.datasets import make_dacsdc_splits
 from repro.detection import DetectionTrainer, Detector, TrainConfig, YoloHead
 from repro.detection.anchors import kmeans_anchors
-from repro.hardware.descriptor import LayerDesc
+from repro.hardware.descriptor import LayerDesc, describe
 from repro.hardware.fpga import FpgaLatencyModel
 from repro.hardware.gpu import GpuLatencyModel
 from repro.hardware.spec import TX2, ULTRA96
@@ -74,7 +74,7 @@ def main() -> None:
 
     print("4) embedded deployment estimates (full-size SkyNet C):")
     full = SkyNetBackbone("C")
-    desc = full.layer_descriptors((160, 320))
+    desc = describe(full, (160, 320))
     desc.layers.append(LayerDesc("pwconv", full.out_channels, 10, 20, 40,
                                  name="head"))
     gpu = GpuLatencyModel(TX2, batch=4)

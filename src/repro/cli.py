@@ -393,6 +393,7 @@ def _cmd_profile_engine(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .hardware.descriptor import describe
     from .hardware.fpga import FpgaLatencyModel
     from .hardware.gpu import GpuLatencyModel
     from .hardware.profiler import profile_network
@@ -403,9 +404,9 @@ def _cmd_profile(args) -> int:
         return _cmd_profile_engine(args)
     backbone = build_backbone(args.backbone, width_mult=args.width)
     hw = (args.height, args.input_width)
-    desc = backbone.layer_descriptors(hw)
+    desc = describe(backbone, hw)
     profile = profile_network(desc)
-    print(f"{desc.name} @ {hw[0]}x{hw[1]} (width_mult={args.width})")
+    print(f"{args.backbone} @ {hw[0]}x{hw[1]} (width_mult={args.width})")
     print(f"  params: {profile.params / 1e6:.3f} M "
           f"({profile.param_mb_fp32:.2f} MB fp32)")
     print(f"  MACs:   {profile.gmacs:.3f} G")

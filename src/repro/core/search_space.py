@@ -29,6 +29,8 @@ __all__ = ["CandidateDNA", "CandidateNet", "random_dna"]
 
 
 @dataclass(frozen=True)
+
+
 class CandidateDNA:
     """Genotype of one particle.
 
@@ -206,6 +208,3 @@ class CandidateNet(Module):
             if self._pool_after[j]:
                 x = self.pool(x)
         return x
-
-    def layer_descriptors(self, input_hw: tuple[int, int]) -> NetDescriptor:
-        return self.dna.descriptor(input_hw, self.in_channels)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc, NetDescriptor
 from ..nn import Tensor
 from ..nn.layers import (
     BatchNorm2d,
@@ -82,20 +81,6 @@ class SkyNetBundle(Module):
     def forward(self, x: Tensor) -> Tensor:
         x = self.act1(self.bn1(self.dw(x)))
         return self.act2(self.bn2(self.pw(x)))
-
-    @staticmethod
-    def describe(
-        in_ch: int, out_ch: int, h: int, w: int, name: str = "bundle"
-    ) -> list[LayerDesc]:
-        """Layer descriptors for one Bundle at input size (h, w)."""
-        return [
-            LayerDesc("dwconv", in_ch, in_ch, h, w, kernel=3, name=f"{name}.dw"),
-            LayerDesc("bn", in_ch, in_ch, h, w, name=f"{name}.bn1"),
-            LayerDesc("act", in_ch, in_ch, h, w, name=f"{name}.act1"),
-            LayerDesc("pwconv", in_ch, out_ch, h, w, name=f"{name}.pw"),
-            LayerDesc("bn", out_ch, out_ch, h, w, name=f"{name}.bn2"),
-            LayerDesc("act", out_ch, out_ch, h, w, name=f"{name}.act2"),
-        ]
 
 
 class SkyNetBackbone(Module):
@@ -181,32 +166,3 @@ class SkyNetBackbone(Module):
             x = Tensor.concat([x, bypass], axis=1)  # [Bypass End]
             x = self.bundle6(x)
         return x
-
-    # ------------------------------------------------------------------ #
-    # structure for the hardware models
-    # ------------------------------------------------------------------ #
-    def layer_descriptors(self, input_hw: tuple[int, int]) -> NetDescriptor:
-        """Structural descriptor at a given input resolution."""
-        h, w = input_hw
-        ch = self.channels
-        layers: list[LayerDesc] = []
-        layers += SkyNetBundle.describe(self.in_channels, ch[0], h, w, "b1")
-        layers.append(LayerDesc("pool", ch[0], ch[0], h, w, 2, 2, "pool1"))
-        h, w = h // 2, w // 2
-        layers += SkyNetBundle.describe(ch[0], ch[1], h, w, "b2")
-        layers.append(LayerDesc("pool", ch[1], ch[1], h, w, 2, 2, "pool2"))
-        h, w = h // 2, w // 2
-        layers += SkyNetBundle.describe(ch[1], ch[2], h, w, "b3")
-        if self.has_bypass:
-            layers.append(
-                LayerDesc("reorg", ch[2], ch[2] * 4, h, w, 2, 2, "bypass.reorg")
-            )
-        layers.append(LayerDesc("pool", ch[2], ch[2], h, w, 2, 2, "pool3"))
-        h, w = h // 2, w // 2
-        layers += SkyNetBundle.describe(ch[2], ch[3], h, w, "b4")
-        layers += SkyNetBundle.describe(ch[3], ch[4], h, w, "b5")
-        if self.has_bypass:
-            cat_ch = ch[4] + ch[2] * 4
-            layers.append(LayerDesc("concat", cat_ch, cat_ch, h, w, name="concat"))
-            layers += SkyNetBundle.describe(cat_ch, self.out_channels, h, w, "b6")
-        return NetDescriptor(layers, name=f"SkyNet-{self.config}")

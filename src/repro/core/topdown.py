@@ -30,6 +30,7 @@ from ..detection.head import YoloHead
 from ..detection.metrics import evaluate_detector
 from ..detection.model import Detector
 from ..detection.trainer import DetectionTrainer, TrainConfig
+from ..hardware.descriptor import describe
 from ..hardware.fpga.latency import FpgaLatencyModel
 from ..hardware.pruning import magnitude_prune
 from ..hardware.quantization import quantized_inference
@@ -142,7 +143,7 @@ class TopDownFlow:
         h, w = self.val.image_hw
         h = max(8, int(round(h * state.resize_factor / 8)) * 8)
         w = max(8, int(round(w * state.resize_factor / 8)) * 8)
-        desc = detector.backbone.layer_descriptors((h, w))
+        desc = describe(detector.backbone, (h, w))
         model = FpgaLatencyModel(
             self.fpga,
             batch=1,

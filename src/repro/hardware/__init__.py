@@ -6,11 +6,12 @@ package provides that feedback analytically — a roofline GPU model, an
 IP-based FPGA model (the same estimator family the paper itself uses
 during search), fixed-point quantization, a system-pipeline simulator,
 and a power/energy model — all consuming the layer-structure
-descriptors of :mod:`repro.hardware.descriptor`.
+descriptors that :func:`repro.hardware.describe` reads off a module's
+traced forward.
 """
 
 from . import fpga, gpu
-from .descriptor import LayerDesc, NetDescriptor
+from .descriptor import LayerDesc, NetDescriptor, describe
 from .energy import EnergyReport, PowerModel
 from .pipeline import PipelineResult, PipelineSimulator, Stage
 from .profiler import NetworkProfile, compare_networks, profile_network
@@ -31,6 +32,7 @@ from .spec import DEVICES, GTX_1080TI, PYNQ_Z1, TX2, ULTRA96, FpgaSpec, GpuSpec
 __all__ = [
     "LayerDesc",
     "NetDescriptor",
+    "describe",
     "PowerModel",
     "EnergyReport",
     "PipelineSimulator",

@@ -2,9 +2,11 @@
 
 The FPGA and GPU performance models (and the profiler) do not execute
 NumPy code — they reason about a network's *structure*: per-layer MACs,
-parameter counts, and feature-map sizes.  Every backbone in this library
-can emit a :class:`NetDescriptor`, a flat list of :class:`LayerDesc`
-records, via its ``layer_descriptors(input_hw)`` method.
+parameter counts, and feature-map sizes.  :func:`describe` reads a
+:class:`NetDescriptor`, a flat list of :class:`LayerDesc` records, off
+the same trace of the module's forward that the inference compiler
+plans (:func:`repro.nn.engine.compiler.trace`), so the graph the models
+cost is the graph that runs.
 
 This mirrors how the paper's own flow works: FPGA latency during the
 bottom-up search is estimated from per-IP models over the layer graph
@@ -16,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-__all__ = ["LayerDesc", "NetDescriptor"]
+from ..nn.engine.compiler import trace
+
+__all__ = ["LayerDesc", "NetDescriptor", "describe"]
 
 _COMPUTE_KINDS = {"conv", "dwconv", "pwconv", "linear"}
 _KNOWN_KINDS = _COMPUTE_KINDS | {"pool", "bn", "act", "reorg", "concat", "add", "gap"}
@@ -169,3 +173,60 @@ class NetDescriptor:
                 f"macs={l.macs / 1e6:.2f}M"
             )
         return "\n".join(lines)
+
+
+#: Trace ops whose descriptor keeps the channel count.
+_SAME_CHANNELS = {"affine": "bn", "act": "act", "add": "add", "gap": "gap"}
+
+
+def describe(module, input_hw: tuple[int, int]) -> NetDescriptor:
+    """``module``'s structural descriptor at input size ``input_hw``.
+
+    Walks :func:`~repro.nn.engine.compiler.trace` of the module, one
+    :class:`LayerDesc` per op; each layer's input size is its producer's
+    ``out_h``/``out_w`` and the input channel count comes from the first
+    op's weight.  A module whose forward does not trace (ShuffleNet's
+    channel split and shuffle) defines ``layer_descriptors(input_hw)``,
+    which is used instead.
+    """
+    if hasattr(module, "layer_descriptors"):
+        return module.layer_descriptors(input_hw)
+    nodes, _, _ = trace(module)
+    weight = nodes[0].attrs["weight"]
+    in_ch = weight.shape[0] if nodes[0].kind == "dw" else weight.shape[1]
+    shapes = {0: (in_ch, *input_hw)}  # register -> (channels, h, w)
+    layers: list[LayerDesc] = []
+    for node in nodes:
+        c, h, w = shapes[node.inputs[0]]
+        a = node.attrs
+        if node.kind == "dw":
+            spec = ("dwconv", c, c, h, w, a["weight"].shape[-1], a["stride"])
+        elif node.kind == "conv":
+            cout, _, k, _ = a["weight"].shape
+            spec = ("pwconv" if k == 1 else "conv", c, cout, h, w, k,
+                    a["stride"])
+        elif node.kind == "linear":
+            cout, cin = a["weight"].shape
+            spec = ("linear", cin, cout, 1, 1)
+        elif node.kind in ("maxpool", "avgpool"):
+            spec = ("pool", c, c, h, w, a["kernel"], a["stride"])
+        elif node.kind == "reorg":
+            s = a["stride"]
+            spec = ("reorg", c, c * s * s, h, w, s, s)
+        elif node.kind == "concat":
+            cat = sum(shapes[r][0] for r in node.inputs)
+            spec = ("concat", cat, cat, h, w)
+        elif node.kind in _SAME_CHANNELS:
+            spec = (_SAME_CHANNELS[node.kind], c, c, h, w)
+        elif node.kind == "flatten":
+            shapes[node.out] = (c * h * w, 1, 1)
+            continue
+        elif node.kind == "slice":
+            shapes[node.out] = (a["stop"] - a["start"], h, w)
+            continue
+        else:
+            raise ValueError(f"no layer descriptor for op {node.kind!r}")
+        layer = LayerDesc(*spec, name=node.name)
+        layers.append(layer)
+        shapes[node.out] = (layer.out_ch, layer.out_h, layer.out_w)
+    return NetDescriptor(layers, name=type(module).__name__)

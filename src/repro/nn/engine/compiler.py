@@ -1,9 +1,11 @@
 """Ahead-of-time compiler: Module tree -> flat plan of inference kernels.
 
-``compile_net`` walks a trained :class:`~repro.nn.module.Module` and
-emits a :class:`CompiledNet` — a register machine whose steps are the
+``compile_net`` traces a trained :class:`~repro.nn.module.Module`'s own
+``forward`` (:func:`trace`: each layer with a rule becomes one node,
+each composite runs its forward on a register placeholder) and emits a
+:class:`CompiledNet` — a register machine whose steps are the
 raw-ndarray kernels of :mod:`repro.nn.engine.kernels`.  Every plan, fp32
-or integer, comes from the same planner and the same four passes
+or integer, comes from the same trace and the same four passes
 (:data:`PASSES`):
 
 1. **fold** — eval-mode BatchNorm becomes a per-channel affine and is
@@ -44,12 +46,13 @@ from ..layers.linear import Flatten, Linear
 from ..layers.norm import BatchNorm2d
 from ..layers.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..layers.reorg import Reorg, UpsampleNearest
-from ..module import Module, Sequential
+from ..module import Module
+from ..tensor import Traced
 from .arena import BufferArena
 from . import kernels as K
 from . import threads
 
-__all__ = ["CompileError", "CompiledNet", "compile_net"]
+__all__ = ["CompileError", "CompiledNet", "compile_net", "trace"]
 
 
 class CompileError(TypeError):
@@ -72,6 +75,7 @@ class _Node:
     inputs: list[int]
     out: int
     attrs: dict = field(default_factory=dict)
+    name: str = ""  # dotted path of the module that emitted it
 
 
 _ACT_SPECS: dict[type, tuple] = {
@@ -83,11 +87,13 @@ _ACT_SPECS: dict[type, tuple] = {
 
 
 class _Planner:
-    """Emits the linear op plan by structural walk of the module tree."""
+    """Emits the linear op plan of a module's forward."""
 
-    def __init__(self) -> None:
+    def __init__(self, names: dict[int, str]) -> None:
         self.nodes: list[_Node] = []
         self.n_regs = 1  # register 0 is the network input
+        self.names = names  # id(module) -> dotted path
+        self.scope: list[str] = []  # paths of the modules being emitted
 
     def _new_reg(self) -> int:
         self.n_regs += 1
@@ -95,26 +101,24 @@ class _Planner:
 
     def _push(self, kind: str, inputs: list[int], **attrs) -> int:
         out = self._new_reg()
-        self.nodes.append(_Node(kind, inputs, out, attrs))
+        self.nodes.append(_Node(kind, inputs, out, attrs, self.scope[-1]))
         return out
-
-    def chain(self, modules, reg: int) -> int:
-        for m in modules:
-            reg = self.emit(m, reg)
-        return reg
 
     # ------------------------------------------------------------------ #
     def emit(self, m: Module, reg: int) -> int:
-        """Plan ``m``'s eval-mode forward; returns the output register."""
-        # Composite model classes live outside repro.nn; import lazily so
-        # the engine stays importable from repro.nn without cycles.
-        from ...core.bundles import GenericBundle
-        from ...core.skynet import SkyNetBackbone, SkyNetBundle
-        from ...detection.head import YoloHead
-        from ...detection.model import Detector
-        from ...tracking.siamese import AdjustLayer
-        from ...zoo.mobilenet import MobileNetBackbone, _DWSeparable
+        """Plan ``m``'s eval-mode forward; returns the output register.
 
+        A layer with a rule becomes one node; a composite (a module with
+        children) is planned by running its own ``forward`` on a
+        :class:`Traced` register.
+        """
+        self.scope.append(self.names.get(id(m), type(m).__name__))
+        try:
+            return self._emit(m, reg)
+        finally:
+            self.scope.pop()
+
+    def _emit(self, m: Module, reg: int) -> int:
         if isinstance(m, DWConv3x3):
             return self._push(
                 "dw", [reg],
@@ -168,50 +172,55 @@ class _Planner:
             return self._push("flatten", [reg])
         if isinstance(m, Dropout):
             return reg  # identity in eval mode
-        if isinstance(m, Sequential):
-            return self.chain(m, reg)
+        name = f"{type(m).__module__}.{type(m).__qualname__}"
+        if not m._modules:
+            raise CompileError(
+                f"no compilation rule for {name}; supported layers: "
+                "conv/dw/grouped conv, batch norm, activations, pooling, "
+                "reorg, upsample, linear/flatten/dropout, and any module "
+                "whose forward composes these with Tensor.concat"
+            )
+        try:
+            out = m.forward(Traced(self, reg))
+        except CompileError:
+            raise
+        except (TypeError, AttributeError) as exc:
+            raise CompileError(
+                f"cannot trace {name}.forward: an op other than a "
+                f"submodule call, Tensor.concat or + ({exc})"
+            ) from exc
+        if not isinstance(out, Traced):
+            raise CompileError(f"{name}.forward must return one tensor")
+        return out.reg
 
-        # ---- composite models ---------------------------------------- #
-        if isinstance(m, SkyNetBundle):
-            return self.chain(
-                [m.dw, m.bn1, m.act1, m.pw, m.bn2, m.act2], reg
-            )
-        if isinstance(m, GenericBundle):
-            for op, bn, act in zip(m.ops, m.bns, m.acts):
-                reg = self.chain([op, bn, act], reg)
-            return reg
-        if isinstance(m, SkyNetBackbone):
-            reg = self.chain(
-                [m.bundle1, m.pool1, m.bundle2, m.pool2, m.bundle3], reg
-            )
-            if m.has_bypass:
-                bypass = self.emit(m.reorg, reg)
-                reg = self.chain([m.pool3, m.bundle4, m.bundle5], reg)
-                reg = self._push("concat", [reg, bypass])
-                return self.emit(m.bundle6, reg)
-            return self.chain([m.pool3, m.bundle4, m.bundle5], reg)
-        if isinstance(m, MobileNetBackbone):
-            reg = self.chain([m.stem, m.stem_bn, m.relu], reg)
-            return self.chain(m.blocks, reg)
-        if isinstance(m, _DWSeparable):
-            return self.chain(
-                [m.dw, m.bn1, m.relu, m.pw, m.bn2, m.relu], reg
-            )
-        if isinstance(m, Detector):
-            reg = self.emit(m.backbone, reg)
-            return self.emit(m.head, reg)
-        if isinstance(m, YoloHead):
-            return self.emit(m.proj, reg)
-        if isinstance(m, AdjustLayer):
-            return self.chain([m.conv, m.bn, m.relu], reg)
+    # -- what a Traced register hands back ------------------------------ #
+    def call(self, m: Module, *args, **kwargs) -> Traced:
+        if len(args) != 1 or kwargs:
+            raise CompileError(
+                f"cannot trace a call of {type(m).__qualname__} with "
+                f"{len(args)} positional and {len(kwargs)} keyword inputs")
+        return Traced(self, self.emit(m, args[0].reg))
 
-        raise CompileError(
-            f"no compilation rule for {type(m).__module__}."
-            f"{type(m).__qualname__}; supported layers: conv/dw/grouped "
-            "conv, batch norm, activations, pooling, reorg, upsample, "
-            "linear/flatten/dropout, Sequential, and the SkyNet / "
-            "MobileNet / Detector / Siamese composites"
-        )
+    def concat(self, items: list, axis: int) -> Traced:
+        if axis != 1 or not all(isinstance(t, Traced) for t in items):
+            raise CompileError("only a channel concat of traced tensors "
+                               "compiles")
+        return Traced(self, self._push("concat", [t.reg for t in items]))
+
+    def add(self, a: Traced, b) -> Traced:
+        if not isinstance(b, Traced):
+            raise CompileError("only the sum of two traced tensors compiles")
+        return Traced(self, self._push("add", [a.reg, b.reg]))
+
+
+def trace(module: Module) -> tuple[list[_Node], int, int]:
+    """Plan ``module``'s eval-mode forward one node per op, before any
+    pass: returns ``(nodes, n_regs, out_reg)``, register 0 being the
+    input.  The compiler and :func:`repro.hardware.descriptor.describe`
+    both start from this graph."""
+    planner = _Planner({id(m): name for name, m in module.named_modules()})
+    out_reg = planner.emit(module, 0)
+    return planner.nodes, planner.n_regs, out_reg
 
 
 # --------------------------------------------------------------------- #
@@ -400,7 +409,7 @@ def _lower_node(node: _Node, key) -> K.Kernel:
         from .quant import boundary_kernel
 
         return boundary_kernel(node, key)
-    # pragma: no cover - planner emits only the kinds above
+    # ``add`` (a residual sum) has no kernel: such nets run eagerly.
     raise CompileError(f"cannot lower op kind {kind!r}")
 
 
@@ -595,9 +604,7 @@ def compile_net(
         )
     with obs.span("engine/compile", model=name,
                   quant=None if quant is None else quant.label):
-        planner = _Planner()
-        out_reg = planner.emit(module, 0)
-        nodes, n_regs = planner.nodes, planner.n_regs
+        nodes, n_regs, out_reg = trace(module)
         for fuse in PASSES:
             nodes, out_reg = fuse(nodes, out_reg)
         stats = None

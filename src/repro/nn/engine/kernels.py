@@ -155,9 +155,10 @@ def im2col_cm(arena, owner, xp: np.ndarray, kh: int, kw: int, stride: int,
     """Channel-major im2col of a padded (C, N, H', W') block: returns
     (cols (C*kh*kw, N*OH*OW), OH, OW).
 
-    The whole microbatch feeds *one* ``(COUT, K) @ (K, N*OH*OW)`` GEMM,
-    and ``dtype`` lets the columns land in the kernel's carrier (integer
-    feature maps are widened by the window copy itself, no extra pass).
+    Each sample's ``OH*OW`` columns feed one ``(COUT, K) @ (K, OH*OW)``
+    GEMM, and ``dtype`` lets the columns land in the kernel's carrier
+    (integer feature maps are widened by the window copy itself, no
+    extra pass).
     """
     c, n, hp, wp = xp.shape
     oh = conv_out_size(hp, kh, stride, 0)
@@ -201,8 +202,8 @@ class ConvKernel(Kernel):
 
     1x1/stride-1/pad-0 convolutions (half of every SkyNet Bundle) skip
     im2col entirely and run in cache-sized row blocks
-    (:meth:`_run_row_blocks`); the rest run one channel-major im2col
-    GEMM over the whole microbatch.
+    (:meth:`_run_row_blocks`); the rest unfold the microbatch with one
+    channel-major im2col and run one GEMM per sample.
     """
 
     def __init__(
@@ -245,7 +246,13 @@ class ConvKernel(Kernel):
         cols, oh, ow = im2col_cm(arena, self.key, xp, self.kh, self.kw,
                                  self.stride, carrier)
         acc = arena.get(self.key, "acc", (cout, n, oh, ow), carrier)
-        np.matmul(self._wmat, cols, out=acc.reshape(cout, n * oh * ow))
+        # One GEMM per sample: BLAS rounding depends on the column
+        # count, and a sample's result must not depend on its batch.
+        p = oh * ow
+        acc2d = acc.reshape(cout, n * p)
+        for b in range(n):
+            np.matmul(self._wmat, cols[:, b * p:(b + 1) * p],
+                      out=acc2d[:, b * p:(b + 1) * p])
         if self.pool is not None:
             acc = maxpool(acc, *self.pool, arena, self.key)
         # (C, N, H, W) -> NCHW; one sample leaves the layouts identical,

@@ -23,11 +23,8 @@ __all__ = [
     "batch_norm2d",
     "reorg",
     "upsample_nearest",
-    "softmax",
     "log_softmax",
     "cross_entropy",
-    "mse_loss",
-    "smooth_l1_loss",
     "binary_cross_entropy_with_logits",
     "relu",
     "relu6",
@@ -393,13 +390,6 @@ def sigmoid(x: Tensor) -> Tensor:
 # --------------------------------------------------------------------- #
 # losses
 # --------------------------------------------------------------------- #
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
@@ -412,29 +402,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     n = logits.shape[0]
     picked = logp[np.arange(n), np.asarray(labels)]
     return -picked.mean()
-
-
-def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error."""
-    diff = as_tensor(pred) - as_tensor(target)
-    return (diff * diff).mean()
-
-
-def smooth_l1_loss(pred: Tensor, target, beta: float = 1.0) -> Tensor:
-    """Huber / smooth-L1 loss, elementwise-mean."""
-    pred, target = as_tensor(pred), as_tensor(target)
-    diff = pred - target
-    absd = np.abs(diff.data)
-    quad = absd < beta
-    # 0.5 d^2 / beta inside, |d| - 0.5 beta outside
-    data = np.where(quad, 0.5 * absd**2 / beta, absd - 0.5 * beta)
-
-    def backward(g: np.ndarray):
-        gd = np.where(quad, diff.data / beta, np.sign(diff.data)) * g
-        return (gd, -gd)
-
-    elem = Tensor._make(data, (pred, target), backward)
-    return elem.mean()
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, target) -> Tensor:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_normal", "kaiming_uniform", "xavier_uniform", "fan_in_out"]
+__all__ = ["kaiming_normal", "kaiming_uniform", "fan_in_out"]
 
 
 def fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -36,11 +36,4 @@ def kaiming_uniform(
     """He-uniform initialization."""
     fan_in, _ = fan_in_out(shape)
     bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform initialization (good for tanh/sigmoid heads)."""
-    fan_in, fan_out = fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)

@@ -7,7 +7,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, Traced
 
 __all__ = ["Parameter", "Module", "Sequential", "ModuleList", "HookHandle"]
 
@@ -212,6 +212,8 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
+        if args and isinstance(args[0], Traced):  # being compiled
+            return args[0].planner.call(self, *args, **kwargs)
         if self._forward_pre_hooks:
             for hook in tuple(self._forward_pre_hooks.values()):
                 replacement = hook(self, args)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "unbroadcast", "as_tensor"]
+__all__ = ["Tensor", "Traced", "no_grad", "unbroadcast", "as_tensor"]
 
 
 _GRAD_ENABLED = True
@@ -497,6 +497,9 @@ class Tensor:
 
     @staticmethod
     def concat(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
+        tensors = list(tensors)
+        if tensors and isinstance(tensors[0], Traced):
+            return tensors[0].planner.concat(tensors, axis)
         tensors = [as_tensor(t) for t in tensors]
         data = np.concatenate([t.data for t in tensors], axis=axis)
         sizes = [t.shape[axis] for t in tensors]
@@ -506,6 +509,26 @@ class Tensor:
             return tuple(np.split(g, splits, axis=axis))
 
         return Tensor._make(data, tensors, backward)
+
+
+class Traced:
+    """A register of a plan being traced: what a module's ``forward``
+    sees while :func:`repro.nn.engine.compiler.trace` plans it.
+
+    ``Module.__call__`` and :meth:`Tensor.concat` hand a ``Traced``
+    argument to its planner, and ``+`` records an ``add``; any other
+    operation on it fails, which the planner reports as a
+    ``CompileError``.
+    """
+
+    __slots__ = ("planner", "reg")
+
+    def __init__(self, planner, reg: int) -> None:
+        self.planner = planner
+        self.reg = reg
+
+    def __add__(self, other) -> "Traced":
+        return self.planner.add(self, other)
 
 
 def as_tensor(value) -> Tensor:

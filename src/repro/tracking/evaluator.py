@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..datasets.got10k import TrackingDataset
-from ..hardware.descriptor import NetDescriptor
+from ..hardware.descriptor import NetDescriptor, describe
 from ..hardware.gpu.latency import GpuLatencyModel
 from ..hardware.spec import GTX_1080TI, GpuSpec
 from .metrics import TrackingScores, score_tracking
@@ -95,10 +95,10 @@ class TrackerSpeedModel:
     ) -> float:
         """Frames per second for a tracker built on ``backbone``.
 
-        ``backbone`` must expose ``layer_descriptors(hw)``,
-        ``out_channels`` and ``stride``.
+        ``backbone`` is any module :func:`repro.hardware.describe`
+        accepts, with ``out_channels`` and ``stride``.
         """
-        net = backbone.layer_descriptors(self.search_hw)
+        net = describe(backbone, self.search_hw)
         total = (
             self.backbone_ms(net)
             + self.head_ms(backbone)

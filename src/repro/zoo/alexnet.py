@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc, NetDescriptor
 from ..nn import Tensor
 from ..nn.layers import Conv2d, Dropout, Flatten, Linear, MaxPool2d, ReLU
 from ..nn.module import Module
@@ -56,7 +55,6 @@ class AlexNetBackbone(Module):
         self.width_mult = width_mult
         self.in_channels = in_channels
         ch = [max(4, int(round(c * width_mult))) for c, *_ in _CONVS]
-        self._ch = ch
         cur = in_channels
         self.conv1 = Conv2d(cur, ch[0], 11, stride=4, pad=2, rng=rng)
         self.conv2 = Conv2d(ch[0], ch[1], 5, pad=2, rng=rng)
@@ -74,21 +72,6 @@ class AlexNetBackbone(Module):
         x = self.relu(self.conv4(x))
         x = self.relu(self.conv5(x))
         return x
-
-    def layer_descriptors(self, input_hw: tuple[int, int]) -> NetDescriptor:
-        h, w = input_hw
-        ch = self._ch
-        layers = [LayerDesc("conv", self.in_channels, ch[0], h, w, 11, 4, "conv1")]
-        h, w = (h + 4 - 11) // 4 + 1, (w + 4 - 11) // 4 + 1
-        layers.append(LayerDesc("pool", ch[0], ch[0], h, w, 2, 2, "pool1"))
-        h, w = h // 2, w // 2
-        layers.append(LayerDesc("conv", ch[0], ch[1], h, w, 5, 1, "conv2"))
-        layers.append(LayerDesc("pool", ch[1], ch[1], h, w, 2, 2, "pool2"))
-        h, w = h // 2, w // 2
-        layers.append(LayerDesc("conv", ch[1], ch[2], h, w, 3, 1, "conv3"))
-        layers.append(LayerDesc("conv", ch[2], ch[3], h, w, 3, 1, "conv4"))
-        layers.append(LayerDesc("conv", ch[3], ch[4], h, w, 3, 1, "conv5"))
-        return NetDescriptor(layers, name="AlexNet")
 
 
 class AlexNetClassifier(Module):
@@ -138,24 +121,6 @@ class AlexNetClassifier(Module):
         x = self.relu(self.fc1(self.drop1(x)))
         x = self.relu(self.fc2(self.drop2(x)))
         return self.fc3(x)
-
-    def layer_descriptors(self) -> NetDescriptor:
-        base = self.features.layer_descriptors(self.input_hw)
-        layers = list(base)
-        last = layers[-1]
-        h, w = last.out_h // 2, last.out_w // 2
-        feat = self.features.out_channels * h * w
-        layers.append(
-            LayerDesc("pool", last.out_ch, last.out_ch, last.out_h, last.out_w,
-                      2, 2, "pool5")
-        )
-        layers.append(LayerDesc("linear", feat, self.fc1.out_features, 1, 1,
-                                name="fc1"))
-        layers.append(LayerDesc("linear", self.fc1.out_features,
-                                self.fc2.out_features, 1, 1, name="fc2"))
-        layers.append(LayerDesc("linear", self.fc2.out_features,
-                                self.num_classes, 1, 1, name="fc3"))
-        return NetDescriptor(layers, name="AlexNet-classifier")
 
 
 def alexnet_backbone(width_mult: float = 1.0, rng=None) -> AlexNetBackbone:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc, NetDescriptor
 from ..nn import Tensor
 from ..nn.layers import BatchNorm2d, Conv2d, DWConv3x3, PWConv1x1, ReLU
 from ..nn.module import Module, ModuleList
@@ -64,12 +63,10 @@ class MobileNetBackbone(Module):
         self.stem_bn = BatchNorm2d(stem_ch)
         self.relu = ReLU()
         self.blocks = ModuleList()
-        self._plan: list[tuple[int, int, int]] = []
         cur = stem_ch
         for ch, s in _BLOCKS:
             out = max(4, int(round(ch * width_mult)))
             self.blocks.append(_DWSeparable(cur, out, s, rng))
-            self._plan.append((cur, out, s))
             cur = out
         self.out_channels = cur
 
@@ -78,25 +75,6 @@ class MobileNetBackbone(Module):
         for blk in self.blocks:
             x = blk(x)
         return x
-
-    def layer_descriptors(self, input_hw: tuple[int, int]) -> NetDescriptor:
-        h, w = input_hw
-        stem_ch = self._plan[0][0]
-        layers = [
-            LayerDesc("conv", self.in_channels, stem_ch, h, w, 3, 2, "stem"),
-        ]
-        h, w = (h + 1) // 2, (w + 1) // 2
-        layers.append(LayerDesc("bn", stem_ch, stem_ch, h, w, name="stem_bn"))
-        layers.append(LayerDesc("act", stem_ch, stem_ch, h, w, name="stem_relu"))
-        for i, (cin, cout, s) in enumerate(self._plan):
-            layers.append(LayerDesc("dwconv", cin, cin, h, w, 3, s, f"b{i}.dw"))
-            h, w = (h + s - 1) // s, (w + s - 1) // s
-            layers.append(LayerDesc("bn", cin, cin, h, w, name=f"b{i}.bn1"))
-            layers.append(LayerDesc("act", cin, cin, h, w, name=f"b{i}.relu1"))
-            layers.append(LayerDesc("pwconv", cin, cout, h, w, name=f"b{i}.pw"))
-            layers.append(LayerDesc("bn", cout, cout, h, w, name=f"b{i}.bn2"))
-            layers.append(LayerDesc("act", cout, cout, h, w, name=f"b{i}.relu2"))
-        return NetDescriptor(layers, name="MobileNet")
 
 
 def mobilenet(width_mult: float = 1.0, rng=None) -> MobileNetBackbone:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc, NetDescriptor
 from ..nn import Tensor
 from ..nn.layers import BatchNorm2d, Conv2d, MaxPool2d, ReLU
 from ..nn.module import Module, ModuleList
@@ -51,27 +50,6 @@ class BasicBlock(Module):
             identity = self.down_bn(self.downsample(x))
         return self.relu(out + identity)
 
-    @staticmethod
-    def describe(in_ch, out_ch, h, w, stride, name) -> list[LayerDesc]:
-        oh, ow = (h + stride - 1) // stride, (w + stride - 1) // stride
-        layers = [
-            LayerDesc("conv", in_ch, out_ch, h, w, 3, stride, f"{name}.conv1"),
-            LayerDesc("bn", out_ch, out_ch, oh, ow, name=f"{name}.bn1"),
-            LayerDesc("act", out_ch, out_ch, oh, ow, name=f"{name}.relu1"),
-            LayerDesc("conv", out_ch, out_ch, oh, ow, 3, 1, f"{name}.conv2"),
-            LayerDesc("bn", out_ch, out_ch, oh, ow, name=f"{name}.bn2"),
-        ]
-        if stride != 1 or in_ch != out_ch:
-            layers.append(
-                LayerDesc("conv", in_ch, out_ch, h, w, 1, stride, f"{name}.down")
-            )
-            layers.append(
-                LayerDesc("bn", out_ch, out_ch, oh, ow, name=f"{name}.down_bn")
-            )
-        layers.append(LayerDesc("add", out_ch, out_ch, oh, ow, name=f"{name}.add"))
-        layers.append(LayerDesc("act", out_ch, out_ch, oh, ow, name=f"{name}.relu2"))
-        return layers
-
 
 class Bottleneck(Module):
     """1x1 reduce → 3x3 → 1x1 expand (x4), as in ResNet-50."""
@@ -104,28 +82,6 @@ class Bottleneck(Module):
             identity = self.down_bn(self.downsample(x))
         return self.relu(out + identity)
 
-    @staticmethod
-    def describe(in_ch, mid_ch, h, w, stride, name) -> list[LayerDesc]:
-        out_ch = mid_ch * Bottleneck.expansion
-        oh, ow = (h + stride - 1) // stride, (w + stride - 1) // stride
-        layers = [
-            LayerDesc("conv", in_ch, mid_ch, h, w, 1, 1, f"{name}.conv1"),
-            LayerDesc("bn", mid_ch, mid_ch, h, w, name=f"{name}.bn1"),
-            LayerDesc("conv", mid_ch, mid_ch, h, w, 3, stride, f"{name}.conv2"),
-            LayerDesc("bn", mid_ch, mid_ch, oh, ow, name=f"{name}.bn2"),
-            LayerDesc("conv", mid_ch, out_ch, oh, ow, 1, 1, f"{name}.conv3"),
-            LayerDesc("bn", out_ch, out_ch, oh, ow, name=f"{name}.bn3"),
-        ]
-        if stride != 1 or in_ch != out_ch:
-            layers.append(
-                LayerDesc("conv", in_ch, out_ch, h, w, 1, stride, f"{name}.down")
-            )
-            layers.append(
-                LayerDesc("bn", out_ch, out_ch, oh, ow, name=f"{name}.down_bn")
-            )
-        layers.append(LayerDesc("add", out_ch, out_ch, oh, ow, name=f"{name}.add"))
-        return layers
-
 
 _CONFIGS = {
     18: (BasicBlock, (2, 2, 2, 2)),
@@ -155,10 +111,7 @@ class ResNetBackbone(Module):
         self.width_mult = width_mult
         self.in_channels = in_channels
         block, stage_sizes = _CONFIGS[depth]
-        self._block = block
-        self._stage_sizes = stage_sizes
         ch = [max(4, int(round(c * width_mult))) for c in _STAGE_CHANNELS]
-        self._stage_ch = ch
 
         self.stem = Conv2d(in_channels, ch[0], 7, stride=2, pad=3, bias=False, rng=rng)
         self.stem_bn = BatchNorm2d(ch[0])
@@ -187,31 +140,6 @@ class ResNetBackbone(Module):
         for blk in self.stages:
             x = blk(x)
         return x
-
-    def layer_descriptors(self, input_hw: tuple[int, int]) -> NetDescriptor:
-        h, w = input_hw
-        ch = self._stage_ch
-        layers = [
-            LayerDesc("conv", self.in_channels, ch[0], h, w, 7, 2, "stem"),
-            LayerDesc("bn", ch[0], ch[0], h // 2, w // 2, name="stem_bn"),
-            LayerDesc("act", ch[0], ch[0], h // 2, w // 2, name="stem_relu"),
-            LayerDesc("pool", ch[0], ch[0], h // 2, w // 2, 2, 2, "stem_pool"),
-        ]
-        h, w = h // 4, w // 4
-        cur = ch[0]
-        stage_strides = (1, 2, 1, 1)
-        for si, (n_blocks, s) in enumerate(zip(self._stage_sizes, stage_strides)):
-            for bi in range(n_blocks):
-                stride = s if bi == 0 else 1
-                name = f"s{si + 1}b{bi + 1}"
-                if self._block is BasicBlock:
-                    layers += BasicBlock.describe(cur, ch[si], h, w, stride, name)
-                    cur = ch[si]
-                else:
-                    layers += Bottleneck.describe(cur, ch[si], h, w, stride, name)
-                    cur = ch[si] * Bottleneck.expansion
-                h, w = (h + stride - 1) // stride, (w + stride - 1) // stride
-        return NetDescriptor(layers, name=f"ResNet-{self.depth}")
 
 
 def resnet18(width_mult: float = 1.0, rng=None) -> ResNetBackbone:

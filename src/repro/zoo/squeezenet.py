@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc, NetDescriptor
 from ..nn import Tensor
 from ..nn.layers import Conv2d, MaxPool2d, PWConv1x1, ReLU
 from ..nn.module import Module, ModuleList
@@ -33,15 +32,6 @@ class FireModule(Module):
         return Tensor.concat(
             [self.relu(self.expand1(s)), self.relu(self.expand3(s))], axis=1
         )
-
-    @staticmethod
-    def describe(in_ch, squeeze, expand, h, w, name) -> list[LayerDesc]:
-        return [
-            LayerDesc("pwconv", in_ch, squeeze, h, w, name=f"{name}.squeeze"),
-            LayerDesc("pwconv", squeeze, expand, h, w, name=f"{name}.expand1"),
-            LayerDesc("conv", squeeze, expand, h, w, 3, 1, f"{name}.expand3"),
-            LayerDesc("concat", expand * 2, expand * 2, h, w, name=f"{name}.cat"),
-        ]
 
 
 # (squeeze, expand) per fire module; pools after stem and fire2.
@@ -72,14 +62,11 @@ class SqueezeNetBackbone(Module):
         self.relu = ReLU()
         self.pool = MaxPool2d(2)
         self.fires = ModuleList()
-        self._plan: list[tuple[int, int, int]] = []
         cur = stem_ch
         for s, e in _FIRES:
             fire = FireModule(cur, scale(s), scale(e), rng)
             self.fires.append(fire)
-            self._plan.append((cur, scale(s), scale(e)))
             cur = fire.out_channels
-        self._stem_ch = stem_ch
         self.out_channels = cur
 
     def forward(self, x: Tensor) -> Tensor:
@@ -91,23 +78,6 @@ class SqueezeNetBackbone(Module):
         for fire in self.fires[2:]:
             x = fire(x)
         return x
-
-    def layer_descriptors(self, input_hw: tuple[int, int]) -> NetDescriptor:
-        h, w = input_hw
-        layers = [
-            LayerDesc("conv", self.in_channels, self._stem_ch, h, w, 3, 2, "stem")
-        ]
-        h, w = (h + 1) // 2, (w + 1) // 2
-        layers.append(LayerDesc("pool", self._stem_ch, self._stem_ch, h, w, 2, 2,
-                                "pool1"))
-        h, w = h // 2, w // 2
-        for i, (cin, s, e) in enumerate(self._plan):
-            layers += FireModule.describe(cin, s, e, h, w, f"fire{i + 2}")
-            if i == 1:
-                cout = e * 2
-                layers.append(LayerDesc("pool", cout, cout, h, w, 2, 2, "pool2"))
-                h, w = h // 2, w // 2
-        return NetDescriptor(layers, name="SqueezeNet")
 
 
 def squeezenet(width_mult: float = 1.0, rng=None) -> SqueezeNetBackbone:

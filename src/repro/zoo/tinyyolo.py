@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc, NetDescriptor
 from ..nn import Tensor
 from ..nn.layers import BatchNorm2d, Conv2d, LeakyReLU, MaxPool2d
 from ..nn.module import Module, ModuleList
@@ -40,35 +39,23 @@ class TinyYoloBackbone(Module):
         self.bns = ModuleList()
         self.act = LeakyReLU(0.1)
         self.pool = MaxPool2d(2)
-        self._plan: list[tuple[int, int, bool]] = []
+        self._pool_after: list[bool] = []
         cur = in_channels
         for ch, pool_after in _PLAN:
             out = max(4, int(round(ch * width_mult)))
             self.convs.append(Conv2d(cur, out, 3, bias=False, rng=rng))
             self.bns.append(BatchNorm2d(out))
-            self._plan.append((cur, out, pool_after))
+            self._pool_after.append(pool_after)
             cur = out
         self.out_channels = cur
 
     def forward(self, x: Tensor) -> Tensor:
-        for conv, bn, (_, _, pool_after) in zip(self.convs, self.bns, self._plan):
+        for conv, bn, pool_after in zip(self.convs, self.bns,
+                                        self._pool_after):
             x = self.act(bn(conv(x)))
             if pool_after:
                 x = self.pool(x)
         return x
-
-    def layer_descriptors(self, input_hw: tuple[int, int]) -> NetDescriptor:
-        h, w = input_hw
-        layers: list[LayerDesc] = []
-        for i, (cin, cout, pool_after) in enumerate(self._plan):
-            layers.append(LayerDesc("conv", cin, cout, h, w, 3, 1, f"conv{i}"))
-            layers.append(LayerDesc("bn", cout, cout, h, w, name=f"bn{i}"))
-            layers.append(LayerDesc("act", cout, cout, h, w, name=f"lrelu{i}"))
-            if pool_after:
-                layers.append(LayerDesc("pool", cout, cout, h, w, 2, 2,
-                                        f"pool{i}"))
-                h, w = h // 2, w // 2
-        return NetDescriptor(layers, name="TinyYOLO")
 
 
 def tinyyolo(width_mult: float = 1.0, rng=None) -> TinyYoloBackbone:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc, NetDescriptor
 from ..nn import Tensor
 from ..nn.layers import BatchNorm2d, Conv2d, MaxPool2d, ReLU
 from ..nn.module import Module, ModuleList
@@ -42,7 +41,7 @@ class VGGBackbone(Module):
         self.convs = ModuleList()
         self.bns = ModuleList() if batch_norm else None
         self.relu = ReLU()
-        self._plan: list[tuple[str, int, int]] = []  # (op, in_ch, out_ch)
+        self._plan: list[str] = []  # 'conv' or 'pool', in order
 
         cur = in_channels
         for bi, (ch, n) in enumerate(_VGG16_BLOCKS):
@@ -51,16 +50,16 @@ class VGGBackbone(Module):
                 self.convs.append(Conv2d(cur, out, 3, bias=not batch_norm, rng=rng))
                 if batch_norm:
                     self.bns.append(BatchNorm2d(out))
-                self._plan.append(("conv", cur, out))
+                self._plan.append("conv")
                 cur = out
             if bi < 3:  # only three poolings -> stride 8
-                self._plan.append(("pool", cur, cur))
+                self._plan.append("pool")
         self.pool = MaxPool2d(2)
         self.out_channels = cur
 
     def forward(self, x: Tensor) -> Tensor:
         ci = 0
-        for op, _, _ in self._plan:
+        for op in self._plan:
             if op == "pool":
                 x = self.pool(x)
             else:
@@ -70,22 +69,6 @@ class VGGBackbone(Module):
                 x = self.relu(x)
                 ci += 1
         return x
-
-    def layer_descriptors(self, input_hw: tuple[int, int]) -> NetDescriptor:
-        h, w = input_hw
-        layers: list[LayerDesc] = []
-        i = 0
-        for op, cin, cout in self._plan:
-            if op == "pool":
-                layers.append(LayerDesc("pool", cin, cin, h, w, 2, 2, f"pool{i}"))
-                h, w = h // 2, w // 2
-            else:
-                layers.append(LayerDesc("conv", cin, cout, h, w, 3, 1, f"conv{i}"))
-                if self.batch_norm:
-                    layers.append(LayerDesc("bn", cout, cout, h, w, name=f"bn{i}"))
-                layers.append(LayerDesc("act", cout, cout, h, w, name=f"relu{i}"))
-                i += 1
-        return NetDescriptor(layers, name="VGG-16")
 
 
 def vgg16(width_mult: float = 1.0, rng=None) -> VGGBackbone:

@@ -27,6 +27,7 @@ from repro.core import (
     random_dna,
     use_relu6,
 )
+from repro.hardware import describe
 from repro.nn import Tensor, no_grad
 
 
@@ -171,7 +172,7 @@ class TestCandidateNet:
             pool_positions=(0, 1, 2), bypass=True, activation="relu6",
         )
         net = CandidateNet(dna)
-        assert net.layer_descriptors((32, 64)).total_params == \
+        assert describe(net, (32, 64)).total_params == \
             net.num_parameters()
 
 

@@ -264,45 +264,18 @@ class TestReorgAndUpsample:
 
 
 class TestLosses:
-    def test_softmax_sums_to_one(self, rng):
-        x = Tensor(rng.normal(size=(4, 7)))
-        p = F.softmax(x).data
-        np.testing.assert_allclose(p.sum(axis=1), np.ones(4), rtol=1e-6)
-
     def test_log_softmax_consistency(self, rng):
-        x = Tensor(rng.normal(size=(3, 5)))
+        x = rng.normal(size=(3, 5))
+        e = np.exp(x)
         np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data), rtol=1e-5
+            F.log_softmax(Tensor(x)).data,
+            np.log(e / e.sum(axis=1, keepdims=True)), rtol=1e-5
         )
 
     def test_cross_entropy_uniform(self):
         logits = Tensor(np.zeros((2, 4)), requires_grad=True)
         loss = F.cross_entropy(logits, np.array([0, 3]))
         assert loss.item() == pytest.approx(np.log(4.0), rel=1e-6)
-
-    def test_mse(self):
-        loss = F.mse_loss(Tensor([1.0, 2.0]), [0.0, 0.0])
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_smooth_l1_quadratic_region(self):
-        loss = F.smooth_l1_loss(Tensor([0.5]), [0.0])
-        assert loss.item() == pytest.approx(0.125)
-
-    def test_smooth_l1_linear_region(self):
-        loss = F.smooth_l1_loss(Tensor([3.0]), [0.0])
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_smooth_l1_gradcheck(self, rng):
-        p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        t = rng.normal(size=(4, 3))
-        F.smooth_l1_loss(p, t).backward()
-
-        def f():
-            return float(F.smooth_l1_loss(p.detach(), t).data)
-
-        np.testing.assert_allclose(
-            p.grad, numerical_gradient(f, p.data), atol=1e-5
-        )
 
     def test_bce_logits_matches_reference(self, rng):
         x = rng.normal(size=(5,))

@@ -17,6 +17,7 @@ from repro.hardware import (
     PowerModel,
     Stage,
     compare_networks,
+    describe,
     profile_network,
 )
 from repro.hardware.fpga import (
@@ -36,7 +37,7 @@ from repro.hardware.gpu import GpuLatencyModel, estimate_latency_ms, scale_laten
 
 
 def _skynet_desc(hw=(160, 320)):
-    return SkyNetBackbone("C").layer_descriptors(hw)
+    return describe(SkyNetBackbone("C"), hw)
 
 
 class TestLayerDesc:
@@ -99,7 +100,7 @@ class TestGpuModel:
         assert m8 < m1
 
     def test_latency_scales_with_network_size(self):
-        small = SkyNetBackbone("C", width_mult=0.5).layer_descriptors((160, 320))
+        small = describe(SkyNetBackbone("C", width_mult=0.5), (160, 320))
         big = _skynet_desc()
         assert estimate_latency_ms(small, TX2) < estimate_latency_ms(big, TX2)
 
@@ -353,7 +354,7 @@ class TestProfiler:
         from repro.zoo import resnet50
 
         sky = _skynet_desc()
-        r50 = resnet50(1.0).layer_descriptors((160, 320))
+        r50 = describe(resnet50(1.0), (160, 320))
         rows = compare_networks([sky, r50], baseline=0)
         assert rows[0]["params_vs_base"] == pytest.approx(1.0)
         # the headline claim direction: ResNet-50 is tens of times larger

@@ -21,6 +21,7 @@ from repro.hardware.gpu import (
     fp16_inference,
     simulate_fp16,
 )
+from repro.hardware import describe
 from repro.hardware.spec import PYNQ_Z1, TX2, ULTRA96
 from repro.nn import Tensor, gradcheck
 from repro.nn import functional as F
@@ -71,7 +72,7 @@ class TestHlsCharacterization:
 
 class TestTensorRT:
     def _net(self):
-        return SkyNetBackbone("C").layer_descriptors((160, 320))
+        return describe(SkyNetBackbone("C"), (160, 320))
 
     def test_fp16_faster_than_fp32(self):
         net = self._net()

@@ -11,7 +11,7 @@ from repro.datasets import make_dacsdc_splits
 from repro.detection import DetectionTrainer, Detector, TrainConfig, YoloHead
 from repro.detection.anchors import kmeans_anchors
 from repro.detection.metrics import evaluate_detector
-from repro.hardware import TX2, ULTRA96, LayerDesc
+from repro.hardware import TX2, ULTRA96, LayerDesc, describe
 from repro.hardware.quantization import quantized_inference
 from repro.nn import save_model, load_model
 
@@ -76,7 +76,7 @@ class TestTrainedPipeline:
 
     def test_contest_submission_flow(self, trained_setup):
         det, _, val, _ = trained_setup
-        desc = det.backbone.layer_descriptors((160, 320))
+        desc = describe(det.backbone, (160, 320))
         desc.layers.append(
             LayerDesc("pwconv", det.backbone.out_channels, 10, 20, 40,
                       name="head")
@@ -90,7 +90,7 @@ class TestTrainedPipeline:
 
     def test_fpga_submission_flow(self, trained_setup):
         det, _, val, _ = trained_setup
-        desc = det.backbone.layer_descriptors((160, 320))
+        desc = describe(det.backbone, (160, 320))
         sub = evaluate_submission(
             det, val, desc, ULTRA96, batch=4, name="SkyNet-FPGA"
         )

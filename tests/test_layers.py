@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor
-from repro.nn.init import fan_in_out, kaiming_normal, kaiming_uniform, xavier_uniform
+from repro.nn.init import fan_in_out, kaiming_normal, kaiming_uniform
 from repro.nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -199,11 +199,6 @@ class TestInit:
     def test_kaiming_uniform_bound(self, rng):
         w = kaiming_uniform((64, 32), rng)
         bound = np.sqrt(2.0) * np.sqrt(3.0 / 32)
-        assert np.abs(w).max() <= bound
-
-    def test_xavier_uniform_bound(self, rng):
-        w = xavier_uniform((64, 32), rng)
-        bound = np.sqrt(6.0 / 96)
         assert np.abs(w).max() <= bound
 
     def test_deterministic_given_rng(self):

@@ -12,6 +12,7 @@ from repro.core.skynet import (
     round_channels,
 )
 from repro.detection import Detector
+from repro.hardware import describe
 from repro.nn import Tensor, no_grad
 
 
@@ -102,24 +103,24 @@ class TestSkyNetDescriptor:
         """The structural descriptor must count what the module holds
         (descriptor omits the detection head, which lives in YoloHead)."""
         bb = SkyNetBackbone(cfg)
-        desc = bb.layer_descriptors((160, 320))
+        desc = describe(bb, (160, 320))
         assert desc.total_params == pytest.approx(
             bb.num_parameters(), rel=0.002
         )
 
     def test_descriptor_spatial_flow(self):
-        desc = SkyNetBackbone("C").layer_descriptors((160, 320))
+        desc = describe(SkyNetBackbone("C"), (160, 320))
         last = desc.layers[-1]
         assert (last.out_h, last.out_w) == (20, 40)  # stride 8
 
     def test_bundle_describe_matches_module(self):
         bundle = SkyNetBundle(16, 32)
-        descs = SkyNetBundle.describe(16, 32, 8, 8)
+        descs = describe(bundle, (8, 8))
         desc_params = sum(d.params for d in descs)
         assert desc_params == bundle.num_parameters()
 
     def test_macs_scale_with_resolution(self):
         bb = SkyNetBackbone("C")
-        small = bb.layer_descriptors((80, 160)).total_macs
-        large = bb.layer_descriptors((160, 320)).total_macs
+        small = describe(bb, (80, 160)).total_macs
+        large = describe(bb, (160, 320)).total_macs
         assert large == pytest.approx(4 * small, rel=0.01)

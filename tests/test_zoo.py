@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.hardware import describe
 from repro.nn import Tensor, no_grad
 from repro.zoo import (
     AlexNetClassifier,
@@ -73,15 +74,15 @@ class TestDescriptors:
         """Structural param counts must track the actual module within
         a small tolerance (BN buffers and biases excluded by design)."""
         bb = build_backbone(name, width_mult=0.5)
-        desc = bb.layer_descriptors((64, 64))
+        desc = describe(bb, (64, 64))
         assert desc.total_params == pytest.approx(
             bb.num_parameters(), rel=0.05
         )
 
     def test_resnet_depths_ordered(self):
-        m18 = resnet18(1.0).layer_descriptors((64, 64)).total_macs
-        m34 = resnet34(1.0).layer_descriptors((64, 64)).total_macs
-        m50 = resnet50(1.0).layer_descriptors((64, 64)).total_macs
+        m18 = describe(resnet18(1.0), (64, 64)).total_macs
+        m34 = describe(resnet34(1.0), (64, 64)).total_macs
+        m50 = describe(resnet50(1.0), (64, 64)).total_macs
         assert m18 < m34 < m50
 
 
