@@ -21,7 +21,6 @@ from common import print_table
 
 from repro.datasets.renderer import NUM_MAIN_CATEGORIES, SceneRenderer
 from repro.hardware.descriptor import describe
-from repro.hardware.profiler import profile_network
 from repro.hardware.quantization import (
     feature_map_quantization,
     fm_megabytes,
@@ -114,7 +113,7 @@ def _param_policy(scheme: dict):
 @lru_cache(maxsize=None)
 def run_study():
     model, xva, yva = trained_classifier()
-    profile = profile_network(describe(model, model.input_hw))
+    net = describe(model, model.input_hw)
     base_acc = accuracy(model, xva, yva)
 
     param_rows = []
@@ -131,17 +130,17 @@ def run_study():
                 weighted += p.size * _param_policy(scheme)(name)
             bits = weighted / total
         param_rows.append(
-            (label, acc, param_megabytes(profile.params, bits))
+            (label, acc, param_megabytes(net.total_params, bits))
         )
 
     fm_rows = []
     for bits in FM_BITS:
         if bits is None:
-            acc, mb = base_acc, fm_megabytes(profile.fm_elems, 32)
+            acc, mb = base_acc, fm_megabytes(net.total_fm_elems, 32)
         else:
             with feature_map_quantization(bits):
                 acc = accuracy(model, xva, yva)
-            mb = fm_megabytes(profile.fm_elems, bits)
+            mb = fm_megabytes(net.total_fm_elems, bits)
         fm_rows.append((f"FM{bits or 32}", acc, mb))
     return base_acc, param_rows, fm_rows
 

@@ -15,8 +15,7 @@ import pytest
 from common import print_table
 
 from repro.core import SkyNetBackbone
-from repro.hardware.descriptor import describe
-from repro.hardware.profiler import compare_networks
+from repro.hardware.descriptor import compare_networks, describe
 from repro.tracking import TrackerSpeedModel
 from repro.zoo import resnet50
 

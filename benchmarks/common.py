@@ -27,7 +27,7 @@ from repro.detection import (
     YoloHead,
 )
 from repro.detection.anchors import kmeans_anchors
-from repro.hardware.descriptor import LayerDesc, NetDescriptor, describe
+from repro.hardware.descriptor import NetDescriptor, describe
 from repro.utils import print_table  # noqa: F401  (re-export for benches)
 
 # ---- shared budgets ---------------------------------------------------- #
@@ -92,12 +92,8 @@ def trained_skynet():
 
 def contest_descriptor(backbone) -> NetDescriptor:
     """Backbone + head descriptor at deployment resolution."""
-    desc = describe(backbone, CONTEST_HW)
-    gh, gw = CONTEST_HW[0] // 8, CONTEST_HW[1] // 8
-    desc.layers.append(
-        LayerDesc("pwconv", backbone.out_channels, 10, gh, gw, name="head")
-    )
-    return desc
+    head = YoloHead(backbone.out_channels, rng=np.random.default_rng(0))
+    return describe(Detector(backbone, head), CONTEST_HW)
 
 
 @lru_cache(maxsize=None)

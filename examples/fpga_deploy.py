@@ -23,7 +23,7 @@ from repro.datasets import make_dacsdc_splits
 from repro.detection import DetectionTrainer, Detector, TrainConfig, YoloHead
 from repro.detection.anchors import kmeans_anchors
 from repro.detection.metrics import evaluate_detector
-from repro.hardware.descriptor import LayerDesc, describe
+from repro.hardware.descriptor import describe
 from repro.hardware.fpga import FpgaLatencyModel, plan_batch_tiling
 from repro.hardware.quantization import TABLE7_SCHEMES, quantized_inference
 from repro.hardware.spec import ULTRA96
@@ -59,10 +59,7 @@ def main() -> None:
     print(format_table(["scheme", "FM", "Weights", "IoU"], rows))
 
     print("\nIP pool on Ultra96 (scheme 1: W11 / FM9):")
-    full = SkyNetBackbone("C")
-    desc = describe(full, (160, 320))
-    desc.layers.append(LayerDesc("pwconv", full.out_channels, 10, 20, 40,
-                                 name="head"))
+    desc = describe(Detector(SkyNetBackbone("C")), (160, 320))
     model = FpgaLatencyModel(ULTRA96, batch=4, w_bits=11, fm_bits=9)
     cfg = model.ip_pool.conv_ip.config
     print(f"  conv IP: pi={cfg.pi} x po={cfg.po} lanes "

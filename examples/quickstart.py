@@ -24,7 +24,7 @@ from repro.core import SkyNetBackbone
 from repro.datasets import make_dacsdc_splits
 from repro.detection import DetectionTrainer, Detector, TrainConfig, YoloHead
 from repro.detection.anchors import kmeans_anchors
-from repro.hardware.descriptor import LayerDesc, describe
+from repro.hardware.descriptor import describe
 from repro.hardware.fpga import FpgaLatencyModel
 from repro.hardware.gpu import GpuLatencyModel
 from repro.hardware.spec import TX2, ULTRA96
@@ -73,10 +73,7 @@ def main() -> None:
           f"{result.final_iou:.3f}")
 
     print("4) embedded deployment estimates (full-size SkyNet C):")
-    full = SkyNetBackbone("C")
-    desc = describe(full, (160, 320))
-    desc.layers.append(LayerDesc("pwconv", full.out_channels, 10, 20, 40,
-                                 name="head"))
+    desc = describe(Detector(SkyNetBackbone("C")), (160, 320))
     gpu = GpuLatencyModel(TX2, batch=4)
     fpga = FpgaLatencyModel(ULTRA96, batch=4, w_bits=11, fm_bits=9)
     print(format_table(

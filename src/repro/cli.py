@@ -396,7 +396,6 @@ def _cmd_profile(args) -> int:
     from .hardware.descriptor import describe
     from .hardware.fpga import FpgaLatencyModel
     from .hardware.gpu import GpuLatencyModel
-    from .hardware.profiler import profile_network
     from .hardware.spec import TX2, ULTRA96
     from .zoo import build_backbone
 
@@ -405,11 +404,10 @@ def _cmd_profile(args) -> int:
     backbone = build_backbone(args.backbone, width_mult=args.width)
     hw = (args.height, args.input_width)
     desc = describe(backbone, hw)
-    profile = profile_network(desc)
     print(f"{args.backbone} @ {hw[0]}x{hw[1]} (width_mult={args.width})")
-    print(f"  params: {profile.params / 1e6:.3f} M "
-          f"({profile.param_mb_fp32:.2f} MB fp32)")
-    print(f"  MACs:   {profile.gmacs:.3f} G")
+    print(f"  params: {desc.total_params / 1e6:.3f} M "
+          f"({desc.total_params * 4 / 1e6:.2f} MB fp32)")
+    print(f"  MACs:   {desc.gmacs:.3f} G")
     tx2 = GpuLatencyModel(TX2, batch=1).per_frame_latency_ms(desc)
     u96 = FpgaLatencyModel(ULTRA96, batch=1).per_frame_latency_ms(desc)
     print(f"  TX2:    {tx2:.2f} ms/frame ({1e3 / tx2:.1f} FPS)")

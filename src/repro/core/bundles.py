@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc
 from ..nn import Tensor
 from ..nn.layers import (
     BatchNorm2d,
@@ -45,52 +44,13 @@ class BundleSpec:
 
     Every conv-like op is followed by BN + activation when the Bundle is
     instantiated (the activation choice is a Stage-3 decision, so it is
-    a build-time argument, not part of the spec).
+    a build-time argument, not part of the spec).  A Bundle's hardware
+    cost is read off an instance:
+    ``describe(GenericBundle(spec, cin, cout), (h, w))``.
     """
 
     name: str
     ops: tuple[tuple, ...]
-
-    def describe(
-        self, in_ch: int, out_ch: int, h: int, w: int, name: str = ""
-    ) -> list[LayerDesc]:
-        """Layer descriptors for one instance of this Bundle."""
-        prefix = name or self.name
-        layers: list[LayerDesc] = []
-        cur = in_ch
-        for i, op in enumerate(self.ops):
-            tag = f"{prefix}.{i}"
-            if op[0] == "dw":
-                k = op[1]
-                layers.append(
-                    LayerDesc("dwconv", cur, cur, h, w, kernel=k, name=f"{tag}.dw")
-                )
-            elif op[0] == "conv":
-                k = op[1]
-                layers.append(
-                    LayerDesc("conv", cur, out_ch, h, w, kernel=k, name=f"{tag}.conv")
-                )
-                cur = out_ch
-            elif op[0] == "pw":
-                layers.append(
-                    LayerDesc("pwconv", cur, out_ch, h, w, name=f"{tag}.pw")
-                )
-                cur = out_ch
-            else:
-                raise ValueError(f"unknown op {op!r} in bundle {self.name}")
-            layers.append(LayerDesc("bn", cur, cur, h, w, name=f"{tag}.bn"))
-            layers.append(LayerDesc("act", cur, cur, h, w, name=f"{tag}.act"))
-        if cur != out_ch:
-            raise ValueError(
-                f"bundle {self.name} never reaches out_ch (ends at {cur})"
-            )
-        return layers
-
-    def macs(self, in_ch: int, out_ch: int, h: int, w: int) -> int:
-        return sum(l.macs for l in self.describe(in_ch, out_ch, h, w))
-
-    def params(self, in_ch: int, out_ch: int) -> int:
-        return sum(l.params for l in self.describe(in_ch, out_ch, 8, 8))
 
 
 class GenericBundle(Module):
@@ -116,21 +76,23 @@ class GenericBundle(Module):
         cur = in_channels
         for op in spec.ops:
             if op[0] == "dw":
-                if op[1] != 3:
-                    layer = DWConv3x3(cur, kernel=op[1], rng=rng)
-                else:
-                    layer = DWConv3x3(cur, rng=rng)
+                layer = DWConv3x3(cur, kernel=op[1], rng=rng)
             elif op[0] == "conv":
                 layer = Conv2d(cur, out_channels, op[1], bias=False, rng=rng)
                 cur = out_channels
             elif op[0] == "pw":
                 layer = PWConv1x1(cur, out_channels, rng=rng)
                 cur = out_channels
-            else:  # pragma: no cover - spec.describe already validates
-                raise ValueError(f"unknown op {op!r}")
+            else:
+                raise ValueError(f"unknown op {op!r} in bundle {spec.name}")
             self.ops.append(layer)
             self.bns.append(BatchNorm2d(cur))
             self.acts.append(make_activation(activation))
+        if cur != out_channels:
+            raise ValueError(
+                f"bundle {spec.name} never reaches {out_channels} channels "
+                f"(ends at {cur})"
+            )
 
     def forward(self, x: Tensor) -> Tensor:
         for op, bn, act in zip(self.ops, self.bns, self.acts):

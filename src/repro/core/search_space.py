@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc, NetDescriptor
+from ..hardware.descriptor import NetDescriptor, describe
 from ..nn import Tensor
 from ..nn.layers import MaxPool2d, Reorg
 from ..nn.module import Module, ModuleList
@@ -94,35 +94,11 @@ class CandidateDNA:
 
     def descriptor(self, input_hw: tuple[int, int], in_channels: int = 3
                    ) -> NetDescriptor:
-        """Structural descriptor for the hardware models."""
-        h, w = input_hw
-        pools = set(self.pool_positions)
-        layers: list[LayerDesc] = []
-        cur = in_channels
-        bypass_src = self._bypass_source() if self.bypass else None
-        bypass_ch = 0
-        for j, ch in enumerate(self.channels):
-            is_last = j == self.depth - 1
-            in_ch = cur
-            if self.bypass and is_last:
-                in_ch = cur + bypass_ch
-                layers.append(
-                    LayerDesc("concat", in_ch, in_ch, h, w, name="bypass.cat")
-                )
-            layers += self.bundle.describe(in_ch, ch, h, w, name=f"r{j}")
-            cur = ch
-            if self.bypass and j == bypass_src:
-                layers.append(
-                    LayerDesc("reorg", cur, cur * 4, h, w, 2, 2, "bypass.reorg")
-                )
-                bypass_ch = cur * 4
-            if j in pools and not is_last:
-                layers.append(LayerDesc("pool", cur, cur, h, w, 2, 2,
-                                        f"pool{j}"))
-                h, w = h // 2, w // 2
-        return NetDescriptor(
-            layers, name=f"{self.bundle.name}-x{self.depth}"
-        )
+        """Structural descriptor for the hardware models: the trace of
+        the :class:`CandidateNet` this DNA builds.  Its weights come from
+        a private generator, so describing moves no caller's stream."""
+        net = CandidateNet(self, in_channels, rng=np.random.default_rng(0))
+        return describe(net, input_hw)
 
 
 def random_dna(

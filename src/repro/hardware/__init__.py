@@ -11,10 +11,9 @@ traced forward.
 """
 
 from . import fpga, gpu
-from .descriptor import LayerDesc, NetDescriptor, describe
+from .descriptor import LayerDesc, NetDescriptor, compare_networks, describe
 from .energy import EnergyReport, PowerModel
 from .pipeline import PipelineResult, PipelineSimulator, Stage
-from .profiler import NetworkProfile, compare_networks, profile_network
 from .pruning import PruningMask, magnitude_prune, prunable_parameters, sparsity
 from .quantization import (
     TABLE7_SCHEMES,
@@ -38,8 +37,6 @@ __all__ = [
     "PipelineSimulator",
     "PipelineResult",
     "Stage",
-    "NetworkProfile",
-    "profile_network",
     "PruningMask",
     "magnitude_prune",
     "prunable_parameters",

@@ -1,12 +1,14 @@
 """Layer-level network descriptors consumed by the hardware models.
 
-The FPGA and GPU performance models (and the profiler) do not execute
-NumPy code — they reason about a network's *structure*: per-layer MACs,
-parameter counts, and feature-map sizes.  :func:`describe` reads a
-:class:`NetDescriptor`, a flat list of :class:`LayerDesc` records, off
-the same trace of the module's forward that the inference compiler
-plans (:func:`repro.nn.engine.compiler.trace`), so the graph the models
-cost is the graph that runs.
+The FPGA and GPU performance models do not execute NumPy code — they
+reason about a network's *structure*: per-layer MACs, parameter counts,
+and feature-map sizes.  :func:`describe` reads a :class:`NetDescriptor`,
+a flat list of :class:`LayerDesc` records, off the same trace of the
+module's forward that the inference compiler plans
+(:func:`repro.nn.engine.compiler.trace`), so the graph the models cost
+is the graph that runs.  It is the only writer of a network's layer
+geometry, MACs and parameter counts: backbones, detectors, Bundles and
+NAS candidates are all described by tracing the module that runs.
 
 This mirrors how the paper's own flow works: FPGA latency during the
 bottom-up search is estimated from per-IP models over the layer graph
@@ -19,10 +21,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..nn.engine.compiler import trace
+from ..nn.im2col import conv_out_size
 
-__all__ = ["LayerDesc", "NetDescriptor", "describe"]
+__all__ = ["LayerDesc", "NetDescriptor", "compare_networks", "describe"]
 
 _COMPUTE_KINDS = {"conv", "dwconv", "pwconv", "linear"}
+_WINDOW_KINDS = {"conv", "dwconv", "pwconv", "pool"}
 _KNOWN_KINDS = _COMPUTE_KINDS | {"pool", "bn", "act", "reorg", "concat", "add", "gap"}
 
 
@@ -31,9 +35,13 @@ class LayerDesc:
     """Structural description of one layer.
 
     Spatial sizes refer to the layer *input*; ``out_h``/``out_w`` are
-    derived.  ``kernel`` and ``stride`` follow conv semantics (pooling
-    uses ``kernel`` as window).  Padding is assumed 'same' for convs and
-    0 for pooling, matching every architecture in this reproduction.
+    derived.  ``kernel``, ``stride`` and ``pad`` follow conv semantics
+    (pooling uses ``kernel`` as window), and convs and pools size their
+    output with :func:`~repro.nn.im2col.conv_out_size`, the arithmetic
+    the kernels run (0 when a window does not fit).  :func:`describe`
+    copies each conv's and pool's padding from the trace; a hand-built
+    row left at ``pad=None`` pads a conv by ``kernel // 2`` ('same' for
+    an odd kernel) and a pool by 0.
     """
 
     kind: str
@@ -43,6 +51,7 @@ class LayerDesc:
     in_w: int
     kernel: int = 1
     stride: int = 1
+    pad: int | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -54,25 +63,25 @@ class LayerDesc:
     # ------------------------------------------------------------------ #
     # derived geometry
     # ------------------------------------------------------------------ #
-    @property
-    def out_h(self) -> int:
-        if self.kind == "pool":
-            return self.in_h // self.stride
+    def _out_size(self, size: int) -> int:
+        if self.kind in _WINDOW_KINDS:
+            pad = self.pad
+            if pad is None:
+                pad = 0 if self.kind == "pool" else self.kernel // 2
+            return max(0, conv_out_size(size, self.kernel, self.stride, pad))
         if self.kind == "reorg":
-            return self.in_h // self.stride
+            return size // self.stride
         if self.kind in ("linear", "gap"):
             return 1
-        return (self.in_h + self.stride - 1) // self.stride  # 'same' padding
+        return size
+
+    @property
+    def out_h(self) -> int:
+        return self._out_size(self.in_h)
 
     @property
     def out_w(self) -> int:
-        if self.kind == "pool":
-            return self.in_w // self.stride
-        if self.kind == "reorg":
-            return self.in_w // self.stride
-        if self.kind in ("linear", "gap"):
-            return 1
-        return (self.in_w + self.stride - 1) // self.stride
+        return self._out_size(self.in_w)
 
     # ------------------------------------------------------------------ #
     # cost model
@@ -143,8 +152,19 @@ class NetDescriptor:
     def total_params(self) -> int:
         return sum(l.params for l in self.layers)
 
-    def param_bytes(self, bytes_per_weight: float = 4.0) -> float:
-        return self.total_params * bytes_per_weight
+    @property
+    def gmacs(self) -> float:
+        return self.total_macs / 1e9
+
+    def param_ratio(self, other: "NetDescriptor") -> float:
+        """How many times more parameters ``other`` has than ``self``."""
+        if self.total_params == 0:
+            raise ValueError(
+                f"cannot compute a parameter ratio against network "
+                f"{self.name!r}: it has zero parameters (was the "
+                f"descriptor built from an empty layer list?)"
+            )
+        return other.total_params / self.total_params
 
     @property
     def max_fm_elems(self) -> int:
@@ -175,6 +195,31 @@ class NetDescriptor:
         return "\n".join(lines)
 
 
+def compare_networks(
+    nets: list[NetDescriptor], baseline: int = 0
+) -> list[dict[str, float | str]]:
+    """Tabulate networks relative to ``nets[baseline]``.
+
+    Returns one row per network with parameter/MAC ratios against the
+    baseline — the format of the paper's headline claims ("37.20x
+    smaller than ResNet-50", Section 7).
+    """
+    base = nets[baseline]
+    return [
+        {
+            "name": n.name,
+            "params_m": n.total_params / 1e6,
+            "param_mb": n.total_params * 4 / 1e6,
+            "gmacs": n.gmacs,
+            "params_vs_base": (n.total_params / base.total_params
+                               if base.total_params else 0.0),
+            "macs_vs_base": (n.total_macs / base.total_macs
+                             if base.total_macs else 0.0),
+        }
+        for n in nets
+    ]
+
+
 #: Trace ops whose descriptor keeps the channel count.
 _SAME_CHANNELS = {"affine": "bn", "act": "act", "add": "add", "gap": "gap"}
 
@@ -185,12 +230,10 @@ def describe(module, input_hw: tuple[int, int]) -> NetDescriptor:
     Walks :func:`~repro.nn.engine.compiler.trace` of the module, one
     :class:`LayerDesc` per op; each layer's input size is its producer's
     ``out_h``/``out_w`` and the input channel count comes from the first
-    op's weight.  A module whose forward does not trace (ShuffleNet's
-    channel split and shuffle) defines ``layer_descriptors(input_hw)``,
-    which is used instead.
+    op's weight.  Conv and pool geometry (kernel, stride, padding) is
+    the traced layer's own.  Flatten, channel slice and channel shuffle
+    only reshape, so they add no row.
     """
-    if hasattr(module, "layer_descriptors"):
-        return module.layer_descriptors(input_hw)
     nodes, _, _ = trace(module)
     weight = nodes[0].attrs["weight"]
     in_ch = weight.shape[0] if nodes[0].kind == "dw" else weight.shape[1]
@@ -200,11 +243,12 @@ def describe(module, input_hw: tuple[int, int]) -> NetDescriptor:
         c, h, w = shapes[node.inputs[0]]
         a = node.attrs
         if node.kind == "dw":
-            spec = ("dwconv", c, c, h, w, a["weight"].shape[-1], a["stride"])
+            spec = ("dwconv", c, c, h, w, a["weight"].shape[-1], a["stride"],
+                    a["pad"])
         elif node.kind == "conv":
             cout, _, k, _ = a["weight"].shape
             spec = ("pwconv" if k == 1 else "conv", c, cout, h, w, k,
-                    a["stride"])
+                    a["stride"], a["pad"])
         elif node.kind == "linear":
             cout, cin = a["weight"].shape
             spec = ("linear", cin, cout, 1, 1)
@@ -222,7 +266,10 @@ def describe(module, input_hw: tuple[int, int]) -> NetDescriptor:
             shapes[node.out] = (c * h * w, 1, 1)
             continue
         elif node.kind == "slice":
-            shapes[node.out] = (a["stop"] - a["start"], h, w)
+            shapes[node.out] = (len(range(c)[a["start"]:a["stop"]]), h, w)
+            continue
+        elif node.kind == "shuffle":
+            shapes[node.out] = (c, h, w)
             continue
         else:
             raise ValueError(f"no layer descriptor for op {node.kind!r}")

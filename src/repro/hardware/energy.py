@@ -64,13 +64,3 @@ class PowerModel:
             latency_ms=latency_ms,
             joules_per_frame=p * latency_ms / 1e3,
         )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def utilization_from_roofline(
-        achieved_gops: float, peak_gops: float
-    ) -> float:
-        """Utilization proxy: achieved fraction of device peak."""
-        if peak_gops <= 0:
-            raise ValueError("peak must be positive")
-        return min(1.0, max(0.0, achieved_gops / peak_gops))

@@ -40,7 +40,7 @@ import numpy as np
 
 from ... import obs
 from ..layers.activation import LeakyReLU, ReLU, ReLU6, Sigmoid, Tanh
-from ..layers.conv import Conv2d, DWConv3x3, GroupedConv2d
+from ..layers.conv import Conv2d, DWConv3x3
 from ..layers.dropout import Dropout
 from ..layers.linear import Flatten, Linear
 from ..layers.norm import BatchNorm2d
@@ -133,14 +133,6 @@ class _Planner:
                 bias=None if m.bias is None else m.bias.data,
                 stride=m.stride, pad=m.pad, act=None,
             )
-        if isinstance(m, GroupedConv2d):
-            step = m.in_channels // m.groups
-            outs = []
-            for g, conv in enumerate(m.convs):
-                part = self._push("slice", [reg], start=g * step,
-                                  stop=(g + 1) * step)
-                outs.append(self.emit(conv, part))
-            return self._push("concat", outs)
         if isinstance(m, BatchNorm2d):
             scale, shift = m.fold_scale_shift()
             return self._push("affine", [reg], scale=scale, bias=shift,
@@ -187,7 +179,8 @@ class _Planner:
         except (TypeError, AttributeError) as exc:
             raise CompileError(
                 f"cannot trace {name}.forward: an op other than a "
-                f"submodule call, Tensor.concat or + ({exc})"
+                f"submodule call, Tensor.concat, + or a channel slice "
+                f"({exc})"
             ) from exc
         if not isinstance(out, Traced):
             raise CompileError(f"{name}.forward must return one tensor")
@@ -211,6 +204,18 @@ class _Planner:
         if not isinstance(b, Traced):
             raise CompileError("only the sum of two traced tensors compiles")
         return Traced(self, self._push("add", [a.reg, b.reg]))
+
+    def slice(self, x: Traced, idx) -> Traced:
+        if not (isinstance(idx, tuple) and len(idx) == 2
+                and idx[0] == slice(None) and isinstance(idx[1], slice)
+                and idx[1].step is None):
+            raise CompileError("only a channel slice x[:, a:b] of a traced "
+                               "tensor compiles")
+        return Traced(self, self._push("slice", [x.reg], start=idx[1].start,
+                                       stop=idx[1].stop))
+
+    def shuffle(self, x: Traced, groups: int) -> Traced:
+        return Traced(self, self._push("shuffle", [x.reg], groups=groups))
 
 
 def trace(module: Module) -> tuple[list[_Node], int, int]:
@@ -409,7 +414,8 @@ def _lower_node(node: _Node, key) -> K.Kernel:
         from .quant import boundary_kernel
 
         return boundary_kernel(node, key)
-    # ``add`` (a residual sum) has no kernel: such nets run eagerly.
+    # ``add`` (a residual sum) and ``shuffle`` (a channel shuffle) have
+    # no kernel: such nets run eagerly.
     raise CompileError(f"cannot lower op kind {kind!r}")
 
 

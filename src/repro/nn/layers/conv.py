@@ -55,14 +55,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, self.stride, self.pad)
 
-    def macs(self, h: int, w: int) -> int:
-        """Multiply-accumulate count for an input of spatial size (h, w)."""
-        oh = (h + 2 * self.pad - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.pad - self.kernel) // self.stride + 1
-        return (
-            oh * ow * self.out_channels * self.in_channels * self.kernel**2
-        )
-
 
 class DWConv3x3(Module):
     """3x3 depthwise convolution — one half of the SkyNet Bundle.
@@ -92,11 +84,6 @@ class DWConv3x3(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.depthwise_conv2d(x, self.weight, self.bias, self.stride, self.pad)
-
-    def macs(self, h: int, w: int) -> int:
-        oh = (h + 2 * self.pad - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.pad - self.kernel) // self.stride + 1
-        return oh * ow * self.channels * self.kernel**2
 
 
 class GroupedConv2d(Module):
@@ -159,9 +146,6 @@ class GroupedConv2d(Module):
             for g, conv in enumerate(self.convs)
         ]
         return T.concat(outs, axis=1)
-
-    def macs(self, h: int, w: int) -> int:
-        return sum(conv.macs(h, w) for conv in self.convs)
 
 
 class PWConv1x1(Conv2d):

@@ -35,9 +35,6 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
 
-    def macs(self) -> int:
-        return self.in_features * self.out_features
-
 
 class Flatten(Module):
     """Flatten all but the batch dimension."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from .tensor import Tensor, Traced
 
-__all__ = ["Parameter", "Module", "Sequential", "ModuleList", "HookHandle"]
+__all__ = ["Parameter", "Module", "Sequential", "ModuleList"]
 
 
 class Parameter(Tensor):
@@ -17,23 +17,6 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str = "") -> None:
         super().__init__(data, requires_grad=True, name=name)
-
-
-class HookHandle:
-    """Removal token returned by ``register_*_hook``.
-
-    Calling :meth:`remove` detaches the hook; removing twice is a no-op.
-    """
-
-    _next_id = 0
-
-    def __init__(self, hooks: "OrderedDict[int, object]") -> None:
-        self._hooks = hooks
-        self.id = HookHandle._next_id
-        HookHandle._next_id += 1
-
-    def remove(self) -> None:
-        self._hooks.pop(self.id, None)
 
 
 class Module:
@@ -50,9 +33,6 @@ class Module:
         object.__setattr__(self, "_parameters", OrderedDict())
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "_buffers", OrderedDict())
-        object.__setattr__(self, "_forward_pre_hooks", OrderedDict())
-        object.__setattr__(self, "_forward_hooks", OrderedDict())
-        object.__setattr__(self, "_backward_hooks", OrderedDict())
         object.__setattr__(self, "training", True)
 
     # ------------------------------------------------------------------ #
@@ -158,54 +138,6 @@ class Module:
             raise KeyError(f"missing parameters in state dict: {missing}")
 
     # ------------------------------------------------------------------ #
-    # hooks
-    # ------------------------------------------------------------------ #
-    def register_forward_pre_hook(self, hook) -> HookHandle:
-        """Call ``hook(module, inputs)`` before every forward.
-
-        Returning a tuple (or a single value) replaces the positional
-        inputs; returning ``None`` leaves them untouched.
-        """
-        handle = HookHandle(self._forward_pre_hooks)
-        self._forward_pre_hooks[handle.id] = hook
-        return handle
-
-    def register_forward_hook(self, hook) -> HookHandle:
-        """Call ``hook(module, inputs, output)`` after every forward.
-
-        A non-``None`` return value replaces the output.
-        """
-        handle = HookHandle(self._forward_hooks)
-        self._forward_hooks[handle.id] = hook
-        return handle
-
-    def register_backward_hook(self, hook) -> HookHandle:
-        """Call ``hook(module, grad_output)`` when the gradient w.r.t.
-        this module's output is computed during ``backward()``.
-
-        Only fires for forwards that return a single grad-requiring
-        :class:`Tensor` (the common case for layers).  A non-``None``
-        return value replaces the gradient flowing into the module.
-        """
-        handle = HookHandle(self._backward_hooks)
-        self._backward_hooks[handle.id] = hook
-        return handle
-
-    def _attach_backward_hooks(self, out):
-        if not isinstance(out, Tensor) or not out.requires_grad:
-            return out
-        hooks = tuple(self._backward_hooks.values())
-
-        def backward(g: np.ndarray):
-            for hook in hooks:
-                replacement = hook(self, g)
-                if replacement is not None:
-                    g = np.asarray(replacement)
-            return (g,)
-
-        return Tensor._make(out.data, (out,), backward)
-
-    # ------------------------------------------------------------------ #
     # call protocol
     # ------------------------------------------------------------------ #
     def forward(self, *args, **kwargs):
@@ -214,24 +146,7 @@ class Module:
     def __call__(self, *args, **kwargs):
         if args and isinstance(args[0], Traced):  # being compiled
             return args[0].planner.call(self, *args, **kwargs)
-        if self._forward_pre_hooks:
-            for hook in tuple(self._forward_pre_hooks.values()):
-                replacement = hook(self, args)
-                if replacement is not None:
-                    args = (
-                        replacement
-                        if isinstance(replacement, tuple)
-                        else (replacement,)
-                    )
-        out = self.forward(*args, **kwargs)
-        if self._forward_hooks:
-            for hook in tuple(self._forward_hooks.values()):
-                replacement = hook(self, args, out)
-                if replacement is not None:
-                    out = replacement
-        if self._backward_hooks:
-            out = self._attach_backward_hooks(out)
-        return out
+        return self.forward(*args, **kwargs)
 
 
 class Sequential(Module):

@@ -516,9 +516,9 @@ class Traced:
     sees while :func:`repro.nn.engine.compiler.trace` plans it.
 
     ``Module.__call__`` and :meth:`Tensor.concat` hand a ``Traced``
-    argument to its planner, and ``+`` records an ``add``; any other
-    operation on it fails, which the planner reports as a
-    ``CompileError``.
+    argument to its planner, ``+`` records an ``add`` and ``x[:, a:b]``
+    a channel ``slice``; any other operation on it fails, which the
+    planner reports as a ``CompileError``.
     """
 
     __slots__ = ("planner", "reg")
@@ -529,6 +529,9 @@ class Traced:
 
     def __add__(self, other) -> "Traced":
         return self.planner.add(self, other)
+
+    def __getitem__(self, idx) -> "Traced":
+        return self.planner.slice(self, idx)
 
 
 def as_tensor(value) -> Tensor:

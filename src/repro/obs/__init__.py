@@ -11,7 +11,7 @@ that makes those measurements first-class in the reproduction:
   :func:`inc`, :func:`set_gauge`, :func:`observe`.
 * **Layer profiling** — :func:`profile_net` times every kernel of a
   compiled plan (ms, GFLOP/s), the measured complement of the static
-  MAC counts in :mod:`repro.hardware.profiler`.
+  MAC counts of :func:`repro.hardware.describe`.
 
 All helpers route through one global recorder that defaults to **off**:
 with no recorder installed each call is a global read + early return,

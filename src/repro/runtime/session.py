@@ -413,14 +413,18 @@ class Session:
         return health
 
     def close(self) -> None:
-        """Stop the serving threads and any worker processes
-        (idempotent); ``run`` keeps working."""
+        """Stop the serving threads and any worker processes and free
+        the plan's arenas (idempotent); ``run`` keeps working and plans
+        again."""
         for manager in self._streams:
             manager.stop()
         if self._server is not None:
             self._server.stop()
         if self._procpool is not None:
             self._procpool.close()
+        # A fresh clone holds the weights but no arena slabs and no slice
+        # clones; a run racing this close keeps the plan it started on.
+        self._forward = copy.copy(self._forward)
 
     def __enter__(self) -> "Session":
         return self

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hardware.descriptor import LayerDesc, NetDescriptor
 from ..nn import Tensor
+from ..nn.tensor import Traced
 from ..nn.layers import BatchNorm2d, Conv2d, DWConv3x3, PWConv1x1, ReLU
 from ..nn.module import Module, ModuleList
 from ..utils.rng import default_rng
@@ -18,7 +18,13 @@ __all__ = ["ShuffleNetBackbone", "shufflenet", "channel_shuffle"]
 
 
 def channel_shuffle(x: Tensor, groups: int = 2) -> Tensor:
-    """Interleave channels across ``groups`` (the ShuffleNet shuffle)."""
+    """Interleave channels across ``groups`` (the ShuffleNet shuffle).
+
+    Traced, it is one ``shuffle`` node: the hardware descriptor counts
+    it as a reshape, and the compiler has no kernel for it.
+    """
+    if isinstance(x, Traced):
+        return x.planner.shuffle(x, groups)
     n, c, h, w = x.shape
     if c % groups:
         raise ValueError(f"channels {c} not divisible by groups {groups}")
@@ -103,20 +109,16 @@ class ShuffleNetBackbone(Module):
 
         stem_ch = even(24)
         s2_ch, s3_ch = even(116), even(232)
-        self._chs = (stem_ch, s2_ch, s3_ch)
         self.stem = Conv2d(in_channels, stem_ch, 3, stride=2, bias=False, rng=rng)
         self.stem_bn = BatchNorm2d(stem_ch)
         self.relu = ReLU()
         self.units = ModuleList()
-        self._plan: list[tuple[str, int, int]] = []
         cur = stem_ch
         for out_ch, n_units in ((s2_ch, 3), (s3_ch, 3)):
             self.units.append(_DownUnit(cur, out_ch, rng))
-            self._plan.append(("down", cur, out_ch))
             cur = out_ch
             for _ in range(n_units):
                 self.units.append(_ShuffleUnit(cur, rng))
-                self._plan.append(("unit", cur, cur))
         self.out_channels = cur
 
     def forward(self, x: Tensor) -> Tensor:
@@ -124,38 +126,6 @@ class ShuffleNetBackbone(Module):
         for unit in self.units:
             x = unit(x)
         return x
-
-    def layer_descriptors(self, input_hw: tuple[int, int]) -> NetDescriptor:
-        h, w = input_hw
-        stem_ch = self._chs[0]
-        layers = [LayerDesc("conv", self.in_channels, stem_ch, h, w, 3, 2, "stem")]
-        h, w = (h + 1) // 2, (w + 1) // 2
-        layers.append(LayerDesc("bn", stem_ch, stem_ch, h, w, name="stem_bn"))
-        def conv_bn(kind, cin, cout, hh, ww, k, s, name):
-            return [
-                LayerDesc(kind, cin, cout, hh, ww, k, s, name),
-                LayerDesc("bn", cout, cout, hh // s, ww // s, name=f"{name}.bn"),
-            ]
-
-        for i, (kind, cin, cout) in enumerate(self._plan):
-            half_out = cout // 2
-            if kind == "down":
-                layers += conv_bn("dwconv", cin, cin, h, w, 3, 2, f"u{i}.l_dw")
-                layers += conv_bn("pwconv", cin, half_out, h // 2, w // 2, 1, 1,
-                                  f"u{i}.l_pw")
-                layers += conv_bn("pwconv", cin, half_out, h, w, 1, 1,
-                                  f"u{i}.r_pw1")
-                layers += conv_bn("dwconv", half_out, half_out, h, w, 3, 2,
-                                  f"u{i}.r_dw")
-                layers += conv_bn("pwconv", half_out, half_out, h // 2, w // 2,
-                                  1, 1, f"u{i}.r_pw2")
-                h, w = h // 2, w // 2
-            else:
-                half = cin // 2
-                layers += conv_bn("pwconv", half, half, h, w, 1, 1, f"u{i}.pw1")
-                layers += conv_bn("dwconv", half, half, h, w, 3, 1, f"u{i}.dw")
-                layers += conv_bn("pwconv", half, half, h, w, 1, 1, f"u{i}.pw2")
-        return NetDescriptor(layers, name="ShuffleNetV2")
 
 
 def shufflenet(width_mult: float = 1.0, rng=None) -> ShuffleNetBackbone:

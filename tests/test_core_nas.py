@@ -53,21 +53,24 @@ class TestBundles:
     @pytest.mark.parametrize("spec", BUNDLE_CATALOG, ids=lambda s: s.name)
     def test_describe_matches_module_params(self, spec):
         bundle = GenericBundle(spec, 6, 12)
-        descs = spec.describe(6, 12, 8, 8)
-        assert sum(d.params for d in descs) == bundle.num_parameters()
+        assert describe(bundle, (8, 8)).total_params == \
+            bundle.num_parameters()
 
     def test_skynet_bundle_cheapest_3x3(self):
         """The selected Bundle's efficiency: dw3-pw beats dense conv3."""
-        dw_pw = bundle_by_name("dw3-pw").macs(64, 64, 16, 16)
-        conv3 = bundle_by_name("conv3").macs(64, 64, 16, 16)
-        assert dw_pw < conv3 / 4
+        def macs(name):
+            bundle = GenericBundle(bundle_by_name(name), 64, 64,
+                                   rng=np.random.default_rng(0))
+            return describe(bundle, (16, 16)).total_macs
+
+        assert macs("dw3-pw") < macs("conv3") / 4
 
     def test_describe_validates_channel_flow(self):
         from repro.core.bundles import BundleSpec
 
         bad = BundleSpec("dw-only", (("dw", 3),))
         with pytest.raises(ValueError, match="never reaches"):
-            bad.describe(4, 8, 8, 8)
+            GenericBundle(bad, 4, 8)
 
 
 class TestCandidateDNA:

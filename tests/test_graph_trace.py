@@ -2,10 +2,11 @@
 descriptors are both read off the trace of a module's own forward.
 
 ``data/graph_pins.json`` holds what the hand-written composite compile
-rules and ``layer_descriptors`` methods produced before the trace
-replaced them: the step tables (kernel label, reads, writes) of the
-plans perfbench and the trackers run, fp32 and w8/f8, and per-layer
-descriptors of every zoo and SkyNet backbone at three input sizes.
+rules and descriptor methods produced before the trace replaced them:
+the step tables (kernel label, reads, writes) of the plans perfbench
+and the trackers run, fp32 and w8/f8, per-layer descriptors of every
+zoo and SkyNet backbone at three input sizes, and the hand-written
+``CandidateDNA.descriptor`` rows of 48 sampled PSO candidates.
 Regenerate it only for a deliberate change of plan or descriptor.
 """
 
@@ -36,6 +37,7 @@ from repro.nn.module import Module
 from repro.tracking import SiamRPN
 from repro.tracking.siamese import compile_extractor
 from repro.zoo import (
+    BACKBONES,
     AlexNetBackbone,
     AlexNetClassifier,
     MobileNetBackbone,
@@ -122,8 +124,8 @@ SAME_DESCRIPTOR = {
     "vgg16": lambda: vgg16(0.5, rng=_rng(0)),
     "vgg_bn": lambda: VGGBackbone(0.5, rng=_rng(0)),
 }
-#: Backbones whose hand-written descriptor left out activations, adds or
-#: (AlexNet) used 'valid' conv1 geometry: only the parameters must hold.
+#: Backbones whose hand-written descriptor left out activations or adds:
+#: only the parameters must hold.
 SAME_PARAMS = {
     "resnet18": lambda: resnet18(0.5, rng=_rng(0)),
     "resnet34": lambda: resnet34(0.5, rng=_rng(0)),
@@ -181,17 +183,57 @@ def _dnas():
             yield dna.with_stage3_features()
 
 
+def _label(dna) -> str:
+    return (f"{dna.bundle.name} {list(dna.channels)} "
+            f"{list(dna.pool_positions)} {dna.activation} {dna.bypass}")
+
+
 def test_candidate_net_traces_to_its_dna_descriptor():
-    """The PSO's model-free estimate describes the net it builds."""
-    for dna in _dnas():
-        net = CandidateNet(dna, rng=_rng(0))
-        for hw in ((32, 64), (160, 320)):
-            assert rows(describe(net, hw)) == rows(dna.descriptor(hw)), dna
+    """The PSO's estimate, the trace of the net a DNA builds, reads row
+    for row what the hand-written descriptor did."""
+    pinned = PINS["candidates"]
+    dnas = list(_dnas())
+    assert len(dnas) == len(pinned) == 48
+    for dna, pin in zip(dnas, pinned):
+        assert _label(dna) == pin["dna"]
+        for h, w in ((32, 64), (160, 320)):
+            assert rows(dna.descriptor((h, w))) == pin[f"{h}x{w}"], dna
 
 
-def test_shufflenet_keeps_its_own_descriptor():
+def test_shufflenet_traces_split_and_shuffle():
+    """The channel split traces as slices and the shuffle as a reshape
+    node that the descriptor skips and the compiler refuses."""
     bb = shufflenet(0.5, rng=_rng(0))
-    assert rows(describe(bb, (64, 64))) == rows(bb.layer_descriptors((64, 64)))
+    nodes, _, _ = trace(bb)
+    kinds = [n.kind for n in nodes]
+    assert kinds.count("shuffle") == len(bb.units)
+    assert kinds.count("slice") == 2 * (len(bb.units) - 2)
+    desc = describe(bb, (64, 64))
+    assert desc.total_params == bb.num_parameters()
+    assert {l.kind for l in desc} == {"conv", "dwconv", "pwconv", "bn",
+                                      "act", "concat"}
+    with pytest.raises(CompileError, match="'shuffle'"):
+        compile_net(bb)
+
+
+#: Every registry backbone, and a detector whose head adds the last row.
+GEOMETRY = {
+    **{name: (lambda name=name: build_backbone(name, width_mult=0.125,
+                                               rng=_rng(0)))
+       for name in sorted(BACKBONES)},
+    "detector": _skynet_detector,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY))
+def test_descriptor_geometry_matches_eager_output(name):
+    """The last traced row has the shape the eager forward outputs."""
+    model = GEOMETRY[name]()
+    model.eval()
+    for h, w in ((160, 320), (97, 131), (64, 64)):
+        last = describe(model, (h, w)).layers[-1]
+        out = _eager(model, np.zeros((1, 3, h, w), np.float32))
+        assert (last.out_ch, last.out_h, last.out_w) == out.shape[1:], (h, w)
 
 
 # --------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for descriptors, GPU/FPGA models, energy, pipeline, profiler."""
+"""Tests for descriptors, GPU/FPGA models, energy, pipeline, network tables."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.hardware import (
     Stage,
     compare_networks,
     describe,
-    profile_network,
 )
 from repro.hardware.fpga import (
     ConvIP,
@@ -345,10 +344,11 @@ class TestPipeline:
 class TestProfiler:
     def test_profile_matches_descriptor(self):
         desc = _skynet_desc()
-        p = profile_network(desc)
-        assert p.params == desc.total_params
-        assert p.macs == desc.total_macs
-        assert p.gmacs == pytest.approx(desc.total_macs / 1e9)
+        [row] = compare_networks([desc])
+        assert row["params_m"] == pytest.approx(desc.total_params / 1e6)
+        assert row["param_mb"] == pytest.approx(desc.total_params * 4 / 1e6)
+        assert row["gmacs"] == pytest.approx(desc.total_macs / 1e9)
+        assert desc.gmacs == row["gmacs"]
 
     def test_compare_networks_ratios(self):
         from repro.zoo import resnet50
@@ -361,24 +361,18 @@ class TestProfiler:
         assert rows[1]["params_vs_base"] > 30
 
     def test_param_ratio(self):
-        from repro.hardware.profiler import NetworkProfile
-
-        p = NetworkProfile("small", 10, 0, 0, 0)
-        q = NetworkProfile("big", 370, 0, 0, 0)
+        p = NetDescriptor([LayerDesc("pwconv", 2, 5, 4, 4)], name="small")
+        q = NetDescriptor([LayerDesc("pwconv", 37, 10, 4, 4)], name="big")
         assert p.param_ratio(q) == pytest.approx(37.0)
 
     def test_param_ratio_zero_guard(self):
-        from repro.hardware.profiler import NetworkProfile
-
-        p = NetworkProfile("x", 0, 0, 0, 0)
-        q = NetworkProfile("y", 10, 0, 0, 0)
+        p = NetDescriptor([LayerDesc("act", 4, 4, 4, 4)], name="x")
+        q = NetDescriptor([LayerDesc("pwconv", 2, 5, 4, 4)], name="y")
         with pytest.raises(ValueError, match="zero parameters"):
             p.param_ratio(q)
 
     def test_compare_networks_direct(self):
         """compare_networks on hand-built descriptors (no bench needed)."""
-        from repro.hardware.descriptor import LayerDesc, NetDescriptor
-
         small = NetDescriptor(
             [LayerDesc("conv", 3, 8, 16, 16, kernel=3)], name="small"
         )

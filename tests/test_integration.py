@@ -11,7 +11,7 @@ from repro.datasets import make_dacsdc_splits
 from repro.detection import DetectionTrainer, Detector, TrainConfig, YoloHead
 from repro.detection.anchors import kmeans_anchors
 from repro.detection.metrics import evaluate_detector
-from repro.hardware import TX2, ULTRA96, LayerDesc, describe
+from repro.hardware import TX2, ULTRA96, describe
 from repro.hardware.quantization import quantized_inference
 from repro.nn import save_model, load_model
 
@@ -76,11 +76,7 @@ class TestTrainedPipeline:
 
     def test_contest_submission_flow(self, trained_setup):
         det, _, val, _ = trained_setup
-        desc = describe(det.backbone, (160, 320))
-        desc.layers.append(
-            LayerDesc("pwconv", det.backbone.out_channels, 10, 20, 40,
-                      name="head")
-        )
+        desc = describe(det, (160, 320))
         sub = evaluate_submission(det, val, desc, TX2, batch=4)
         assert 0.0 <= sub.iou <= 1.0
         assert sub.fps > 0 and sub.power_w > TX2.idle_w

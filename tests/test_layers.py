@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
+from repro.hardware import describe
+from repro.nn import Sequential, Tensor
 from repro.nn.init import fan_in_out, kaiming_normal, kaiming_uniform
 from repro.nn.layers import (
     AvgPool2d,
@@ -38,13 +39,13 @@ class TestConvLayers:
 
     def test_conv2d_macs(self):
         conv = Conv2d(3, 8, kernel=3, stride=1)
-        assert conv.macs(10, 10) == 10 * 10 * 8 * 3 * 9
+        assert describe(conv, (10, 10)).total_macs == 10 * 10 * 8 * 3 * 9
 
     def test_dwconv_shape_and_macs(self, rng):
         dw = DWConv3x3(6, rng=rng)
         out = dw(Tensor(rng.normal(size=(1, 6, 8, 8))))
         assert out.shape == (1, 6, 8, 8)
-        assert dw.macs(8, 8) == 8 * 8 * 6 * 9
+        assert describe(dw, (8, 8)).total_macs == 8 * 8 * 6 * 9
 
     def test_dwconv_stride(self, rng):
         dw = DWConv3x3(4, stride=2, rng=rng)
@@ -60,8 +61,9 @@ class TestConvLayers:
     def test_dw_pw_factorization_cheaper_than_dense(self):
         """The Bundle's raison d'etre: DW+PW uses far fewer MACs."""
         dense = Conv2d(64, 128, kernel=3)
-        dw, pw = DWConv3x3(64), PWConv1x1(64, 128)
-        assert dw.macs(16, 16) + pw.macs(16, 16) < dense.macs(16, 16) / 5
+        bundle = Sequential(DWConv3x3(64), PWConv1x1(64, 128))
+        assert (describe(bundle, (16, 16)).total_macs
+                < describe(dense, (16, 16)).total_macs / 5)
 
     @pytest.mark.parametrize("pad,expect_hw", [
         (None, (10, 12)),  # 'same' for kernel 3
@@ -177,7 +179,7 @@ class TestLinearAndFlatten:
         lin = Linear(6, 3, rng=rng)
         out = lin(Tensor(rng.normal(size=(5, 6))))
         assert out.shape == (5, 3)
-        assert lin.macs() == 18
+        assert describe(lin, (1, 1)).total_macs == 18
 
     def test_flatten(self, rng):
         out = Flatten()(Tensor(rng.normal(size=(2, 3, 4, 5))))

@@ -95,99 +95,6 @@ class TestModule:
         holder.items = ml
         assert len(holder.parameters()) == 4
 
-
-class TestHooks:
-    def test_forward_hooks_fire_in_registration_order(self):
-        m = _Toy()
-        order = []
-        m.register_forward_hook(lambda mod, inp, out: order.append("first"))
-        m.register_forward_hook(lambda mod, inp, out: order.append("second"))
-        m(Tensor(np.ones((1, 4))))
-        assert order == ["first", "second"]
-
-    def test_forward_hook_sees_inputs_and_output(self):
-        m = _Toy()
-        seen = {}
-
-        def hook(mod, inputs, output):
-            seen["module"] = mod
-            seen["in_shape"] = inputs[0].shape
-            seen["out_shape"] = output.shape
-
-        m.register_forward_hook(hook)
-        m(Tensor(np.ones((3, 4))))
-        assert seen["module"] is m
-        assert seen["in_shape"] == (3, 4)
-        assert seen["out_shape"] == (3, 2)
-
-    def test_forward_hook_can_replace_output(self):
-        m = _Toy()
-        m.register_forward_hook(lambda mod, inp, out: out * 0.0)
-        out = m(Tensor(np.ones((2, 4))))
-        np.testing.assert_allclose(out.data, 0.0)
-
-    def test_forward_pre_hook_can_replace_inputs(self):
-        m = _Toy()
-        m.register_forward_pre_hook(
-            lambda mod, inputs: (inputs[0] * 0.0,)
-        )
-        out = m(Tensor(np.ones((2, 4))))
-        ref = m.forward(Tensor(np.zeros((2, 4))))
-        np.testing.assert_allclose(out.data, ref.data)
-
-    def test_remove_via_handle(self):
-        m = _Toy()
-        calls = []
-        handle = m.register_forward_hook(
-            lambda mod, inp, out: calls.append(1)
-        )
-        m(Tensor(np.ones((1, 4))))
-        handle.remove()
-        handle.remove()  # double-remove is a no-op
-        m(Tensor(np.ones((1, 4))))
-        assert len(calls) == 1
-
-    def test_backward_hook_receives_grad_output(self):
-        m = _Toy()
-        grads = []
-        m.register_backward_hook(
-            lambda mod, g: grads.append(np.array(g))
-        )
-        out = m(Tensor(np.ones((2, 4))))
-        out.sum().backward()
-        assert len(grads) == 1
-        assert grads[0].shape == (2, 2)
-        np.testing.assert_allclose(grads[0], 1.0)
-
-    def test_backward_hook_can_rescale_grad(self):
-        ref = _Toy()
-        hooked = _Toy()
-        hooked.load_state_dict(ref.state_dict())
-        hooked.register_backward_hook(lambda mod, g: g * 2.0)
-        x = np.ones((2, 4))
-        ref(Tensor(x)).sum().backward()
-        hooked(Tensor(x)).sum().backward()
-        np.testing.assert_allclose(
-            hooked.fc1.weight.grad, 2.0 * ref.fc1.weight.grad
-        )
-
-    def test_child_module_hooks_fire(self):
-        m = _Toy()
-        calls = []
-        m.fc1.register_forward_hook(lambda mod, inp, out: calls.append(1))
-        m(Tensor(np.ones((1, 4))))
-        assert calls == [1]
-
-    def test_hooks_survive_state_dict_roundtrip(self):
-        m = _Toy()
-        calls = []
-        m.register_forward_hook(lambda mod, inp, out: calls.append(1))
-        m.load_state_dict(m.state_dict())
-        state = m.state_dict()
-        assert all(isinstance(v, np.ndarray) for v in state.values())
-        m(Tensor(np.ones((1, 4))))
-        assert calls == [1]  # hook still attached, state dict untouched
-
     def test_named_modules(self):
         m = _Toy()
         names = dict(m.named_modules())

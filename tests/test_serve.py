@@ -337,6 +337,38 @@ class TestSession:
         assert session._process_pool().spec.warmup_shape == (1, 3, 16, 32)
         session.close()
 
+    def test_close_frees_plan_arenas_and_run_replans(self, rng,
+                                                     monkeypatch):
+        """A closed session that is still referenced holds only weights:
+        its plan's arena and its slice clones' arenas are gone, and the
+        next run plans again with the same output."""
+        from repro.nn.engine import threads
+
+        monkeypatch.setattr(threads, "cores", lambda: 2)
+        session = Session.load(_tiny_detector(rng))
+        x = _images(rng, 2)
+        before = session.run(x)
+        assert session._forward._clones and session._forward.nbytes() > 0
+        session.close()
+        assert session._forward.nbytes() == 0
+        np.testing.assert_array_equal(session.run(x), before)
+        assert session._forward.nbytes() > 0
+
+    def test_run_racing_close_is_correct(self, rng):
+        session = Session.load(_tiny_detector(rng))
+        x = _images(rng, 1)
+        want = session.run(x)
+        got = []
+        runner = threading.Thread(
+            target=lambda: got.extend(session.run(x) for _ in range(30)))
+        runner.start()
+        while runner.is_alive():
+            session.close()
+        runner.join()
+        assert len(got) == 30
+        for out in got:
+            np.testing.assert_array_equal(out, want)
+
     def test_load_warmup_validates_shape(self, rng):
         with pytest.raises(ValueError):
             Session.load(_tiny_detector(rng), warmup=(16, 32))
