@@ -224,19 +224,42 @@ def compare_networks(
 _SAME_CHANNELS = {"affine": "bn", "act": "act", "add": "add", "gap": "gap"}
 
 
+def _width(nodes: list, reg: int) -> int | None:
+    """Channels of register ``reg`` as the traced ops reading it know
+    them: the input width of the first conv, depthwise or linear op that
+    reads it directly or through an open-ended slice ``[start:]``, else
+    the widest slice stop."""
+    stops = []
+    for node in nodes:
+        if reg not in node.inputs:
+            continue
+        a = node.attrs
+        if node.kind in ("conv", "dw", "linear"):
+            return a["weight"].shape[0 if node.kind == "dw" else 1]
+        if node.kind == "slice" and a["stop"] is not None:
+            stops.append(a["stop"])
+        elif node.kind == "slice" and (rest := _width(nodes, node.out)):
+            return (a["start"] or 0) + rest
+    return max(stops, default=None)
+
+
 def describe(module, input_hw: tuple[int, int]) -> NetDescriptor:
     """``module``'s structural descriptor at input size ``input_hw``.
 
     Walks :func:`~repro.nn.engine.compiler.trace` of the module, one
     :class:`LayerDesc` per op; each layer's input size is its producer's
-    ``out_h``/``out_w`` and the input channel count comes from the first
-    op's weight.  Conv and pool geometry (kernel, stride, padding) is
-    the traced layer's own.  Flatten, channel slice and channel shuffle
-    only reshape, so they add no row.
+    ``out_h``/``out_w`` and the input channel count is what the ops
+    reading the input know of it (:func:`_width`).  Conv and pool
+    geometry (kernel, stride, padding) is the traced layer's own.
+    Flatten, channel slice and channel shuffle only reshape, so they
+    add no row.
     """
     nodes, _, _ = trace(module)
-    weight = nodes[0].attrs["weight"]
-    in_ch = weight.shape[0] if nodes[0].kind == "dw" else weight.shape[1]
+    in_ch = _width(nodes, 0)
+    if in_ch is None:
+        raise ValueError(
+            f"describe({type(module).__name__}): no weighted layer or "
+            "channel slice reads the input, so its channel count is unknown")
     shapes = {0: (in_ch, *input_hw)}  # register -> (channels, h, w)
     layers: list[LayerDesc] = []
     for node in nodes:

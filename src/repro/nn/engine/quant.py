@@ -27,7 +27,8 @@ the same plan and the same kernels as the fp32 engine:
   the fake-quant reference of the calibration batch — the same kernels
   run on real-valued fake-quantized weights and activations — which the
   integer plan reproduces bit for bit
-  (``CompiledNet.quant_stats["reference_output"]``).
+  (``CompiledNet.quant_stats["reference_output"]``), computed one
+  sample at a time so the batch is never held at full resolution.
 
 Arithmetic model.  The accumulator carries *exact integer values* in a
 float32 or float64 "carrier" array: every product of a ``w_bits``-bit
@@ -168,24 +169,33 @@ class IntEpilogue(K.Epilogue):
         np.rint(acc, out=acc if out is None else out, casting="unsafe")
 
 
+def grid_scale(frac: int, dtype=np.float32) -> tuple[np.dtype, np.generic]:
+    """Dtype and scale that put ``dtype`` values on the ``2**-frac`` grid.
+
+    Scaling by a power of two is exact in float32 while ``|frac| <=
+    120``, so float32 values round with float64's ties at their own
+    width; float64 values and extreme scales stay in float64.
+    """
+    wide = np.dtype(dtype) != np.float32 or abs(frac) > 120
+    dtype = np.dtype(np.float64 if wide else np.float32)
+    return dtype, dtype.type(2.0**frac)
+
+
 class QuantizeKernel(K.Kernel):
     """float32 -> integer domain at a calibrated scale.
 
-    Scaling by a power of two is exact in float32, so the scaled value —
-    and therefore every rounding tie — is identical to the float64
-    calibration pass and the scratch can stay at native width.  Extreme
-    scales (near-zero calibration tensors) fall back to float64, where
-    ``2**frac`` cannot overflow.  NaN has no integer value: ``fmax``
-    maps it onto the grid's lower bound so the cast stays defined, and
-    the plan's dequantize steps poison the sample's output instead.
+    The scratch has the :func:`grid_scale` dtype, so the scaled value — and
+    therefore every rounding tie — is identical to calibration's.  NaN
+    has no integer value: ``fmax`` maps it onto the grid's lower bound
+    so the cast stays defined, and the plan's dequantize steps poison
+    the sample's output instead.
     """
 
     def __init__(self, key, frac: int, quant: QuantConfig) -> None:
         super().__init__(key)
         self.frac = frac
         self.quant = quant
-        self._dtype = np.dtype(np.float32 if abs(frac) <= 120 else np.float64)
-        self._scale = self._dtype.type(2.0**frac)
+        self._dtype, self._scale = grid_scale(frac)
         self.label = f"quantize f{frac} [{quant.label}]"
 
     def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
@@ -238,12 +248,13 @@ def _is_pow2(n: int) -> bool:
 
 
 def _max_abs(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return max(float(x.max()), -float(x.min())) if x.size else 0.0
 
 
 class _Calibrator:
     """One walk over the optimized plan: scales, integer attrs, glue
-    steps and the fake-quant reference values of the calibration batch."""
+    steps and the fake-quant reference values of the calibration batch
+    (``held_bytes``: the most reference bytes held at once)."""
 
     def __init__(self, quant: QuantConfig, n_regs: int) -> None:
         self.quant = quant
@@ -253,8 +264,14 @@ class _Calibrator:
         self.frac: dict[int, int] = {}         # int-domain reg -> frac bits
         self._fp_of: dict[int, int] = {}       # int reg -> dequantized reg
         self._int_of: dict[int, int] = {}      # fp reg -> quantized reg
+        self.held_bytes = 0
 
     # -- plumbing ------------------------------------------------------ #
+    def _hold(self, *extra: np.ndarray) -> None:
+        """Note the bytes of every live reference value plus ``extra``."""
+        live = {id(a): a.nbytes for a in (*self.cal.values(), *extra)}
+        self.held_bytes = max(self.held_bytes, sum(live.values()))
+
     def emit(self, kind: str, inputs: list[int], value: np.ndarray,
              grid: int | None = None, out: int | None = None,
              **attrs) -> int:
@@ -270,15 +287,46 @@ class _Calibrator:
             self.frac[out] = grid
         return out
 
-    def quantize_values(self, x: np.ndarray, frac: int | None = None):
-        """Fake-quantize ``x`` on the fm grid (its own scale by default)."""
+    def quantize_values(self, x: np.ndarray, frac: int | None = None,
+                        scratch: bool = False):
+        """Fake-quantize ``x`` on the fm grid (its own scale by default)
+        at the :func:`grid_scale` width; ``scratch=True`` lets it overwrite
+        ``x``.  Returns float32 grid values and the frac bits."""
+        q = self.quant
         if frac is None:
-            frac = fixed_point_fracbits(_max_abs(x), self.quant.fm_bits)
-        q = quantize_to_fracbits(x, frac, self.quant.fm_bits)
-        return q.astype(np.float32), frac
+            frac = fixed_point_fracbits(_max_abs(x), q.fm_bits)
+        dtype, scale = grid_scale(frac, x.dtype)
+        v = x.astype(dtype, copy=not scratch)
+        v *= scale
+        np.rint(v, out=v)
+        np.clip(v, q.fm_qmin, q.fm_qmax, out=v)
+        v /= scale
+        out = v.astype(np.float32, copy=False)
+        self._hold(x, v, out)
+        return out, frac
+
+    def _run(self, kern: K.Kernel, xs: list[np.ndarray],
+             pool=None) -> tuple[np.ndarray, float]:
+        """Run a reference kernel one sample at a time on one arena.
+
+        Returns the outputs as one batch, each max-pooled by ``pool``
+        first when given, and their largest magnitude before the pool.
+        """
+        arena = BufferArena()
+        held, peak = None, 0.0
+        for b in range(len(xs[0])):
+            out = kern.run([x[b : b + 1] for x in xs], arena)
+            peak = max(peak, _max_abs(out))
+            if pool is not None:
+                out = K.maxpool(out, pool[0], pool[1], arena, "cal")
+            if held is None:
+                held = np.empty((len(xs[0]), *out.shape[1:]), out.dtype)
+            held[b] = out[0]
+        self._hold(held, *xs)
+        return held, peak
 
     def _reference(self, kern: K.Kernel, regs: list[int]) -> np.ndarray:
-        return kern.run([self.cal[r] for r in regs], BufferArena())
+        return self._run(kern, [self.cal[r] for r in regs])[0]
 
     def _requant_node(self, reg: int, frac: int, act=None, value=None,
                       out: int | None = None) -> int:
@@ -312,14 +360,16 @@ class _Calibrator:
 
     # -- integer convolutions ------------------------------------------ #
     def conv(self, a: dict, kind: str, x: np.ndarray, in_frac: int,
-             emit_int: bool = True) -> tuple[dict, np.ndarray, int]:
-        """Quantize one folded conv/depthwise (without its pool).
+             emit_int: bool = True, pool=None) -> tuple[dict, np.ndarray, int]:
+        """Quantize one folded conv/depthwise and its ``pool``.
 
         Returns the integer node attrs, the fake-quant output values and
         the output frac bits.  The reference runs the same kernel class
         on the real-valued fake-quant weights in the carrier dtype; its
         arithmetic is exact there, so the integer kernel reproduces it
-        bit for bit.
+        bit for bit.  Quantization is monotone non-decreasing, so it
+        commutes with the max-pool: each sample is pooled raw, and the
+        batch quantized once its largest pre-pool magnitude is known.
         """
         q = self.quant
         w = np.asarray(a["weight"], dtype=np.float32)
@@ -341,9 +391,9 @@ class _Calibrator:
         cls = K.ConvKernel if kind == "conv" else K.DWConvKernel
         ref = cls(("cal", kind), w_q, K.Epilogue(b_q, a["act"], carrier),
                   a["stride"], a["pad"])
-        out = ref.run([x], BufferArena())
-        out_frac = fixed_point_fracbits(_max_abs(out), q.fm_bits)
-        out_q, _ = self.quantize_values(out, out_frac)
+        raw, peak = self._run(ref, [x], pool)
+        out_frac = fixed_point_fracbits(peak, q.fm_bits)
+        out_q, _ = self.quantize_values(raw, out_frac, scratch=True)
         shift = 2.0 ** (out_frac - acc_frac)
         attrs = {
             **a,
@@ -353,11 +403,6 @@ class _Calibrator:
                 a["act"], out_frac, q, carrier, emit_int),
         }
         return attrs, out_q, out_frac
-
-    def _pool(self, value: np.ndarray, pool) -> np.ndarray:
-        if pool is None:
-            return value
-        return K.maxpool(value, pool[0], pool[1], BufferArena(), "cal")
 
     # -- node dispatch -------------------------------------------------- #
     def _is_int(self, node: _Node) -> bool:
@@ -388,26 +433,26 @@ class _Calibrator:
         if kind in ("conv", "dw"):
             reg = self.as_int(node.inputs[0])
             attrs, value, frac = self.conv(a, kind, self.cal[reg],
-                                           self.frac[reg])
-            self.emit(kind, [reg], self._pool(value, a.get("pool")), frac,
-                      node.out, **attrs)
+                                           self.frac[reg], pool=a.get("pool"))
+            self.emit(kind, [reg], value, frac, node.out, **attrs)
         elif kind == "bundle":
             reg = self.as_int(node.inputs[0])
             dw, mid, mid_frac = self.conv(a["dw"], "dw", self.cal[reg],
                                           self.frac[reg], emit_int=False)
-            pw, value, frac = self.conv(a["pw"], "conv", mid, mid_frac)
-            self.emit(kind, [reg], self._pool(value, a.get("pool")), frac,
-                      node.out, **{**a, "dw": dw, "pw": pw})
+            pw, value, frac = self.conv(a["pw"], "conv", mid, mid_frac,
+                                        pool=a.get("pool"))
+            self.emit(kind, [reg], value, frac, node.out,
+                      **{**a, "dw": dw, "pw": pw})
         elif kind == "act":
             reg = node.inputs[0]
             value = K.apply_activation(self.cal[reg].copy(), a["act"])
-            value, frac = self.quantize_values(value)
+            value, frac = self.quantize_values(value, scratch=True)
             self._requant_node(reg, frac, a["act"], value, node.out)
         elif kind == "avgpool":
             reg = node.inputs[0]
             frac = self.frac[reg]
             value = self._reference(_lower_node(node, ("cal", kind)), [reg])
-            value, _ = self.quantize_values(value, frac)
+            value, _ = self.quantize_values(value, frac, scratch=True)
             epi = IntEpilogue(None, None, frac, self.quant, np.float32)
             self.emit(kind, [reg], value, frac, node.out,
                       **{**a, "epilogue": epi})
@@ -442,17 +487,24 @@ def calibrate(nodes: list[_Node], n_regs: int, out_reg: int,
     the frozen per-register fractional bits and the calibration-batch
     reference output (the fake-quant golden values the integer plan
     reproduces exactly); :func:`compile_net` adds per-kernel dtypes.
+
+    Reference kernels run one sample at a time, and a folded max-pool
+    runs on each sample's raw output before the batch is quantized
+    (quantization is monotone, so the two commute): the plan is the one
+    a whole-batch pass would freeze.  The ``engine/quant_calibrate``
+    span reports ``held_mb``, the most reference bytes held at once.
     """
     x = np.asarray(calibration, dtype=np.float32)
     if x.ndim == 3:
         x = x[None]
-    if x.ndim != 4:
+    if x.ndim != 4 or not len(x):
         raise ValueError(
-            f"calibration samples must be (N, C, H, W), got shape {x.shape}"
+            "calibration samples must be (N, C, H, W) with N >= 1, got "
+            f"shape {x.shape}"
         )
     cal = _Calibrator(quant, n_regs)
     with obs.span("engine/quant_calibrate", model=name, quant=quant.label,
-                  samples=x.shape[0]):
+                  samples=x.shape[0]) as span:
         cal.cal[0] = x
         input_reg = cal.as_int(0)
         in_frac = cal.frac[input_reg]
@@ -468,6 +520,7 @@ def calibrate(nodes: list[_Node], n_regs: int, out_reg: int,
                         | {out_reg})
         out_frac = cal.frac.get(out_reg)
         out_reg = cal.as_fp(out_reg)
+        span.set(held_mb=round(cal.held_bytes / 2**20, 3))
     stats = {
         "quant": quant,
         "frac_bits": dict(cal.frac),

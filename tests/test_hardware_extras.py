@@ -23,9 +23,9 @@ from repro.hardware.gpu import (
 )
 from repro.hardware import describe
 from repro.hardware.spec import PYNQ_Z1, TX2, ULTRA96
-from repro.nn import Sequential, Tensor, gradcheck
+from repro.nn import Tensor, gradcheck
 from repro.nn import functional as F
-from repro.nn.layers import Conv2d, GroupedConv2d, PWConv1x1
+from repro.nn.layers import Conv2d, GroupedConv2d
 
 
 class TestHlsCharacterization:
@@ -169,16 +169,33 @@ class TestGroupedConv:
             GroupedConv2d(6, 8, groups=4)
 
     def test_macs(self):
-        def conv_macs(layer):
-            # describe reads the input width off the first op's weight,
-            # so a 1x1 conv leads; the grouped conv's trace starts with
-            # its channel slices.
-            desc = describe(Sequential(PWConv1x1(8, 8), layer), (4, 4))
-            return desc.total_macs - desc.layers[0].macs
+        grouped = describe(GroupedConv2d(8, 8, kernel=3, groups=2), (4, 4))
+        dense = describe(Conv2d(8, 8, kernel=3), (4, 4))
+        assert grouped.total_macs == dense.total_macs // 2
 
-        grouped = GroupedConv2d(8, 8, kernel=3, groups=2)
-        dense = Conv2d(8, 8, kernel=3)
-        assert conv_macs(grouped) == conv_macs(dense) // 2
+    def test_describe_reads_width_off_the_channel_slices(self):
+        """The trace starts with the group slices, not a weight."""
+        desc = describe(GroupedConv2d(8, 8, groups=2), (4, 4))
+        assert [(l.kind, l.in_ch, l.out_ch) for l in desc] == [
+            ("conv", 4, 4), ("conv", 4, 4), ("concat", 8, 8)]
+
+    def test_describe_lone_shuffle_unit(self):
+        """The open-ended right half ``x[:, half:]`` feeds a 1x1 conv of
+        width ``half``, so the input has ``2 * half`` channels."""
+        from repro.zoo.shufflenet import _ShuffleUnit
+
+        unit = _ShuffleUnit(8, np.random.default_rng(0))
+        desc = describe(unit, (6, 6))
+        assert desc.layers[0].in_ch == 4
+        assert desc.layers[-1].kind == "concat"
+        assert desc.layers[-1].out_ch == 8
+        assert desc.total_params == unit.num_parameters()
+
+    def test_describe_without_a_known_width_names_the_module(self):
+        from repro.nn.layers import ReLU
+
+        with pytest.raises(ValueError, match=r"describe\(ReLU\)"):
+            describe(ReLU(), (4, 4))
 
     def test_gradients_flow(self, rng):
         conv = GroupedConv2d(4, 4, groups=2, rng=rng)

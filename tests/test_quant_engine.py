@@ -95,7 +95,8 @@ class TestQuantConfig:
 
 # --------------------------------------------------------------------- #
 # numerical equivalence: runtime integer kernels vs the calibration-time
-# fake-quant golden reference (computed in float64 during lowering)
+# fake-quant golden reference (computed per sample during lowering, each
+# value at its own width: float64 only for float64 carriers and |frac| > 120)
 # --------------------------------------------------------------------- #
 class TestQuantEquivalence:
     @pytest.mark.parametrize("scheme", [(8, 8), (11, 9), (10, 8),
