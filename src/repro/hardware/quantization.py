@@ -9,12 +9,19 @@ range — matching what the FPGA IPs implement (shifts, no per-channel
 float rescale).  Feature maps are quantized at runtime through the
 activation-layer hook (:mod:`repro.nn.quant_hooks`); weights are
 quantized in place under a restoring context manager.
+
+This module is the one home of the grid rule.  :func:`fixed_point_fracbits`
+places the binary point, :func:`grid_scale` picks the width the scaling
+runs at, and :func:`fixed_point_codes` scales, rounds half to even and
+clips; fake quantization here, integer calibration and the
+``QuantizeKernel`` of :mod:`repro.nn.engine.quant` all round through
+them.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterator
 
 import numpy as np
@@ -24,6 +31,8 @@ from ..nn.quant_hooks import set_fm_hook
 
 __all__ = [
     "fixed_point_fracbits",
+    "grid_scale",
+    "fixed_point_codes",
     "quantize_fixed",
     "quantize_to_fracbits",
     "quantization_error",
@@ -61,20 +70,54 @@ def fixed_point_fracbits(max_abs: float, bits: int) -> int:
     return min(bits - int_bits, 300)  # keep 2.0**frac finite
 
 
+def grid_scale(frac: int, dtype=np.float32) -> tuple[np.dtype, np.generic]:
+    """Dtype and scale that put ``dtype`` values on the ``2**-frac`` grid.
+
+    Scaling by a power of two is exact in float32 while ``|frac| <=
+    120``, so float32 values round with float64's ties at their own
+    width; every other dtype and extreme scales run in float64.
+    """
+    wide = np.dtype(dtype) != np.float32 or abs(frac) > 120
+    dtype = np.dtype(np.float64 if wide else np.float32)
+    return dtype, dtype.type(2.0**frac)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """Largest magnitude in ``x`` (NaN if it holds one; 0 when empty)."""
+    return max(float(x.max()), -float(x.min())) if x.size else 0.0
+
+
+def fixed_point_codes(x: np.ndarray, frac_bits: int, bits: int,
+                      inplace: bool = False) -> np.ndarray:
+    """Integer codes of ``x`` on the ``2**-frac_bits`` grid, as floats.
+
+    Scales at the :func:`grid_scale` width, rounds half to even (as an
+    integer requantization shift does), then clips to the asymmetric
+    two's-complement range ``[-2**(bits-1), 2**(bits-1) - 1]``.  Codes
+    wider than 25 bits leave float32's exact-integer range, so they are
+    computed in float64.  ``inplace=True`` overwrites ``x`` when it
+    already has the grid dtype.
+    """
+    x = np.asarray(x)
+    dtype, scale = grid_scale(frac_bits, x.dtype if bits <= 25 else np.float64)
+    q = x.astype(dtype, copy=not inplace)
+    q *= scale
+    np.rint(q, out=q)
+    np.clip(q, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1, out=q)
+    return q
+
+
 def quantize_to_fracbits(x: np.ndarray, frac_bits: int, bits: int) -> np.ndarray:
     """Fake-quantize ``x`` on a *fixed* grid of ``2**-frac_bits`` steps.
 
-    Round-to-nearest-even (matching integer requantization shifts), then
-    the asymmetric two's-complement clip to ``[-qmax-1, qmax]``.
-    Returns float values on the grid; used by :func:`quantize_fixed`
-    (which derives ``frac_bits`` from the tensor) and by the compiled
-    quantized backend (which freezes ``frac_bits`` at calibration time).
+    The :func:`fixed_point_codes` divided back by the scale, in the
+    codes' dtype: float32 stays float32 while ``|frac_bits| <= 120``,
+    everything else comes back float64.  Used by :func:`quantize_fixed`
+    (which derives ``frac_bits`` from the tensor).
     """
-    scale = 2.0**frac_bits
-    qmax = 2 ** (bits - 1) - 1
-    q = np.clip(np.round(np.asarray(x, dtype=np.float64) * scale),
-                -qmax - 1, qmax)
-    return q / scale
+    q = fixed_point_codes(x, frac_bits, bits)
+    q /= 2.0**frac_bits
+    return q
 
 
 def quantize_fixed(x: np.ndarray, bits: int) -> np.ndarray:
@@ -90,11 +133,12 @@ def quantize_fixed(x: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError("need at least 2 bits (sign + magnitude)")
     x = np.asarray(x)
     out_dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
-    max_abs = float(np.max(np.abs(x))) if x.size else 0.0
+    max_abs = _max_abs(x)
     if max_abs == 0.0:
         return x.astype(out_dtype)
     frac_bits = fixed_point_fracbits(max_abs, bits)
-    return quantize_to_fracbits(x, frac_bits, bits).astype(out_dtype)
+    return quantize_to_fracbits(x, frac_bits, bits).astype(out_dtype,
+                                                           copy=False)
 
 
 def quantization_error(x: np.ndarray, bits: int) -> float:
@@ -174,18 +218,12 @@ def quantized_inference(
     Pass ``None`` for either width to leave that side in float32 —
     scheme 0 of Table 7 is ``quantized_inference(m, None, None)``.
     """
-    if w_bits is None and fm_bits is None:
+    with ExitStack() as stack:
+        if w_bits is not None:
+            stack.enter_context(weight_quantization(model, w_bits))
+        if fm_bits is not None:
+            stack.enter_context(feature_map_quantization(fm_bits))
         yield model
-        return
-    if w_bits is not None and fm_bits is not None:
-        with weight_quantization(model, w_bits), feature_map_quantization(fm_bits):
-            yield model
-    elif w_bits is not None:
-        with weight_quantization(model, w_bits):
-            yield model
-    else:
-        with feature_map_quantization(fm_bits):
-            yield model
 
 
 class QuantScheme:

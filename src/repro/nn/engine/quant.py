@@ -12,14 +12,16 @@ the same plan and the same kernels as the fp32 engine:
   ``QuantConfig(8, 8)`` or ``QuantConfig.from_scheme(TABLE7_SCHEMES[1])``.
 * :class:`IntEpilogue` — what precision changes in a kernel.  The
   requantization shift is folded into the weights, so the accumulator
-  lands on the output grid; the epilogue adds the pre-shifted bias,
-  clamps activation and saturation in one ``clip`` and rounds into
-  int8/int16 storage.
+  lands on the output grid; the epilogue adds the bias (set on the
+  output grid), clamps activation and saturation in one ``clip`` and
+  rounds into int8/int16 storage.
 * :func:`calibrate` — walks the optimized plan once over user-supplied
   sample inputs, freezes one power-of-two scale per tensor via
-  :func:`repro.hardware.quantization.fixed_point_fracbits` (the scale
-  logic of the fake-quant path), gives every conv, depthwise and bundle
-  node its integer weights and epilogue, and inserts quantize / requant
+  :func:`repro.hardware.quantization.fixed_point_fracbits`, rounds every
+  weight code and reference value through
+  :func:`repro.hardware.quantization.fixed_point_codes` (the grid rule
+  of the fake-quant path), gives every conv, depthwise and bundle node
+  its integer weights and epilogue, and inserts quantize / requant
   / dequantize steps where values cross between the integer domain and
   ops without an integer rule (sigmoid, global pooling, linear heads,
   non-power-of-two averaging).  Pooling, concat, reorg, upsample and
@@ -51,9 +53,11 @@ import numpy as np
 from ... import obs
 from ...hardware.quantization import (
     QuantScheme,
+    _max_abs,
+    fixed_point_codes,
     fixed_point_fracbits,
+    grid_scale,
     quantize_fixed,
-    quantize_to_fracbits,
 )
 from .arena import BufferArena
 from .compiler import _lower_node, _Node
@@ -137,18 +141,18 @@ class QuantConfig:
 
 
 class IntEpilogue(K.Epilogue):
-    """Integer epilogue: pre-shifted bias, one act/saturate clip, ``rint``.
+    """Integer epilogue: output-grid bias, one act/saturate clip, ``rint``.
 
     Calibration folds the requantization shift ``2**(out_frac -
     acc_frac)`` into the kernel's weights (a power-of-two scale on small
     integers — exact), so the accumulator already sits on the output
-    grid.  The activation bounds (0 and ``6 * 2**out_frac``, both
-    exactly representable) intersected with the signed range make one
-    clip interval; ``rint`` after the clip equals the reference's
-    round-then-clip because clipping moves values onto integral bounds,
-    where ``rint`` is the identity.  ``emit_int=False`` keeps the
-    rounded values in the carrier (a bundle's depthwise half feeding
-    its pointwise half).
+    grid, and hands the bias over already on that grid.  The activation
+    bounds (0 and ``6 * 2**out_frac``, both exactly representable)
+    intersected with the signed range make one clip interval; ``rint``
+    after the clip equals the reference's round-then-clip because
+    clipping moves values onto integral bounds, where ``rint`` is the
+    identity.  ``emit_int=False`` keeps the rounded values in the
+    carrier (a bundle's depthwise half feeding its pointwise half).
     """
 
     def __init__(self, bias: np.ndarray | None, act: tuple | None,
@@ -169,26 +173,14 @@ class IntEpilogue(K.Epilogue):
         np.rint(acc, out=acc if out is None else out, casting="unsafe")
 
 
-def grid_scale(frac: int, dtype=np.float32) -> tuple[np.dtype, np.generic]:
-    """Dtype and scale that put ``dtype`` values on the ``2**-frac`` grid.
-
-    Scaling by a power of two is exact in float32 while ``|frac| <=
-    120``, so float32 values round with float64's ties at their own
-    width; float64 values and extreme scales stay in float64.
-    """
-    wide = np.dtype(dtype) != np.float32 or abs(frac) > 120
-    dtype = np.dtype(np.float64 if wide else np.float32)
-    return dtype, dtype.type(2.0**frac)
-
-
 class QuantizeKernel(K.Kernel):
     """float32 -> integer domain at a calibrated scale.
 
-    The scratch has the :func:`grid_scale` dtype, so the scaled value — and
-    therefore every rounding tie — is identical to calibration's.  NaN
-    has no integer value: ``fmax`` maps it onto the grid's lower bound
-    so the cast stays defined, and the plan's dequantize steps poison
-    the sample's output instead.
+    The scratch has the :func:`~repro.hardware.quantization.grid_scale`
+    dtype, so the scaled value — and therefore every rounding tie — is
+    identical to calibration's.  NaN has no integer value: ``fmax`` maps
+    it onto the grid's lower bound so the cast stays defined, and the
+    plan's dequantize steps poison the sample's output instead.
     """
 
     def __init__(self, key, frac: int, quant: QuantConfig) -> None:
@@ -247,10 +239,6 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _max_abs(x: np.ndarray) -> float:
-    return max(float(x.max()), -float(x.min())) if x.size else 0.0
-
-
 class _Calibrator:
     """One walk over the optimized plan: scales, integer attrs, glue
     steps and the fake-quant reference values of the calibration batch
@@ -290,17 +278,13 @@ class _Calibrator:
     def quantize_values(self, x: np.ndarray, frac: int | None = None,
                         scratch: bool = False):
         """Fake-quantize ``x`` on the fm grid (its own scale by default)
-        at the :func:`grid_scale` width; ``scratch=True`` lets it overwrite
-        ``x``.  Returns float32 grid values and the frac bits."""
-        q = self.quant
+        through :func:`fixed_point_codes`; ``scratch=True`` lets it
+        overwrite ``x``.  Returns float32 grid values and the frac bits."""
+        bits = self.quant.fm_bits
         if frac is None:
-            frac = fixed_point_fracbits(_max_abs(x), q.fm_bits)
-        dtype, scale = grid_scale(frac, x.dtype)
-        v = x.astype(dtype, copy=not scratch)
-        v *= scale
-        np.rint(v, out=v)
-        np.clip(v, q.fm_qmin, q.fm_qmax, out=v)
-        v /= scale
+            frac = fixed_point_fracbits(_max_abs(x), bits)
+        v = fixed_point_codes(x, frac, bits, inplace=scratch)
+        v /= 2.0**frac
         out = v.astype(np.float32, copy=False)
         self._hold(x, v, out)
         return out, frac
@@ -374,17 +358,19 @@ class _Calibrator:
         q = self.quant
         w = np.asarray(a["weight"], dtype=np.float32)
         w_frac = fixed_point_fracbits(_max_abs(w), q.w_bits)
-        w_q = quantize_to_fracbits(w, w_frac, q.w_bits)
+        w_int = fixed_point_codes(w, w_frac, q.w_bits)
+        w_q = w_int * 2.0**-w_frac
         b_q = None if a["bias"] is None else quantize_fixed(
             np.asarray(a["bias"], np.float32), q.w_bits)
-        w_int = np.rint(w_q * 2.0**w_frac)
         acc_frac = w_frac + in_frac
         # Largest accumulator magnitude over every input on the grid, in
         # accumulator units: the biggest per-output L1 norm of the
         # integer weights times the largest feature, plus the bias.
         # Every partial sum stays below it, whatever the summation order.
-        bound = (np.abs(w_int).reshape(len(w_int), -1).sum(axis=1).max()
-                 * 2.0 ** (q.fm_bits - 1))
+        # Python floats: the bias term overflows float32 for tiny inputs.
+        l1 = np.abs(w_int).reshape(len(w_int), -1).sum(axis=1,
+                                                        dtype=np.float64)
+        bound = float(l1.max()) * 2.0 ** (q.fm_bits - 1)
         if b_q is not None and b_q.size:
             bound += _max_abs(b_q) * 2.0**acc_frac
         carrier = np.dtype(np.float32 if bound <= _F32_EXACT else np.float64)
@@ -398,8 +384,11 @@ class _Calibrator:
         attrs = {
             **a,
             "weight": w_int.astype(carrier) * carrier.type(shift),
+            # The bias goes straight onto the output grid in float64;
+            # the epilogue casts it to the carrier.
             "epilogue": IntEpilogue(
-                None if b_q is None else b_q * 2.0**acc_frac * shift,
+                None if b_q is None
+                else b_q.astype(np.float64) * 2.0**out_frac,
                 a["act"], out_frac, q, carrier, emit_int),
         }
         return attrs, out_q, out_frac

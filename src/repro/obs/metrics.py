@@ -8,7 +8,6 @@ when a summary is requested.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import time
@@ -217,33 +216,3 @@ class MetricsRegistry:
         with self._lock:
             metrics = sorted(self._metrics.values(), key=lambda m: m.name)
         return [m.record() for m in metrics]
-
-    def export_jsonl(self, fh) -> None:
-        for rec in self.records():
-            fh.write(json.dumps(rec, default=str) + "\n")
-
-    def render(self) -> str:
-        """Fixed-width summary table of every instrument."""
-        from ..utils.tables import format_table
-
-        rows = []
-        for rec in self.records():
-            if rec["type"] == "histogram":
-                if rec["count"] == 0:
-                    detail = "no samples"
-                else:
-                    detail = (
-                        f"mean={rec['mean']:.4g} p50={rec['p50']:.4g} "
-                        f"p90={rec['p90']:.4g} max={rec['max']:.4g}"
-                    )
-                rows.append([rec["name"], "histogram",
-                             rec.get("count", 0), detail])
-            elif rec["type"] == "counter":
-                rows.append([rec["name"], "counter", "", f"{rec['value']:g}"])
-            else:
-                value = rec["value"]
-                detail = "unset" if value is None else f"{value:.6g}"
-                rows.append([rec["name"], "gauge", rec["updates"], detail])
-        if not rows:
-            return "(no metrics)"
-        return format_table(["metric", "kind", "n", "value"], rows)

@@ -4,15 +4,15 @@ A :class:`Tracer` hands out :class:`Span` context managers; entering a
 span pushes it onto a per-thread stack (so spans nest naturally, even
 across the worker threads of a pipelined deployment), and exiting it
 records the wall time under the monotonic clock.  Finished spans are
-kept in completion order and can be exported as JSONL (one record per
-line, see :func:`span_record`) or rendered as an indented tree whose
+kept in completion order; :class:`~repro.obs.Recorder` exports them as
+JSONL (one record per line, see :func:`span_record`) and
+:func:`~repro.obs.render_trace` renders them as an indented tree whose
 per-name aggregates mirror the paper's per-stage latency accounting.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -187,14 +187,6 @@ class Tracer:
 
     def records(self) -> list[dict]:
         return [span_record(s) for s in self.spans] + self.events
-
-    def export_jsonl(self, fh) -> None:
-        """Write one JSON object per finished span to an open file."""
-        for rec in self.records():
-            fh.write(json.dumps(rec, default=str) + "\n")
-
-    def render(self, max_depth: int | None = None) -> str:
-        return render_span_tree(self.records(), max_depth=max_depth)
 
 
 def span_record(span: Span) -> dict:

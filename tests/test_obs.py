@@ -20,6 +20,12 @@ from repro.obs import (
 )
 
 
+def _span_tree(report: str) -> list[str]:
+    """The span-tree lines of a :func:`repro.obs.render_trace` report."""
+    tree = report.split("== span tree ==\n")[1]
+    return tree.split("\n\n")[0].splitlines()
+
+
 @pytest.fixture(autouse=True)
 def _clean_global_recorder():
     """Every test starts and ends with observability disabled."""
@@ -87,18 +93,19 @@ class TestTracer:
         with tracer.span("pso/search"):
             with tracer.span("pso/iteration", iteration=0):
                 pass
-        tree = tracer.render()
-        assert "pso/search" in tree
-        assert "  pso/iteration" in tree  # indented child
-        assert "iteration=0" in tree
+        tree = _span_tree(obs.render_trace(tracer.records()))
+        assert tree[0].startswith("pso/search  ")
+        assert tree[1].startswith("  pso/iteration  ")  # indented child
+        assert "iteration=0" in tree[1]
 
     def test_max_depth_limits_tree(self):
         tracer = Tracer()
-        with tracer.span("a"):
-            with tracer.span("b"):
-                with tracer.span("c"):
+        with tracer.span("outer"):
+            with tracer.span("middle"):
+                with tracer.span("inner"):
                     pass
-        assert "c" not in tracer.render(max_depth=2)
+        tree = _span_tree(obs.render_trace(tracer.records(), max_depth=2))
+        assert [line.split()[0] for line in tree] == ["outer", "middle"]
 
     def test_aggregate_spans(self):
         tracer = Tracer()
@@ -150,11 +157,22 @@ class TestMetrics:
 
     def test_render_mentions_every_metric(self):
         reg = MetricsRegistry()
-        reg.counter("a").inc()
-        reg.gauge("b").set(2)
-        reg.histogram("c").observe(3)
-        out = reg.render()
-        assert "a" in out and "b" in out and "c" in out
+        reg.counter("n/count").inc()
+        reg.gauge("n/gauge").set(2)
+        reg.gauge("n/unset")
+        reg.histogram("n/hist").observe(3)
+        reg.histogram("n/empty")
+        out = obs.render_trace(reg.records())
+        rows = {}
+        for line in out.split("== metrics ==")[1].splitlines():
+            cells = [c.strip() for c in line.split("|")]
+            rows[cells[0]] = cells[1:]
+        assert rows["n/count"] == ["counter", "", "1"]
+        assert rows["n/gauge"] == ["gauge", "1", "2"]
+        assert rows["n/unset"] == ["gauge", "0", "unset"]
+        assert rows["n/hist"] == ["histogram", "1",
+                                  "mean=3 p50=3 p90=3 max=3"]
+        assert rows["n/empty"] == ["histogram", "0", "no samples"]
 
 
 class TestRecorder:
