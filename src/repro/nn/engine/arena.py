@@ -14,11 +14,16 @@ step's output stays live until its last reader (the final output until
 the forward returns), a register that is a view of another keeps that
 register's slab live, and a step's scratch dies when the step ends.
 Buffers whose lifetimes do not overlap share a slab, which grows to the
-largest of them.  The binding is then frozen, so later forwards at that
-shape get the same arrays back and allocate nothing.  Every input shape
-has its own plan over the one set of slabs: an engine serving two
-geometries (a Siamese tracker's exemplar and search crops, or server
-batches of several sizes) holds the largest plan, not their sum.
+largest of them.  The binding is then frozen, together with the
+forward's *program*: the NumPy calls each step makes, recorded with
+their argument views already bound to the slabs.  Later forwards at
+that shape replay the program and ask the arena for nothing.  Every
+input shape has its own plan over the one set of slabs: an engine
+serving two geometries (a Siamese tracker's exemplar and search crops,
+or server batches of several sizes) holds the largest plan, not their
+sum.  Planning a new shape can grow a slab that an older plan binds;
+that plan's program then holds views of the old slab, so it is dropped
+and recorded again, against the same bindings, on its next forward.
 
 Buffers requested with ``zero=True`` (padded inputs whose border must
 stay zero) are private, so their border is zeroed once at allocation.
@@ -66,11 +71,15 @@ class _Liveness:
                 self.refs[j] -= 1
         self.scratch.clear()
 
-    def freeze(self) -> None:
-        """The pass completed: later forwards at this shape replay it."""
-        arena = self.arena
-        arena._plans[self.shape] = (arena._bind, arena._views)
-        arena._live = None
+
+class _Plan:
+    """One input shape's frozen plan: the slab each buffer is bound to,
+    and the program recorded against those buffers (``None`` until
+    recorded, or once a slab it binds has grown)."""
+
+    def __init__(self) -> None:
+        self.bind: dict[tuple, int] = {}
+        self.program = None
 
 
 class BufferArena:
@@ -78,38 +87,58 @@ class BufferArena:
 
     Kernels ask for a buffer by ``(owner, tag, shape, dtype)``.  The
     first request at an input shape (a *miss*) binds it to a slab; later
-    requests (*hits*) return the same array.  Contents are undefined on
-    hits — callers must fully overwrite what they read — except for
-    ``zero=True`` buffers, which are zero-filled once at allocation.
+    requests (*hits*) get a view of the same memory.  Contents are
+    undefined on hits — callers must fully overwrite what they read —
+    except for ``zero=True`` buffers, which are zero-filled once at
+    allocation.
 
-    A forward brackets its steps with :meth:`begin` and, on a planning
-    pass, reports each step to the returned recorder.  Requests outside
-    a forward never share a slab with each other; they stay valid until
+    A forward records its steps between :meth:`begin` and :meth:`freeze`
+    and, on a planning pass, reports each step to the recorder
+    :meth:`begin` returns; later forwards at that shape replay the
+    frozen :meth:`program` and request nothing.  Requests outside a
+    forward never share a slab with each other; they stay valid until
     the next forward on this arena.
     """
 
     def __init__(self) -> None:
         self._slabs: list[np.ndarray] = []  # raw bytes, shared by plans
-        # input shape -> (key -> slab, key -> view)
-        self._plans: dict[tuple, tuple[dict, dict]] = {}
-        self._bind: dict[tuple, int] = {}
-        self._views: dict[tuple, np.ndarray] = {}
+        self._plans: dict[tuple, _Plan] = {}  # input shape -> plan
+        self._pass: tuple[tuple, _Plan] = ((), _Plan())  # shape, plan
+        self._bind = self._pass[1].bind  # key -> slab, of this pass
         self._zeroed: dict[tuple, np.ndarray] = {}
         self._live: _Liveness | None = None
+        #: A slab this pass bound grew under it, so the calls it recorded
+        #: hold views of the old memory.
+        self.stale = False
         self.hits = 0
         self.misses = 0
 
-    def begin(self, shape: tuple) -> _Liveness | None:
-        """Start a forward at input ``shape``.  Returns the recorder to
-        report steps to when this pass plans the shape, else ``None``."""
+    def program(self, shape: tuple):
+        """The program recorded at input ``shape``, or ``None`` when the
+        next forward at that shape has to record it."""
         plan = self._plans.get(shape)
-        if plan is not None:
-            self._bind, self._views = plan
-            self._live = None
-            return None
-        self._bind, self._views = {}, {}
-        self._live = _Liveness(self, shape)
+        return None if plan is None else plan.program
+
+    def begin(self, shape: tuple) -> _Liveness | None:
+        """Start recording a forward at input ``shape``.  Returns the
+        recorder to report steps to when this pass plans the shape, else
+        ``None`` (the shape is planned; the pass re-binds its views)."""
+        plan = self._plans.get(shape)
+        self._live = _Liveness(self, shape) if plan is None else None
+        self._pass = (shape, plan or _Plan())
+        self._bind = self._pass[1].bind
+        self.stale = False
         return self._live
+
+    def freeze(self, program) -> None:
+        """End the pass :meth:`begin` started: freeze the shape's
+        bindings and keep ``program`` as its replay, unless a slab the
+        pass bound grew during it (:attr:`stale`)."""
+        shape, plan = self._pass
+        self._plans[shape] = plan
+        self._live = None
+        if not self.stale:
+            plan.program = program
 
     def get(
         self,
@@ -119,7 +148,8 @@ class BufferArena:
         dtype=np.float32,
         zero: bool = False,
     ) -> np.ndarray:
-        """Return the buffer bound to ``(owner, tag)`` at this shape."""
+        """Return a view of the buffer bound to ``(owner, tag)`` at this
+        shape."""
         dtype = np.dtype(dtype)
         key = (owner, tag, shape, dtype)
         if zero:
@@ -131,22 +161,16 @@ class BufferArena:
             else:
                 self.hits += 1
             return buf
-        buf = self._views.get(key)
-        if buf is not None:
-            self.hits += 1
-            return buf
         nbytes = int(np.prod(shape)) * dtype.itemsize
         j = self._bind.get(key)
         if j is None:
             j = self._bind[key] = self._assign(tag, shape, dtype, nbytes)
             self.misses += 1
-        else:  # a view dropped when its slab grew for another plan
+        else:
             self.hits += 1
         if self._live is not None:
             self._live.scratch.add(j)
-        buf = self._views[key] = (
-            self._slabs[j][:nbytes].view(dtype).reshape(shape))
-        return buf
+        return self._slabs[j][:nbytes].view(dtype).reshape(shape)
 
     def _fault(self, tag: str, shape: tuple, dtype: np.dtype) -> None:
         spec = faults.trigger("arena.alloc")
@@ -172,11 +196,12 @@ class BufferArena:
             return len(self._slabs) - 1
         j = max(zip(sizes, free))[1]
         self._slabs[j] = slab
-        # Views into the old slab are stale: they rebuild from their
-        # binding on next use.
-        for bind, views in [*self._plans.values(), (self._bind, self._views)]:
-            for key in [k for k, s in bind.items() if s == j]:
-                views.pop(key, None)
+        # Programs recorded against the old slab are stale: each plan
+        # that binds it records again on its next forward.
+        for plan in self._plans.values():
+            if j in plan.bind.values():
+                plan.program = None
+        self.stale = self.stale or j in self._bind.values()
         return j
 
     def nbytes(self) -> int:

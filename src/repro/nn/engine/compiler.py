@@ -454,13 +454,12 @@ class CompiledNet:
         self.quant = quant  # QuantConfig when integer-domain, else None
         self.quant_stats = quant_stats
         self._clones: list[CompiledNet] = []  # _split's, never self
-        # The registers each step reads for the last time; the input and
-        # the final output are never released.
+        # The registers each step reads for the last time; the final
+        # output is never released.
         last = {}
         for i, (_, ins, out) in enumerate(steps):
             last[out] = i
             last.update((r, i) for r in ins)
-        last.pop(0, None)
         last.pop(out_reg, None)
         self._dies: list[list[int]] = [[] for _ in steps]
         for r, i in last.items():
@@ -480,25 +479,59 @@ class CompiledNet:
     def _forward(self, x: np.ndarray, observe=None) -> np.ndarray:
         """Run the plan on this net's arena; returns an arena view.
 
-        The first forward at an input shape plans the arena: it reports
-        each step's output and the registers that die with it.
-        ``observe(step, out, seconds)``, when given, sees every step's
-        output and kernel time (the profiler's hook).
+        ``x`` is first copied into the arena's input buffer, so no
+        recorded call keeps a view of a caller's array.  Each step then
+        replays the NumPy calls :meth:`_record` recorded at this input
+        shape.  ``observe(step, out, seconds)``, when given, sees every
+        step's output and kernel time (the profiler's hook).
         """
-        regs: list[np.ndarray | None] = [None] * self.n_regs
-        regs[0] = x
+        program = self.arena.program(x.shape)
+        if program is None:
+            return self._record(x, observe)
+        x_in, steps, out = program
+        np.copyto(x_in, x)
+        for i, ((kern, _, _), (calls, step_out)) in enumerate(
+                zip(self.steps, steps)):
+            with obs.span("engine/kernel", kernel=kern.label):
+                t0 = time.perf_counter()
+                calls.run()
+                if observe is not None:
+                    observe(i, step_out, time.perf_counter() - t0)
+        return out
+
+    def _record(self, x: np.ndarray, observe=None) -> np.ndarray:
+        """:meth:`_forward` at an input shape that has no program yet:
+        run each step as it records its calls, and freeze the program.
+
+        The first forward at a shape also plans the arena: it reports
+        each step's output and the registers that die with it.  A slab
+        that grows during that pass leaves stale views in the calls
+        recorded before it grew; the pass drops them at once, so the old
+        memory goes, and the next forward records against the finished
+        bindings, where nothing grows.
+        """
         arena = self.arena
         live = arena.begin(x.shape)
+        regs: list[np.ndarray | None] = [None] * self.n_regs
+        regs[0] = arena.get("input", "x", x.shape, np.float32)
+        np.copyto(regs[0], x)
+        if live is not None:
+            live.step_done(regs[0], [])
+        steps = []
         for i, (kern, ins, out) in enumerate(self.steps):
             with obs.span("engine/kernel", kernel=kern.label):
                 t0 = time.perf_counter()
-                regs[out] = kern.run([regs[r] for r in ins], arena)
+                calls = K.Calls()
+                regs[out] = kern.record([regs[r] for r in ins], arena, calls)
+                calls.run()
                 if observe is not None:
                     observe(i, regs[out], time.perf_counter() - t0)
+            steps.append((calls, regs[out]))
             if live is not None:
                 live.step_done(regs[out], [regs[r] for r in self._dies[i]])
-        if live is not None:
-            live.freeze()
+            if arena.stale:
+                steps.clear()
+        arena.freeze((regs[0], steps, regs[self.out_reg]))
         return regs[self.out_reg]
 
     def _split(self, x: np.ndarray, k: int) -> np.ndarray:

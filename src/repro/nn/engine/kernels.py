@@ -7,6 +7,15 @@ by their own identity and a tag; the arena binds each request to a slab
 planned by liveness, so repeated calls at a fixed input shape run
 allocation-free.
 
+A kernel does not compute; it *records*.  :meth:`Kernel.record` walks
+the kernel's block loop once and appends every NumPy call it would make
+(a ufunc, ``matmul`` or ``copyto``) to a :class:`Calls` list, each with
+its argument views already bound to arena buffers.  The compiled forward
+records its steps once per input shape and then replays the lists, so
+no kernel code, arena lookup or view construction runs on later
+forwards; :meth:`Kernel.run` records a step and makes its calls at once
+(calibration and the tests' fresh-buffer oracle run kernels that way).
+
 Precision is not a kernel family but a kernel's :class:`Epilogue`: the
 convolution and pooling kernels accumulate in the epilogue's *carrier*
 dtype, run any fused max-pool on that accumulator, and hand it to the
@@ -26,11 +35,19 @@ tap instead of unfolding 9x larger columns.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+
+try:  # the ufunc behind np.clip, without its Python wrapper
+    from numpy._core.umath import clip as clip_ufunc
+except ImportError:  # pragma: no cover - NumPy < 2
+    from numpy.core.umath import clip as clip_ufunc
 
 from ..im2col import conv_out_size
 
 __all__ = [
+    "Calls",
     "Kernel",
     "Epilogue",
     "ConvKernel",
@@ -50,28 +67,48 @@ __all__ = [
 ]
 
 
-def apply_activation(out: np.ndarray, act: tuple | None) -> np.ndarray:
-    """Apply an activation spec in place; ``act`` is ``None`` or a tuple
-    ``('relu',) | ('relu6',) | ('leaky_relu', slope) | ('sigmoid',) |
-    ('tanh',)``."""
+class Calls(list):
+    """NumPy calls recorded with their arguments bound.
+
+    ``calls(f, *args, **kwargs)`` records ``f(*args, **kwargs)``;
+    :meth:`run` makes every recorded call in order.  Arguments are
+    views of arena buffers, so a replay reads and writes the same
+    memory the recording bound.
+    """
+
+    def __call__(self, f, *args, **kwargs) -> None:
+        self.append(partial(f, *args, **kwargs))
+
+    def run(self) -> None:
+        for call in self:
+            call()
+
+
+def _leaky_relu(out: np.ndarray, slope: float) -> None:
+    np.multiply(out, slope, out=out, where=out < 0)
+
+
+def apply_activation(out: np.ndarray, act: tuple | None,
+                     calls: Calls) -> np.ndarray:
+    """Record an activation spec applied in place; ``act`` is ``None`` or
+    a tuple ``('relu',) | ('relu6',) | ('leaky_relu', slope) |
+    ('sigmoid',) | ('tanh',)``."""
     if act is None:
         return out
     kind = act[0]
     if kind == "relu":
-        np.maximum(out, 0.0, out=out)
+        calls(np.maximum, out, 0.0, out=out)
     elif kind == "relu6":
-        np.clip(out, 0.0, 6.0, out=out)
+        calls(clip_ufunc, out, 0.0, 6.0, out)
     elif kind == "leaky_relu":
-        slope = act[1]
-        neg = out < 0
-        np.multiply(out, slope, out=out, where=neg)
+        calls(_leaky_relu, out, act[1])  # the mask depends on the data
     elif kind == "sigmoid":
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        out += 1.0
-        np.reciprocal(out, out=out)
+        calls(np.negative, out, out)
+        calls(np.exp, out, out)
+        calls(np.add, out, 1.0, out)
+        calls(np.reciprocal, out, out)
     elif kind == "tanh":
-        np.tanh(out, out=out)
+        calls(np.tanh, out, out)
     else:  # pragma: no cover - compiler validates
         raise ValueError(f"unknown activation {act!r}")
     return out
@@ -93,27 +130,30 @@ class Epilogue:
         self.bias = None if bias is None else np.asarray(bias, self.carrier)
         self.act = act
 
-    def __call__(self, acc: np.ndarray, out: np.ndarray | None = None,
-                 axis: int = 1, c0: int = 0) -> None:
-        """Finish ``acc`` (channels on ``axis``, starting at channel
-        ``c0``) into ``out``, or in place when ``out`` is ``None``."""
+    def __call__(self, acc: np.ndarray, out: np.ndarray | None,
+                 calls: Calls, axis: int = 1, c0: int = 0) -> None:
+        """Record finishing ``acc`` (channels on ``axis``, starting at
+        channel ``c0``) into ``out``, or in place when ``out`` is
+        ``None``."""
         if self.bias is not None:
             bias = self.bias[c0 : c0 + acc.shape[axis]]
-            acc += bias.reshape((-1,) + (1,) * (acc.ndim - 1 - axis))
-        self.store(acc, out)
+            calls(np.add, acc,
+                  bias.reshape((-1,) + (1,) * (acc.ndim - 1 - axis)), acc)
+        self.store(acc, out, calls)
 
-    def store(self, acc: np.ndarray, out: np.ndarray | None) -> None:
-        apply_activation(acc, self.act)
+    def store(self, acc: np.ndarray, out: np.ndarray | None,
+              calls: Calls) -> None:
+        apply_activation(acc, self.act, calls)
         if out is not None:
-            np.copyto(out, acc)
+            calls(np.copyto, out, acc)
 
 
 def _pool_label(pool) -> str:
     return "" if pool is None else f"+maxpool{pool[0]}/s{pool[1]}"
 
 
-def maxpool(x: np.ndarray, kernel: int, stride: int, arena,
-            owner) -> np.ndarray:
+def maxpool(x: np.ndarray, kernel: int, stride: int, arena, owner,
+            calls: Calls) -> np.ndarray:
     """``kernel`` x ``kernel`` / ``stride`` max over the last two axes.
 
     Separable — rows first (contiguous reads), then columns on the
@@ -125,19 +165,20 @@ def maxpool(x: np.ndarray, kernel: int, stride: int, arena,
     *lead, h, w = x.shape
     oh, ow = conv_out_size(h, k, s, 0), conv_out_size(w, k, s, 0)
     rows = arena.get(owner, "poolrows", (*lead, oh, w), x.dtype)
-    np.maximum(x[..., : s * oh : s, :], x[..., k - 1 : k - 1 + s * oh : s, :],
-               out=rows)
+    calls(np.maximum, x[..., : s * oh : s, :],
+          x[..., k - 1 : k - 1 + s * oh : s, :], out=rows)
     for i in range(1, k - 1):
-        np.maximum(rows, x[..., i : i + s * oh : s, :], out=rows)
+        calls(np.maximum, rows, x[..., i : i + s * oh : s, :], out=rows)
     out = arena.get(owner, "pool", (*lead, oh, ow), x.dtype)
-    np.maximum(rows[..., : s * ow : s], rows[..., k - 1 : k - 1 + s * ow : s],
-               out=out)
+    calls(np.maximum, rows[..., : s * ow : s],
+          rows[..., k - 1 : k - 1 + s * ow : s], out=out)
     for j in range(1, k - 1):
-        np.maximum(out, rows[..., j : j + s * ow : s], out=out)
+        calls(np.maximum, out, rows[..., j : j + s * ow : s], out=out)
     return out
 
 
-def _pad_cm(arena, owner, x: np.ndarray, pad: int) -> np.ndarray:
+def _pad_cm(arena, owner, x: np.ndarray, pad: int,
+            calls: Calls) -> np.ndarray:
     """``x`` (N, C, H, W) as a zero-padded channel-major (C, N, H', W')
     block in the input's own dtype (a view when ``pad`` is 0).  The
     border is zeroed once at allocation and never written again."""
@@ -146,12 +187,13 @@ def _pad_cm(arena, owner, x: np.ndarray, pad: int) -> np.ndarray:
     n, c, h, w = x.shape
     xp = arena.get(owner, "pad", (c, n, h + 2 * pad, w + 2 * pad), x.dtype,
                    zero=True)
-    xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    calls(np.copyto, xp[:, :, pad : pad + h, pad : pad + w],
+          x.transpose(1, 0, 2, 3))
     return xp
 
 
 def im2col_cm(arena, owner, xp: np.ndarray, kh: int, kw: int, stride: int,
-              dtype) -> tuple[np.ndarray, int, int]:
+              dtype, calls: Calls) -> tuple[np.ndarray, int, int]:
     """Channel-major im2col of a padded (C, N, H', W') block: returns
     (cols (C*kh*kw, N*OH*OW), OH, OW).
 
@@ -167,8 +209,8 @@ def im2col_cm(arena, owner, xp: np.ndarray, kh: int, kw: int, stride: int,
                                                        axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
     cols = arena.get(owner, "cols", (c * kh * kw, n * oh * ow), dtype)
-    np.copyto(cols.reshape(c, kh, kw, n, oh, ow),
-              windows.transpose(0, 4, 5, 1, 2, 3))
+    calls(np.copyto, cols.reshape(c, kh, kw, n, oh, ow),
+          windows.transpose(0, 4, 5, 1, 2, 3))
     return cols, oh, ow
 
 
@@ -186,8 +228,18 @@ class Kernel:
     def __init__(self, key) -> None:
         self.key = key
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs: list[np.ndarray], arena,
+               calls: Calls) -> np.ndarray:
+        """Append this step's NumPy calls on ``inputs`` to ``calls`` and
+        return the array they leave the result in."""
         raise NotImplementedError
+
+    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+        """Record the step, then make its calls."""
+        calls = Calls()
+        out = self.record(inputs, arena, calls)
+        calls.run()
+        return out
 
     def _acc(self, arena, out: np.ndarray) -> np.ndarray:
         """Accumulator for ``out``: ``out`` itself when it already has
@@ -202,7 +254,7 @@ class ConvKernel(Kernel):
 
     1x1/stride-1/pad-0 convolutions (half of every SkyNet Bundle) skip
     im2col entirely and run in cache-sized row blocks
-    (:meth:`_run_row_blocks`); the rest unfold the microbatch with one
+    (:meth:`_row_blocks`); the rest unfold the microbatch with one
     channel-major im2col and run one GEMM per sample.
     """
 
@@ -230,7 +282,7 @@ class ConvKernel(Kernel):
                       f"{f'+{act[0]}' if act else ''}{_pool_label(pool)}"
                       f"{epilogue.tag}")
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         (x,) = inputs
         n, cin, h, w = x.shape
         cout = self._wmat.shape[0]
@@ -239,33 +291,33 @@ class ConvKernel(Kernel):
                                or self.pool[0] == self.pool[1]):
             if x.dtype != carrier:
                 xc = arena.get(self.key, "xin", x.shape, carrier)
-                np.copyto(xc, x)
+                calls(np.copyto, xc, x)
                 x = xc
-            return self._run_row_blocks(x, arena)
-        xp = _pad_cm(arena, self.key, x, self.pad)
+            return self._row_blocks(x, arena, calls)
+        xp = _pad_cm(arena, self.key, x, self.pad, calls)
         cols, oh, ow = im2col_cm(arena, self.key, xp, self.kh, self.kw,
-                                 self.stride, carrier)
+                                 self.stride, carrier, calls)
         acc = arena.get(self.key, "acc", (cout, n, oh, ow), carrier)
         # One GEMM per sample: BLAS rounding depends on the column
         # count, and a sample's result must not depend on its batch.
         p = oh * ow
         acc2d = acc.reshape(cout, n * p)
         for b in range(n):
-            np.matmul(self._wmat, cols[:, b * p:(b + 1) * p],
-                      out=acc2d[:, b * p:(b + 1) * p])
+            calls(np.matmul, self._wmat, cols[:, b * p:(b + 1) * p],
+                  acc2d[:, b * p:(b + 1) * p])
         if self.pool is not None:
-            acc = maxpool(acc, *self.pool, arena, self.key)
+            acc = maxpool(acc, *self.pool, arena, self.key, calls)
         # (C, N, H, W) -> NCHW; one sample leaves the layouts identical,
         # and the epilogue can then run in place.
         nchw = acc.transpose(1, 0, 2, 3)
         if nchw.dtype == self.epilogue.out_dtype and nchw.flags.c_contiguous:
-            self.epilogue(acc, None, axis=0)
+            self.epilogue(acc, None, calls, axis=0)
             return nchw
         out = arena.get(self.key, "out", nchw.shape, self.epilogue.out_dtype)
-        self.epilogue(acc, out.transpose(1, 0, 2, 3), axis=0)
+        self.epilogue(acc, out.transpose(1, 0, 2, 3), calls, axis=0)
         return out
 
-    def _run_row_blocks(self, x: np.ndarray, arena) -> np.ndarray:
+    def _row_blocks(self, x: np.ndarray, arena, calls: Calls) -> np.ndarray:
         """1x1 conv (+ pool) + epilogue, one block of rows at a time.
 
         Each block's accumulator fits :attr:`Kernel.BLOCK_BYTES`, so the
@@ -291,11 +343,11 @@ class ConvKernel(Kernel):
                 acc = (dst if direct else arena.get(
                     self.key, "acc", (cout, r1 - r0, w),
                     self.epilogue.carrier))
-                np.matmul(self._wmat, x[b, :, r0:r1].reshape(cin, -1),
-                          out=acc.reshape(cout, -1))
+                calls(np.matmul, self._wmat, x[b, :, r0:r1].reshape(cin, -1),
+                      acc.reshape(cout, -1))
                 if self.pool is not None:
-                    acc = maxpool(acc, *self.pool, arena, self.key)
-                self.epilogue(acc, None if direct else dst, axis=0)
+                    acc = maxpool(acc, *self.pool, arena, self.key, calls)
+                self.epilogue(acc, None if direct else dst, calls, axis=0)
         return out
 
 
@@ -339,7 +391,7 @@ class DWConvKernel(Kernel):
         self.label = (f"dwconv{kh}x{kw} c{c}{f'+{act[0]}' if act else ''}"
                       f"{epilogue.tag}")
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         """Channels run in blocks of :attr:`Kernel.BLOCK_BYTES`: each block
         is padded, convolved (tap products, or a column copy and its
         matmul) and finished by the epilogue while it is cache-resident.
@@ -366,28 +418,29 @@ class DWConvKernel(Kernel):
         xp = None if p == 0 else arena.get(
             self.key, "pad", (cb, n, h + 2 * p, w + 2 * p), x.dtype,
             zero=True)  # the border is zeroed once, never written
+        tb = arena.get(self.key, "tap", block, carrier) if taps else None
         for c0 in range(0, c, cb):
             c1 = min(c0 + cb, c)
             xb = x[:, c0:c1].transpose(1, 0, 2, 3)
             if xp is not None:
-                xp[: c1 - c0, :, p : p + h, p : p + w] = xb
+                calls(np.copyto, xp[: c1 - c0, :, p : p + h, p : p + w], xb)
                 xb = xp[: c1 - c0]
             ob = out_cm[c0:c1]
             acc = ob if in_place else scratch[: c1 - c0]
             if taps:
-                tb = arena.get(self.key, "tap", block, carrier)[: c1 - c0]
+                tap = tb[: c1 - c0]
                 for t, (i, j, wt) in enumerate(self._taps):
                     win = xb[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                    np.multiply(win, wt[c0:c1], out=tb if t else acc)
+                    calls(np.multiply, win, wt[c0:c1], tap if t else acc)
                     if t:
-                        acc += tb
+                        calls(np.add, acc, tap, acc)
             else:
                 cols, _, _ = im2col_cm(arena, self.key, xb, self.kh, self.kw,
-                                       s, carrier)
-                np.matmul(self._wmat[c0:c1, None],
-                          cols.reshape(c1 - c0, k2, n, -1).transpose(0, 2, 1, 3),
-                          out=acc.reshape(c1 - c0, n, 1, -1))
-            self.epilogue(acc, None if in_place else ob, axis=0, c0=c0)
+                                       s, carrier, calls)
+                calls(np.matmul, self._wmat[c0:c1, None],
+                      cols.reshape(c1 - c0, k2, n, -1).transpose(0, 2, 1, 3),
+                      acc.reshape(c1 - c0, n, 1, -1))
+            self.epilogue(acc, None if in_place else ob, calls, axis=0, c0=c0)
         return out
 
 
@@ -409,8 +462,9 @@ class FusedBundleKernel(Kernel):
         self.epilogue = pw.epilogue
         self.label = f"bundle[{dw.label} | {pw.label}]"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        return self.pw.run([self.dw.run(inputs, arena)], arena)
+    def record(self, inputs, arena, calls):
+        return self.pw.record([self.dw.record(inputs, arena, calls)], arena,
+                              calls)
 
 
 class AffineKernel(Kernel):
@@ -430,16 +484,16 @@ class AffineKernel(Kernel):
         name = "act" if self.scale is None else "affine"
         self.label = f"{name}{f':{act[0]}' if act else ''}{epilogue.tag}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         (x,) = inputs
         out = arena.get(self.key, "out", x.shape, self.epilogue.out_dtype)
         acc = self._acc(arena, out)
         if self.scale is None:
-            np.copyto(acc, x)
+            calls(np.copyto, acc, x)
         else:
-            np.multiply(x, self.scale.reshape(
-                (-1,) + (1,) * (x.ndim - 2)), out=acc)
-        self.epilogue(acc, None if acc is out else out)
+            calls(np.multiply, x,
+                  self.scale.reshape((-1,) + (1,) * (x.ndim - 2)), acc)
+        self.epilogue(acc, None if acc is out else out, calls)
         return out
 
 
@@ -452,8 +506,9 @@ class MaxPoolKernel(Kernel):
         self.stride = stride
         self.label = f"maxpool{kernel}x{kernel}/s{stride}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
-        return maxpool(inputs[0], self.kernel, self.stride, arena, self.key)
+    def record(self, inputs, arena, calls):
+        return maxpool(inputs[0], self.kernel, self.stride, arena, self.key,
+                       calls)
 
 
 class AvgPoolKernel(Kernel):
@@ -468,7 +523,7 @@ class AvgPoolKernel(Kernel):
         self.epilogue = epilogue if epilogue is not None else Epilogue()
         self.label = f"avgpool{kernel}x{kernel}/s{stride}{self.epilogue.tag}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         (x,) = inputs
         n, c, h, w = x.shape
         k, s = self.kernel, self.stride
@@ -479,24 +534,25 @@ class AvgPoolKernel(Kernel):
         acc = self._acc(arena, out)
         # Accumulate tap-by-tap over strided slices rather than reducing
         # a sliding-window view: an order of magnitude faster.
-        np.copyto(acc, x[:, :, : s * oh : s, : s * ow : s])
+        calls(np.copyto, acc, x[:, :, : s * oh : s, : s * ow : s])
         for i in range(k):
             for j in range(k):
                 if i or j:
-                    acc += x[:, :, i : i + s * oh : s, j : j + s * ow : s]
-        acc *= 1.0 / (k * k)
-        self.epilogue(acc, None if acc is out else out)
+                    calls(np.add, acc,
+                          x[:, :, i : i + s * oh : s, j : j + s * ow : s], acc)
+        calls(np.multiply, acc, 1.0 / (k * k), acc)
+        self.epilogue(acc, None if acc is out else out, calls)
         return out
 
 
 class GlobalAvgPoolKernel(Kernel):
     label = "global_avg_pool"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         (x,) = inputs
         n, c = x.shape[:2]
         out = arena.get(self.key, "out", (n, c), np.float32)
-        np.mean(x, axis=(2, 3), out=out)
+        calls(np.mean, x, axis=(2, 3), out=out)
         return out
 
 
@@ -508,7 +564,7 @@ class ReorgKernel(Kernel):
         self.stride = stride
         self.label = f"reorg/s{stride}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         (x,) = inputs
         n, c, h, w = x.shape
         s = self.stride
@@ -516,7 +572,8 @@ class ReorgKernel(Kernel):
             raise ValueError(f"reorg: spatial dims ({h},{w}) not divisible by {s}")
         out = arena.get(self.key, "out", (n, c * s * s, h // s, w // s),
                         x.dtype)
-        np.copyto(
+        calls(
+            np.copyto,
             out.reshape(n, s, s, c, h // s, w // s),
             x.reshape(n, c, h // s, s, w // s, s).transpose(0, 3, 5, 1, 2, 4),
         )
@@ -529,14 +586,13 @@ class UpsampleKernel(Kernel):
         self.scale = scale
         self.label = f"upsample x{scale}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         (x,) = inputs
         n, c, h, w = x.shape
         s = self.scale
         out = arena.get(self.key, "out", (n, c, h * s, w * s), x.dtype)
-        np.copyto(
-            out.reshape(n, c, h, s, w, s), x[:, :, :, None, :, None]
-        )
+        calls(np.copyto, out.reshape(n, c, h, s, w, s),
+              x[:, :, :, None, :, None])
         return out
 
 
@@ -545,11 +601,11 @@ class ConcatKernel(Kernel):
 
     label = "concat"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         n, _, h, w = inputs[0].shape
         c = sum(a.shape[1] for a in inputs)
         out = arena.get(self.key, "out", (n, c, h, w), inputs[0].dtype)
-        np.concatenate(inputs, axis=1, out=out)
+        calls(np.concatenate, inputs, axis=1, out=out)
         return out
 
 
@@ -562,7 +618,7 @@ class SliceChannelsKernel(Kernel):
         self.stop = stop
         self.label = f"slice[{start}:{stop}]"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         return inputs[0][:, self.start : self.stop]
 
 
@@ -575,18 +631,27 @@ class LinearKernel(Kernel):
         )
         self.label = f"linear {self._wt.shape[0]}->{self._wt.shape[1]}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         (x,) = inputs
         out = arena.get(self.key, "out", (x.shape[0], self._wt.shape[1]),
                         np.float32)
-        np.matmul(x, self._wt, out=out)
-        self.epilogue(out)
+        calls(np.matmul, x, self._wt, out)
+        self.epilogue(out, None, calls)
         return out
 
 
 class FlattenKernel(Kernel):
+    """``(N, ...)`` -> ``(N, -1)``: a view, or a recorded copy when the
+    input's layout has no flat view (a reshape copy made while recording
+    would be stale on every replay)."""
+
     label = "flatten"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         (x,) = inputs
-        return x.reshape(x.shape[0], -1)
+        flat = x.reshape(len(x), -1)
+        if np.may_share_memory(flat, x):
+            return flat
+        out = arena.get(self.key, "out", flat.shape, x.dtype)
+        calls(np.copyto, out.reshape(x.shape), x)
+        return out

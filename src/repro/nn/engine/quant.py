@@ -168,9 +168,10 @@ class IntEpilogue(K.Epilogue):
                 self.hi = min(6.0 * 2.0**out_frac, self.hi)
         self.tag = f" [{quant.label}/{self.carrier.name}]"
 
-    def store(self, acc: np.ndarray, out: np.ndarray | None) -> None:
-        np.clip(acc, self.lo, self.hi, out=acc)
-        np.rint(acc, out=acc if out is None else out, casting="unsafe")
+    def store(self, acc: np.ndarray, out: np.ndarray | None,
+              calls: K.Calls) -> None:
+        calls(K.clip_ufunc, acc, self.lo, self.hi, acc)
+        calls(np.rint, acc, acc if out is None else out, casting="unsafe")
 
 
 class QuantizeKernel(K.Kernel):
@@ -190,14 +191,14 @@ class QuantizeKernel(K.Kernel):
         self._dtype, self._scale = grid_scale(frac)
         self.label = f"quantize f{frac} [{quant.label}]"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         (x,) = inputs
         q = arena.get(self.key, "q", x.shape, self._dtype)
-        np.multiply(x, self._scale, out=q)
-        np.fmax(q, self.quant.fm_qmin, out=q)
-        np.fmin(q, self.quant.fm_qmax, out=q)
+        calls(np.multiply, x, self._scale, q)
+        calls(np.fmax, q, self.quant.fm_qmin, q)
+        calls(np.fmin, q, self.quant.fm_qmax, q)
         out = arena.get(self.key, "out", x.shape, self.quant.fm_storage)
-        np.rint(q, out=out, casting="unsafe")
+        calls(np.rint, q, out, casting="unsafe")
         return out
 
 
@@ -216,13 +217,18 @@ class DequantizeKernel(K.Kernel):
         self._inv_scale = 2.0**-frac
         self.label = f"dequantize f{frac}"
 
-    def run(self, inputs: list[np.ndarray], arena) -> np.ndarray:
+    def record(self, inputs, arena, calls):
         x, src = inputs
         out = arena.get(self.key, "out", x.shape, np.float32)
-        np.copyto(out, x)
-        out *= self._inv_scale
-        out[~np.isfinite(src.reshape(len(src), -1)).all(axis=1)] = np.nan
+        calls(np.copyto, out, x)
+        calls(np.multiply, out, self._inv_scale, out)
+        calls(_poison_nonfinite, out, src)  # the mask depends on the data
         return out
+
+
+def _poison_nonfinite(out: np.ndarray, src: np.ndarray) -> None:
+    """NaN every sample of ``out`` whose ``src`` sample is not finite."""
+    out[~np.isfinite(src.reshape(len(src), -1)).all(axis=1)] = np.nan
 
 
 def boundary_kernel(node: _Node, key) -> K.Kernel:
@@ -302,7 +308,7 @@ class _Calibrator:
             out = kern.run([x[b : b + 1] for x in xs], arena)
             peak = max(peak, _max_abs(out))
             if pool is not None:
-                out = K.maxpool(out, pool[0], pool[1], arena, "cal")
+                out = K.MaxPoolKernel("cal", *pool).run([out], arena)
             if held is None:
                 held = np.empty((len(xs[0]), *out.shape[1:]), out.dtype)
             held[b] = out[0]
@@ -434,7 +440,7 @@ class _Calibrator:
                       **{**a, "dw": dw, "pw": pw})
         elif kind == "act":
             reg = node.inputs[0]
-            value = K.apply_activation(self.cal[reg].copy(), a["act"])
+            value = self._reference(_lower_node(node, ("cal", kind)), [reg])
             value, frac = self.quantize_values(value, scratch=True)
             self._requant_node(reg, frac, a["act"], value, node.out)
         elif kind == "avgpool":

@@ -14,8 +14,8 @@ speedup claim decomposes per kernel (``repro profile <net> --engine
 
 The profiler runs the plan's own forward loop on the plan's own
 planned arena, one unsplit forward per repetition, and times each
-kernel call inside it — the per-step span bookkeeping stays out of the
-timed region.
+step's replayed calls inside it — the per-step span bookkeeping stays
+out of the timed region.
 """
 
 from __future__ import annotations
@@ -114,34 +114,35 @@ class KernelProfile:
 # --------------------------------------------------------------------- #
 # FLOP estimation
 # --------------------------------------------------------------------- #
-def _conv_flops(w_shape: tuple, out_shape: tuple, depthwise: bool) -> int:
-    """2 * MACs of a conv given its weight and output shapes."""
-    n = out_shape[0]
-    oh, ow = out_shape[-2], out_shape[-1]
-    if depthwise:
-        c, _, kh, kw = w_shape
-        return 2 * n * c * kh * kw * oh * ow
-    cout, cin, kh, kw = w_shape
-    return 2 * n * cout * cin * kh * kw * oh * ow
+def _conv_flops(kern, in_shape: tuple) -> tuple[int, tuple]:
+    """2 * MACs of a conv or depthwise kernel on an ``in_shape`` input,
+    counted at the conv's own output size (before any fused max-pool),
+    and that output shape."""
+    from ..nn.im2col import conv_out_size
+
+    n, _, h, w = in_shape
+    cout, cin, kh, kw = kern.weight.shape  # cin is 1 for a depthwise conv
+    oh = conv_out_size(h, kh, kern.stride, kern.pad)
+    ow = conv_out_size(w, kw, kern.stride, kern.pad)
+    return 2 * n * oh * ow * cout * cin * kh * kw, (n, cout, oh, ow)
 
 
-def _step_flops(kern, out: np.ndarray) -> int:
-    """Analytic FLOP estimate for one kernel given its produced output.
+def _step_flops(kern, in_shape: tuple, out: np.ndarray) -> int:
+    """Analytic FLOP estimate for one kernel given its first input's
+    shape and its produced output.
 
     Matmul-backed kernels get exact 2*MAC counts from their weight
-    shapes; element-wise/data-movement kernels are counted as one op per
-    output element (honest about being ~free next to the GEMMs).
+    shapes at their pre-pool output size; element-wise/data-movement
+    kernels are counted as one op per output element (honest about
+    being ~free next to the GEMMs).
     """
     from ..nn.engine import kernels as K
 
     if isinstance(kern, K.FusedBundleKernel):
-        # dw output spatial == pw output spatial (pw is 1x1/s1/p0)
-        return (_conv_flops(kern.dw.weight.shape, out.shape, True)
-                + _conv_flops(kern.pw.weight.shape, out.shape, False))
-    if isinstance(kern, K.DWConvKernel):
-        return _conv_flops(kern.weight.shape, out.shape, True)
-    if isinstance(kern, K.ConvKernel):
-        return _conv_flops(kern.weight.shape, out.shape, False)
+        dw, mid = _conv_flops(kern.dw, in_shape)
+        return dw + _conv_flops(kern.pw, mid)[0]
+    if isinstance(kern, (K.DWConvKernel, K.ConvKernel)):
+        return _conv_flops(kern, in_shape)[0]
     if isinstance(kern, K.LinearKernel):
         din, dout = kern._wt.shape
         return 2 * out.shape[0] * din * dout
@@ -181,12 +182,15 @@ def profile_net(net, x: np.ndarray, reps: int = 10,
     steps = net.steps
     times = [[] for _ in steps]
     meta: list[tuple[str, int, int] | None] = [None] * len(steps)
+    shapes = {0: x.shape}  # register -> shape
 
     def observe(i: int, out: np.ndarray, seconds: float) -> None:
         times[i].append(seconds * 1e3)
+        kern, ins, reg = steps[i]
+        shapes[reg] = out.shape
         if meta[i] is None:
-            kern = steps[i][0]
-            meta[i] = (_step_dtype(kern, out), _step_flops(kern, out),
+            meta[i] = (_step_dtype(kern, out),
+                       _step_flops(kern, shapes[ins[0]], out),
                        int(out.nbytes))
 
     for _ in range(warmup):

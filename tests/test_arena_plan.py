@@ -8,8 +8,9 @@ the planned output to be bit-identical — over SkyNet A, B and C
 (bypass, reorg, concat), MobileNet, a grouped convolution (slice
 views), ``GenericBundle`` stacks over every catalog spec and an integer
 plan, at batches 1 to 4, split and unsplit, with two input shapes
-interleaved on one arena and with every slab poisoned before a
-forward.
+interleaved on one arena, new and overwritten input arrays on the
+replayed rounds, a slab grown under an older plan and every slab
+poisoned before a forward.
 """
 
 from __future__ import annotations
@@ -99,14 +100,24 @@ def _arenas(net):
 
 def _check_interleaved(net, rng, batches) -> None:
     """Both input shapes, alternating on one arena, each forward equal
-    to the oracle; the second round at each shape allocates nothing."""
-    inputs = [rng.normal(0, 1, (b, 3, *hw)).astype(np.float32)
-              for b in batches for hw in SHAPES]
-    for x in inputs:
+    to the oracle.  The second round gets new input arrays and the
+    third the same arrays overwritten in place, so a replay that kept a
+    view or a copy of an earlier call's input would show; neither round
+    allocates."""
+    shapes = [(b, 3, *hw) for b in batches for hw in SHAPES]
+
+    def check(x):
         np.testing.assert_array_equal(net(x), oracle_forward(net, x))
+
+    for shape in shapes:
+        check(rng.normal(0, 1, shape).astype(np.float32))
     misses = [a.misses for a in _arenas(net)]
+    inputs = [rng.normal(0, 1, shape).astype(np.float32) for shape in shapes]
     for x in inputs:
-        np.testing.assert_array_equal(net(x), oracle_forward(net, x))
+        check(x)
+    for x in inputs:
+        x[...] = rng.normal(0, 1, x.shape)
+        check(x)
     assert [a.misses for a in _arenas(net)] == misses
 
 
@@ -146,6 +157,30 @@ def test_poisoned_slabs_do_not_change_the_output(quant, rng, monkeypatch):
                 slab.fill(0xFF)  # NaN in every float dtype
         np.testing.assert_array_equal(net(x), want)
         np.testing.assert_array_equal(want, oracle_forward(net, x))
+
+
+@pytest.mark.parametrize("quant", [False, True], ids=["fp32", "w8f8"])
+def test_grown_slab_rerecords_the_older_plan(quant, rng, monkeypatch):
+    """Planning a larger shape grows slabs the smaller plan binds: its
+    recorded calls are dropped, recorded again on its next forward
+    against the same bindings, and exact."""
+    monkeypatch.setattr(threads, "cores", lambda: 1)
+    net = _compiled("skynet_C", rng, quant=quant)
+    small, large = (1, 3, *SHAPES[1]), (2, 3, *SHAPES[0])
+
+    def forward(shape):
+        x = rng.normal(0, 1, shape).astype(np.float32)
+        np.testing.assert_array_equal(net(x), oracle_forward(net, x))
+
+    forward(small)
+    forward(large)
+    assert net.arena.program(small) is None  # a slab it binds grew
+    forward(small)
+    assert net.arena.program(small) is not None
+    misses = net.arena.misses
+    forward(large)
+    forward(small)
+    assert net.arena.misses == misses
 
 
 def test_plan_shares_slabs(rng, monkeypatch):

@@ -125,6 +125,9 @@ class TestPlan:
 
 class TestArena:
     def test_buffers_reused_across_frames(self, rng):
+        """The second forward allocates nothing, and once a forward has
+        recorded its calls the next ones replay them without asking
+        the arena for any buffer."""
         bb = SkyNetBackbone("A", width_mult=0.25, rng=rng)
         bb.eval()
         net = compile_net(bb)
@@ -135,14 +138,22 @@ class TestArena:
         net(x)
         assert len(net.arena) == allocated  # no new buffers
         assert net.arena.misses == misses
-        assert net.arena.hits > 0
+        assert net.arena.program(x.shape) is not None
+        hits = net.arena.hits
+        net(x)
+        assert (net.arena.hits, net.arena.misses) == (hits, misses)
 
     def test_distinct_shapes_get_distinct_buffers(self):
+        """Each request is a fresh view; a repeated one views the same
+        memory, a different shape other memory."""
         arena = BufferArena()
         a = arena.get("k", "out", (2, 3), np.float32)
         b = arena.get("k", "out", (4, 3), np.float32)
-        assert a is not b
-        assert arena.get("k", "out", (2, 3), np.float32) is a
+        assert not np.shares_memory(a, b)
+        again = arena.get("k", "out", (2, 3), np.float32)
+        assert again.shape == a.shape
+        assert (again.__array_interface__["data"]
+                == a.__array_interface__["data"])
 
     def test_zero_buffers_zeroed_once(self):
         arena = BufferArena()

@@ -287,10 +287,10 @@ class TestIntegerVariants:
             m.setattr(Kernel, "BLOCK_BYTES", 1 << 40)
             net = compile_net(bb, quant=QuantConfig(8, 8), calibration=x)
         calls = {"taps": 0, "blocks": 0}
-        dw_run, matmul = DWConvKernel.run, np.matmul
+        dw_record, matmul = DWConvKernel.record, np.matmul
 
-        def count_taps(self, inputs, arena):
-            out = dw_run(self, inputs, arena)
+        def count_taps(self, inputs, arena, recorded):
+            out = dw_record(self, inputs, arena, recorded)
             n, _, oh, ow = out.shape
             calls["taps"] += n * oh * ow >= self.TAP_MIN_PIXELS
             return out
@@ -301,7 +301,7 @@ class TestIntegerVariants:
             calls["blocks"] += np.ndim(a) == 2
             return matmul(a, b, out=out)
 
-        monkeypatch.setattr(DWConvKernel, "run", count_taps)
+        monkeypatch.setattr(DWConvKernel, "record", count_taps)
         monkeypatch.setattr(np, "matmul", count_blocks)
         np.testing.assert_array_equal(net(x),
                                       net.quant_stats["reference_output"])

@@ -511,6 +511,43 @@ class TestKernelProfiler:
         table = render_comparison(profile, qprofile)
         assert "TOTAL" in table and "fp32/w8/f8" in table
 
+    def test_conv_flops_match_describe(self, backbone, rng):
+        """Conv and Bundle steps count their FLOPs before a folded
+        max-pool: together they are 2 x the MACs of ``describe``'s conv
+        rows."""
+        from repro.hardware import describe
+        from repro.nn.engine import compile_net
+
+        net = compile_net(backbone)
+        assert any(getattr(k, "pw", k).__dict__.get("pool")
+                   for k, _, _ in net.steps)  # some pool is folded
+        profile = net.profile(_images(rng, 2), reps=1, warmup=0)
+        flops = sum(s.flops for s in profile.steps
+                    if s.kind in ("ConvKernel", "DWConvKernel",
+                                  "FusedBundleKernel"))
+        macs = sum(layer.macs for layer in describe(backbone, (16, 32)).layers
+                   if layer.kind in ("conv", "dwconv", "pwconv"))
+        assert flops == 2 * 2 * macs  # batch 2
+
+    def test_replayed_forward_observes_every_step_once(self, backbone,
+                                                       rng):
+        """A replayed forward runs each step's recorded calls under its
+        own ``engine/kernel`` span and hands it to ``observe`` once."""
+        from repro.nn.engine import compile_net
+
+        net = compile_net(backbone)
+        x = _images(rng, 1)[:, :, :16, :32]
+        net._forward(x)  # records the program
+        seen = []
+        with obs.recording() as rec:
+            net._forward(x, lambda i, out, s: seen.append((i, out.shape)))
+        assert [i for i, _ in seen] == list(range(len(net.steps)))
+        spans = [r["attrs"]["kernel"] for r in rec.records()
+                 if r.get("type") == "span" and r["name"] == "engine/kernel"]
+        assert spans == [k.label for k, _, _ in net.steps]
+        profile = net.profile(x, reps=3, warmup=0)
+        assert all(s.calls == 3 for s in profile.steps)
+
     def test_profile_validates_args(self, backbone, rng):
         from repro.nn.engine import compile_net
 
@@ -662,9 +699,9 @@ class TestPerfGate:
         self._write_baselines(tmp_path, engine=0.01, quant=0.01)
         store = quant.IntEpilogue.store
 
-        def off_by_one(self, acc, out):
-            acc += 1.0
-            store(self, acc, out)
+        def off_by_one(self, acc, out, calls):
+            calls(np.add, acc, 1.0, acc)
+            store(self, acc, out, calls)
 
         monkeypatch.setattr(quant.IntEpilogue, "store", off_by_one)
         out_json = str(tmp_path / "verdicts.json")
